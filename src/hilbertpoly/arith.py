@@ -327,7 +327,10 @@ def parse_poly(text, variables=None):
             m = _NUM_FACTOR.match(factor)
             if m:
                 num, den = m.group(1), m.group(2)
-                coeff *= Fraction(int(num), int(den) if den else 1)
+                den = int(den) if den else 1
+                if not den:
+                    raise PolyParseError("zero denominator in %r" % text)
+                coeff *= Fraction(int(num), den)
                 continue
             m = _VAR_FACTOR.match(factor)
             if m:

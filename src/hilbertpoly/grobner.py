@@ -11,12 +11,15 @@ Conventions
 * count_zero_dim counts points with multiplicity (vector-space
   dimension of the quotient); with generic data that is the geometric
   count.
+* The normal form takes its next term, the largest left, from a heap
+  keyed by MonomialOrder.heap_key instead of scanning the remainder.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,22 +57,40 @@ class MonomialOrder:
             return tuple(exp)
         return (sum(exp), tuple(-e for e in reversed(exp)))
 
+    def heap_key(self, exp):
+        """Key sorting exactly opposite to key: a min-heap on it pops the
+        largest monomial first."""
+        if self.ranking is not None:
+            exp = tuple(exp[i] for i in self.ranking)
+        if self.kind == "lex":
+            return tuple(-e for e in exp)
+        return (-sum(exp), exp[::-1])
+
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
 
 
 def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 def _mono_div(b, a):
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(operator.sub, b, a))
 
 def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
+
+def _support(exp):
+    """Bitmask of the variables occurring in exp: a divisor's support is
+    a subset of its multiple's."""
+    mask = 0
+    for i, e in enumerate(exp):
+        if e:
+            mask |= 1 << i
+    return mask
 
 
 def leading_term(f, order):
@@ -143,42 +164,61 @@ def _spoly(f, lf, g, lg, order):
     return a * f - b * g
 
 
-def _normal_form_terms(fterms, basis, order, variables):
-    """Full reduction of a term dict against [(lt, poly)]; returns a dict."""
+def _reducer(lt, g):
+    """g with leading exponent lt, as _normal_form_terms takes it: the
+    support mask of lt, lt, and the other terms with their masks."""
+    return (_support(lt), lt,
+            [(e, c, _support(e)) for e, c in g.terms.items() if e != lt])
+
+
+def _normal_form_terms(fterms, reducers, order):
+    """Full reduction of a term dict against a list of _reducer; returns
+    a dict.
+
+    Every term a reduction adds is smaller than the term it removes, so
+    a term once popped from the heap never comes back.  An exponent is
+    pushed when it enters work; an entry whose exponent has since
+    cancelled out of work is skipped when popped.  Heap entries carry
+    the exponent's support mask, the union of the masks of its factors.
+    """
+    heap_key = order.heap_key
     work = dict(fterms)
+    heap = [(heap_key(e), e, _support(e)) for e in work]
+    heapq.heapify(heap)
     out = {}
-    while work:
-        exp = max(work, key=order.key)
-        coeff = work.pop(exp)
+    while heap:
+        _, exp, mask = heapq.heappop(heap)
+        coeff = work.pop(exp, None)
         if not coeff:
             continue
-        hit = None
-        for lt, g in basis:
-            if _mono_divides(lt, exp):
-                hit = (lt, g)
+        for lmask, lt, tail in reducers:
+            if not lmask & ~mask and _mono_divides(lt, exp):
                 break
-        if hit is None:
-            out[exp] = out.get(exp, Fraction(0)) + coeff
+        else:
+            out[exp] = coeff
             continue
-        lt, g = hit
         shift = _mono_div(exp, lt)
-        for e2, c2 in g.terms.items():
-            if e2 == lt:
-                continue  # cancels exactly against the popped term
+        smask = _support(shift)
+        for e2, c2, m2 in tail:
             e = _mono_mul(shift, e2)
-            v = work.get(e, Fraction(0)) - coeff * c2
+            old = work.get(e)
+            if old is None:
+                work[e] = -coeff * c2
+                heapq.heappush(heap, (heap_key(e), e, smask | m2))
+                continue
+            v = old - coeff * c2
             if v:
                 work[e] = v
-            elif e in work:
+            else:
                 del work[e]
     return out
 
 
 def normal_form(f, basis_polys, order=GREVLEX):
     """Remainder of f under full division by the given polynomials."""
-    basis = [(leading_term(g, order)[0], _monic(g, order))
-             for g in basis_polys if g]
-    terms = _normal_form_terms(f.terms, basis, order, f.variables)
+    reducers = [_reducer(leading_term(g, order)[0], _monic(g, order))
+                for g in basis_polys if g]
+    terms = _normal_form_terms(f.terms, reducers, order)
     return MultiPoly(f.variables, terms)
 
 
@@ -193,15 +233,18 @@ def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
         if g:
             G.append(_monic(g, order))
     lts = [leading_term(g, order)[0] for g in G]
+    reducers = [_reducer(lt, g) for lt, g in zip(lts, G)]
 
-    def check_caps(poly=None):
-        if max_basis is not None and len(G) > max_basis:
-            raise ResourceCapExceeded("basis size exceeded %d" % max_basis)
-        if max_degree is not None and poly is not None:
+    def check_caps(poly):
+        if max_degree is not None:
             d = poly.total_degree()
             if d is not None and d > max_degree:
                 raise ResourceCapExceeded("degree exceeded %d" % max_degree)
+        if max_basis is not None and len(G) > max_basis:
+            raise ResourceCapExceeded("basis size exceeded %d" % max_basis)
 
+    for g in G:
+        check_caps(g)
     heap = []
     for i in range(len(G)):
         for j in range(i):
@@ -227,46 +270,43 @@ def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
         if skip:
             continue
         s = _spoly(G[i], lts[i], G[j], lts[j], order)
-        r = MultiPoly(s.variables,
-                      _normal_form_terms(s.terms, list(zip(lts, G)), order, s.variables))
+        r = MultiPoly(s.variables, _normal_form_terms(s.terms, reducers, order))
         if not r:
             continue
         r = _monic(r, order)
-        check_caps(r)
         t = len(G)
         G.append(r)
         lts.append(leading_term(r, order)[0])
-        check_caps()
+        reducers.append(_reducer(lts[t], r))
+        check_caps(r)
         for k in range(t):
             heapq.heappush(heap, (order.key(_mono_lcm(lts[t], lts[k])), t, k))
-    return _autoreduce(G, order)
+    return _autoreduce(G, lts, reducers, order)
 
 
-def _autoreduce(G, order):
-    # drop elements whose lead is divisible by another lead, then fully
-    # reduce each survivor against the others
-    G = list(G)
-    changed = True
-    while changed:
-        changed = False
-        lts = [leading_term(g, order)[0] for g in G]
-        keep = []
-        for i, g in enumerate(G):
-            if any(j != i and _mono_divides(lts[j], lts[i]) and
-                   (not _mono_divides(lts[i], lts[j]) or j < i)
-                   for j in range(len(G))):
-                changed = True
-                continue
-            keep.append(g)
-        G = keep
+def _autoreduce(G, lts, reducers, order):
+    """Reduced basis from a Groebner basis G with leading exponents lts
+    and the matching list of _reducer."""
+    # drop every element whose lead is divisible by another lead (the
+    # first of equal leads stays); divisibility is transitive, so one
+    # pass leaves exactly the minimal leads
+    n = len(G)
+    keep = [i for i in range(n)
+            if not any(j != i and _mono_divides(lts[j], lts[i]) and
+                       (not _mono_divides(lts[i], lts[j]) or j < i)
+                       for j in range(n))]
+    reducers = [reducers[i] for i in keep]
+    # fully reduce each survivor against the others; its lead survives
     out = []
-    for i, g in enumerate(G):
-        others = [(leading_term(h, order)[0], h) for j, h in enumerate(G) if j != i]
-        r = MultiPoly(g.variables, _normal_form_terms(g.terms, others, order, g.variables))
-        assert r, "reduced basis element vanished"
-        out.append(_monic(r, order))
-    out.sort(key=lambda g: order.key(leading_term(g, order)[0]))
-    return out
+    for i, k in enumerate(keep):
+        g = G[k]
+        others = reducers[:i] + reducers[i + 1:]
+        r = MultiPoly(g.variables, _normal_form_terms(g.terms, others, order))
+        if not r:
+            raise ArithmeticError("reduced basis element vanished")
+        out.append((order.key(lts[k]), _monic(r, order)))
+    out.sort(key=lambda kg: kg[0])
+    return [g for _, g in out]
 
 
 @dataclass(frozen=True)
@@ -367,7 +407,9 @@ class HilbertData:
         for j in range(min(k, self.series_numerator.degree) + 1):
             total += (self.series_numerator.coefficient(j)
                       * binom_poly(self.nvars - 1 - j, self.nvars - 1)(k))
-        assert total.denominator == 1 and total >= 0
+        if total.denominator != 1 or total < 0:
+            raise ArithmeticError("Hilbert function value %s in degree %d "
+                                  "is not a natural number" % (total, k))
         return int(total)
 
 

@@ -87,3 +87,26 @@ def todd_direct(m):
         prod = _mul_trunc(prod, fi, m)
     graded = MultiPoly(tvars, {e: c for e, c in prod.terms.items() if sum(e) == m})
     return symmetric_to_elementary(graded, tvars, cvars)
+
+
+def normal_form_by_scan(f, divisors, order):
+    """Remainder of f under full division by the divisors, the textbook
+    way: scan the whole remainder for its largest term under order.key,
+    then divide by the first divisor whose leading monomial divides it."""
+    variables = f.variables
+    leads = [(max(g.terms, key=order.key), g) for g in divisors if g]
+    work = f
+    rem = MultiPoly.zero(variables)
+    while work:
+        exp = max(work.terms, key=order.key)
+        term = MultiPoly(variables, {exp: work.terms[exp]})
+        for lt, g in leads:
+            if all(a <= b for a, b in zip(lt, exp)):
+                shift = tuple(b - a for a, b in zip(lt, exp))
+                quot = MultiPoly(variables, {shift: work.terms[exp] / g.terms[lt]})
+                work = work - quot * g
+                break
+        else:
+            rem = rem + term
+            work = work - term
+    return rem

@@ -116,6 +116,13 @@ def test_parse_rejects_garbage():
         parse_poly("2**x0", ("x0",))
 
 
+def test_parse_rejects_zero_denominator():
+    with pytest.raises(PolyParseError, match="zero denominator"):
+        parse_poly("1/0*x0", ("x0",))
+    with pytest.raises(PolyParseError):
+        parse_poly("x0 - 3/00", ("x0",))
+
+
 # -- truncated series
 
 

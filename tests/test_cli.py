@@ -172,6 +172,17 @@ def test_parse_error_exit_code(tmp_path):
     assert code == EXIT_PARSE
 
 
+def test_zero_denominator_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "zero.ideal"
+    bad.write_text("vars: x0 x1\n1/0*x0\n")
+    code, out = run_cli("hilbert", str(bad))
+    assert code == EXIT_PARSE
+    assert out == ""
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse"
+    assert "zero denominator" in err["detail"]
+
+
 def test_resource_cap_exit_code(tmp_path):
     ideal = tmp_path / "hard.ideal"
     ideal.write_text("vars: x0 x1 x2\n"

@@ -1,8 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import hilbertpoly
 from hilbertpoly.arith import MultiPoly, UniPoly, binom_poly, parse_poly
 from hilbertpoly.grobner import (
     GREVLEX,
@@ -22,6 +29,7 @@ from hilbertpoly.grobner import (
     normal_form,
     parse_ideal_file,
 )
+from oracles import normal_form_by_scan
 
 
 def ideal(var_text, *polys):
@@ -73,6 +81,10 @@ def test_resource_caps():
     gens = polys("x y z", "x^2 + y*z", "y^3 - x*z^2", "z^4 - x*y^3")
     with pytest.raises(ResourceCapExceeded):
         buchberger(gens, max_basis=1)
+    # the degree cap bounds the input generators too, not only remainders
+    with pytest.raises(ResourceCapExceeded, match="degree"):
+        buchberger(polys("x y", "x^5 - y^5"), max_degree=4)
+    assert buchberger(polys("x y", "x^4 - y^4"), max_degree=4) == polys("x y", "x^4 - y^4")
 
 
 # -- normal forms and membership
@@ -84,6 +96,64 @@ def test_normal_form_examples():
     assert r == parse_poly("1", ("x",))
     assert in_ideal(polys("x0 x1 x2", "x0*x2")[0],
                     ideal("x0 x1 x2", "x0*x2 - x1^2", "x1"))
+
+
+@st.composite
+def order_and_exponents(draw):
+    n = draw(st.integers(1, 4))
+    ranking = draw(st.none() | st.permutations(range(n)).map(tuple))
+    order = MonomialOrder(draw(st.sampled_from(["grevlex", "lex"])), ranking)
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n),
+                         min_size=2, max_size=10, unique=True))
+    return order, exps
+
+
+@given(order_and_exponents())
+@settings(max_examples=100, deadline=None)
+def test_heap_key_sorts_opposite_to_key(case):
+    order, exps = case
+    for a in exps:
+        for b in exps:
+            assert (order.heap_key(a) < order.heap_key(b)) == (order.key(a) > order.key(b))
+
+
+XYZ = ("x", "y", "z")
+
+
+@st.composite
+def small_poly(draw):
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        exp = tuple(draw(st.integers(0, 3)) for _ in XYZ)
+        terms[exp] = Fraction(draw(st.integers(-3, 3)))
+    return MultiPoly(XYZ, terms)
+
+
+@given(small_poly(), st.lists(small_poly(), min_size=1, max_size=3),
+       st.sampled_from([LEX, MonomialOrder("grevlex", ranking=(2, 0, 1))]))
+@settings(max_examples=80, deadline=None)
+def test_normal_form_matches_scan_division(f, divisors, order):
+    assert normal_form(f, divisors, order) == normal_form_by_scan(f, divisors, order)
+
+
+def test_hilbert_data_without_asserts():
+    # python -O strips assert statements; the Groebner path's checks
+    # must still run and its answers must not change
+    script = textwrap.dedent("""
+        import sys
+        from hilbertpoly.arith import parse_poly
+        from hilbertpoly.grobner import HomIdeal, hilbert_data
+        v = ("x0", "x1", "x2", "x3")
+        cubic = ["x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"]
+        data = hilbert_data(HomIdeal.from_polys(v, [parse_poly(p, v) for p in cubic]))
+        print(sys.flags.optimize, data.hilbert_polynomial.to_text("k"),
+              [data.hilbert_function(k) for k in range(5)], data.index_of_regularity)
+    """)
+    src = os.path.dirname(os.path.dirname(hilbertpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout == "1 3*k + 1 [1, 4, 7, 10, 13] 0\n"
 
 
 # -- Hilbert series of monomial ideals
