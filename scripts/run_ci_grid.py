@@ -12,10 +12,11 @@ import time
 sys.path.insert(0, "src")
 
 from hilbertpoly.chern import (  # noqa: E402
+    character_table,
     ci_grid,
     ci_hilbert_series_oracle,
     euler_top,
-    hilbert_poly_characters,
+    hilbert_poly_from_characters,
     hilbert_poly_hrr,
 )
 
@@ -29,8 +30,9 @@ def main():
     disagreements = []
     by_n = {}
     for ci in grid:
-        oracle = ci_hilbert_series_oracle(ci)
-        ok = hilbert_poly_hrr(ci) == oracle and hilbert_poly_characters(ci) == oracle
+        hrr = hilbert_poly_hrr(ci)
+        chars = hilbert_poly_from_characters(ci, character_table(ci))
+        ok = hrr == chars == ci_hilbert_series_oracle(ci)
         if not ok:
             disagreements.append(ci)
         by_n.setdefault(ci.n, [0, 0])

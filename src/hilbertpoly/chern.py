@@ -7,7 +7,8 @@ Hilbert polynomial come out of this module:
 
 * hilbert_poly_hrr        - Riemann-Roch coefficients k! p_k = deg(h^k T_{m-k})
 * hilbert_poly_characters - the delta-table combination of projective
-                            characters of degeneracy loci
+                            characters of degeneracy loci (assembled by
+                            hilbert_poly_from_characters)
 * ci_hilbert_series_oracle- elementary generating-function bookkeeping
                             for regular sequences (the acceptance oracle)
 
@@ -15,6 +16,11 @@ The identification of the cone normal bundle as a sum of line bundles
 of weights d_i - 1 (via the gradient maps) is the one derivation made
 here that is pinned by tests rather than quoted: it reproduces the
 classical count d(d-1) of tangents through a point for plane curves.
+
+chern_tangent is memoised for the life of the process: its class
+depends only on the frozen CompleteIntersection, and TruncClass and
+TruncSeries are immutable, so todd_class and euler_top share one build
+(and one twist cross-check) per complete intersection.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import MultiPoly, TruncSeries, UniPoly, binom_poly
 from .grobner import HomIdeal, monomials_of_degree
@@ -122,6 +129,7 @@ def chern_cone_tangent(ci):
     return TruncClass(ci, chern_cone_normal(ci).series.inverse())
 
 
+@lru_cache(maxsize=None)
 def chern_tangent(ci):
     """Total Chern class of the tangent bundle.
 
@@ -142,7 +150,8 @@ def chern_tangent(ci):
     for j in range(K):
         cj = TruncSeries.monomial(K, j, cone[j])
         twist = twist + cj * one_plus_h ** (ci.m + 1 - j)
-    assert adjunction == twist, "tangent Chern class routes disagree"
+    if adjunction != twist:
+        raise ArithmeticError("tangent Chern class routes disagree")
     return TruncClass(ci, adjunction)
 
 
@@ -180,7 +189,8 @@ def hilbert_poly_hrr(ci):
 def euler_top(ci):
     """Topological Euler characteristic deg(c_m(TV) cap [V])."""
     value = deg_cap(chern_tangent(ci))
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError("non-integral topological Euler characteristic %s" % value)
     return int(value)
 
 
@@ -216,10 +226,9 @@ def character_table(ci):
     return table
 
 
-def hilbert_poly_characters(ci):
-    """Hilbert polynomial assembled from delta tables and projective
-    characters; checked against the Riemann-Roch route before returning."""
-    chars = character_table(ci)
+def hilbert_poly_from_characters(ci, chars):
+    """Hilbert polynomial assembled from delta tables and the projective
+    character table `chars` of ci (as returned by character_table)."""
     coeffs = []
     for k in range(ci.m + 1):
         table = delta_table(ci.m, k, ci.n)
@@ -229,7 +238,13 @@ def hilbert_poly_characters(ci):
         if scaled.denominator != 1:
             raise AssertionError("scaled coefficient p_%d not integral" % k)
         coeffs.append(pk)
-    poly = UniPoly(coeffs)
+    return UniPoly(coeffs)
+
+
+def hilbert_poly_characters(ci):
+    """Hilbert polynomial assembled from delta tables and projective
+    characters; checked against the Riemann-Roch route before returning."""
+    poly = hilbert_poly_from_characters(ci, character_table(ci))
     hrr = hilbert_poly_hrr(ci)
     if poly != hrr:
         raise AssertionError("character route %r disagrees with Riemann-Roch %r"

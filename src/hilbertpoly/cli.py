@@ -17,6 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import PolyParseError, parse_poly
 from .chern import (
@@ -24,7 +25,7 @@ from .chern import (
     character_table,
     ci_hilbert_series_oracle,
     euler_top,
-    hilbert_poly_characters,
+    hilbert_poly_from_characters,
     hilbert_poly_hrr,
 )
 from .grobner import (
@@ -138,16 +139,17 @@ def cmd_hilbert(args, config):
     return EXIT_OK
 
 
-def _character_map(ci):
+def _character_map(table):
     return {str(mu): value for mu, value in sorted(
-        character_table(ci).items(), key=lambda kv: (kv[0].size, kv[0].parts))}
+        table.items(), key=lambda kv: (kv[0].size, kv[0].parts))}
 
 
 def cmd_ci(args, config):
     kv = _parse_kv(args.params, {"n": int, "degrees": _degrees}, required=("n",))
     ci = CompleteIntersection(kv["n"], kv.get("degrees", ()))
     hrr = hilbert_poly_hrr(ci)
-    chars = hilbert_poly_characters(ci)
+    table = character_table(ci)
+    chars = hilbert_poly_from_characters(ci, table)
     oracle = ci_hilbert_series_oracle(ci)
     agree = hrr == chars == oracle
     report = {
@@ -157,7 +159,7 @@ def cmd_ci(args, config):
         "hilbert_hrr": _poly_report(hrr),
         "hilbert_characters": _poly_report(chars),
         "hilbert_series": _poly_report(oracle),
-        "characters": _character_map(ci),
+        "characters": _character_map(table),
         "euler_top": euler_top(ci),
         "agreement": agree,
     }
@@ -169,7 +171,7 @@ def cmd_characters(args, config):
     kv = _parse_kv(args.params, {"n": int, "degrees": _degrees}, required=("n",))
     ci = CompleteIntersection(kv["n"], kv.get("degrees", ()))
     _emit({"n": ci.n, "degrees": list(ci.degrees),
-           "characters": _character_map(ci)}, config)
+           "characters": _character_map(character_table(ci))}, config)
     return EXIT_OK
 
 
@@ -237,7 +239,10 @@ def cmd_count(args, config):
 def cmd_trans(args, config):
     ideal = parse_ideal_file(open(args.instance).read())
     n = len(ideal.variables) - 1
-    x = tuple(Fraction(tok) for tok in args.point.split(","))
+    try:
+        x = tuple(Fraction(tok) for tok in args.point.split(","))
+    except ZeroDivisionError:
+        raise CliParseError("zero denominator in point %r" % args.point) from None
     if len(x) != n + 1:
         raise CliParseError("point has %d coordinates, expected %d" % (len(x), n + 1))
     mu = parse_partition(args.partition)
@@ -322,9 +327,15 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    # parse_args keeps no state in the parser: every call starts from a
+    # fresh Namespace, so one parser serves every main() of a process
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     config = Config(seed=args.seed, max_basis=args.max_basis,
                     max_degree=args.max_degree, output=args.output)
     try:

@@ -138,6 +138,8 @@ def parse_ideal_file(text):
     variables = tuple(lines[0][len("vars:"):].split())
     if not variables:
         raise ValueError("empty variable list")
+    if len(set(variables)) != len(variables):
+        raise ValueError("repeated variable name in %r" % lines[0])
     polys = tuple(parse_poly(ln, variables) for ln in lines[1:])
     return HomIdeal.from_polys(variables, polys)
 

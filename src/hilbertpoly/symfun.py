@@ -9,6 +9,10 @@ B_1 = 1/6, B_2 = 1/30, B_3 = 1/42, ...  (the alternating signs live in
 the series t/(1 - e^{-t}) itself, whose even coefficients are
 b_{2j} = (-1)^{j-1} B_j / (2j)!).  Modern references instead attach the
 sign to the Bernoulli number; conversions must keep that in mind.
+
+delta_coeff is memoised for the life of the process: delta^{m,k}_mu
+depends only on (m, k, mu), never on a variety, and is an immutable
+Fraction.  delta_table is not cached, since its entries dict is mutable.
 """
 
 from __future__ import annotations
@@ -206,7 +210,8 @@ def d_coeff(lam, mu, m):
     rows = [[Fraction(math.comb(lam.part(i) + m + 1 - i, mu.part(j) + m + 1 - j))
              for j in range(1, m + 1)] for i in range(1, m + 1)]
     value = linalg.det(rows)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError("non-integral binomial determinant %s" % value)
     return int(value)
 
 
@@ -220,6 +225,7 @@ def scaling_factor(k, m):
     return prod * prod
 
 
+@lru_cache(maxsize=None)
 def delta_coeff(m, k, mu):
     """delta^{m,k}_mu = (-1)^|mu| sum over lam of size m-k containing mu
     of Delta_lam(b) d^m_{lam,mu}."""

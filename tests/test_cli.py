@@ -1,7 +1,10 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
+import hilbertpoly
 from hilbertpoly.cli import (
     EXIT_DISAGREE,
     EXIT_OK,
@@ -205,3 +208,75 @@ def test_disagreement_exit_code(monkeypatch):
     code, report = run_json("ci", "n=2", "degrees=3")
     assert code == EXIT_DISAGREE
     assert report["agreement"] is False
+
+
+def test_character_route_disagreement_exit_code(monkeypatch):
+    import hilbertpoly.cli as cli
+    from hilbertpoly.arith import UniPoly
+
+    monkeypatch.setattr(cli, "hilbert_poly_from_characters",
+                        lambda ci, table: UniPoly([41]))
+    code, report = run_json("ci", "n=2", "degrees=3")
+    assert code == EXIT_DISAGREE
+    assert report["agreement"] is False
+    assert report["hilbert_characters"]["text"] == "41"
+
+
+def test_parser_carries_no_state_between_calls():
+    code, out = run_cli("--seed", "7", "--output", "text", "todd", "1")
+    assert code == EXIT_OK
+    assert "seed: 7" in out
+    code, report = run_json("todd", "1")
+    assert code == EXIT_OK
+    assert report["seed"] == 0
+
+
+def test_ci_grid_reports_independent_of_order():
+    # the process-wide caches behind `ci` must not make a report depend
+    # on which reports ran before it
+    from hilbertpoly.chern import chern_tangent, ci_grid
+    from hilbertpoly.symfun import delta_coeff
+
+    delta_coeff.cache_clear()
+    chern_tangent.cache_clear()
+    argvs = [["ci", "n=%d" % ci.n, "degrees=" + ",".join(map(str, ci.degrees))]
+             for ci in ci_grid(5, 2, 3)]
+    forward = [run_cli(*argv) for argv in argvs]
+    backward = [run_cli(*argv) for argv in reversed(argvs)]
+    assert forward == backward[::-1]
+    assert all(code == EXIT_OK for code, _ in forward)
+
+
+def test_ci_report_without_asserts():
+    # python -O strips assert statements; the checks on the ci path must
+    # still run and the report must not change
+    script = ("import sys; from hilbertpoly.cli import main; "
+              "print(sys.flags.optimize, file=sys.stderr); "
+              "sys.exit(main(['ci', 'n=4', 'degrees=2,2']))")
+    src = os.path.dirname(os.path.dirname(hilbertpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == EXIT_OK
+    assert out.stderr == "1\n"
+    assert (EXIT_OK, out.stdout) == run_cli("ci", "n=4", "degrees=2,2")
+
+
+def test_trans_zero_denominator_is_parse_error(tmp_path, capsys):
+    inst = tmp_path / "conic.ideal"
+    inst.write_text("vars: x0 x1 x2\nx0*x2 - x1^2\n")
+    code, out = run_cli("trans", str(inst), "1/0,1,1", "[1]")
+    assert code == EXIT_PARSE
+    assert out == ""
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse"
+    assert "zero denominator" in err["detail"]
+
+
+def test_repeated_variable_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "dup.ideal"
+    bad.write_text("vars: x0 x0\nx0\n")
+    code, out = run_cli("hilbert", str(bad))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert json.loads(capsys.readouterr().err)["error"] == "parse"

@@ -311,6 +311,11 @@ def test_ideal_file_requires_header():
         parse_ideal_file("x0 + x1\n")
 
 
+def test_ideal_file_rejects_repeated_variables():
+    with pytest.raises(ValueError, match="repeated variable"):
+        parse_ideal_file("vars: x0 x1 x0\nx0*x1\n")
+
+
 def test_lex_order_keys():
     lex = MonomialOrder("lex")
     assert lex.key((1, 0)) > lex.key((0, 5))

@@ -280,6 +280,20 @@ def test_delta_table_respects_ambient_bound():
     assert Partition([2]) not in table  # mu_1 <= n-m = 1
 
 
+@pytest.mark.parametrize("ns", [(4, 6), (6, 4)])
+def test_delta_table_filters_memoised_coefficients(ns):
+    # delta_coeff is cached across tables; n must still only filter mu
+    delta_coeff.cache_clear()
+    m, k = 3, 0
+    for n in ns:
+        entries = delta_table(m, k, n).entries
+        expected = {mu for size in range(m - k + 1)
+                    for mu in enumerate_partitions(size) if mu.part(1) <= n - m}
+        assert set(entries) == expected
+        for mu, value in entries.items():
+            assert value == delta_coeff.__wrapped__(m, k, mu)
+
+
 def test_scaling_factor():
     assert scaling_factor(3, 3) == 1
     assert scaling_factor(1, 2) == 4
