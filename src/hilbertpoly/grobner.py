@@ -13,12 +13,17 @@ Conventions
   count.
 * The normal form takes its next term, the largest left, from a heap
   keyed by MonomialOrder.heap_key instead of scanning the remainder.
+* The Groebner core works on primitive integer polynomials (content 1,
+  positive leading coefficient) and reduces fraction-free; only the
+  bases and remainders it returns are rational, and Groebner bases are
+  returned reduced and monic.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -154,28 +159,72 @@ def ideal_file_text(ideal):
 # Buchberger
 
 
-def _monic(f, order):
-    _, c = leading_term(f, order)
-    return f * (Fraction(1) / c)
+def _clear_denominators(f):
+    """(integer term dict, d) with the dict equal to d*f, d > 0 the
+    least common denominator of f's coefficients."""
+    d = math.lcm(*(c.denominator for c in f.terms.values()))
+    return {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()}, d
 
 
-def _spoly(f, lf, g, lg, order):
-    u = _mono_lcm(lf, lg)
-    a = MultiPoly(f.variables, {_mono_div(u, lf): Fraction(1)})
-    b = MultiPoly(g.variables, {_mono_div(u, lg): Fraction(1)})
-    return a * f - b * g
+def _primitive(terms, lt):
+    """Integer term dict divided by its content, signed so that the
+    coefficient of lt is positive."""
+    g = math.gcd(*terms.values())
+    if terms[lt] < 0:
+        g = -g
+    if g == 1:
+        return terms
+    return {e: c // g for e, c in terms.items()}
 
 
-def _reducer(lt, g):
-    """g with leading exponent lt, as _normal_form_terms takes it: the
-    support mask of lt, lt, and the other terms with their masks."""
-    return (_support(lt), lt,
-            [(e, c, _support(e)) for e, c in g.terms.items() if e != lt])
+def _primitive_form(f, order):
+    """Nonzero f as a primitive integer term dict, and its leading
+    exponent."""
+    terms, _ = _clear_denominators(f)
+    lt = max(terms, key=order.key)
+    return _primitive(terms, lt), lt
 
 
-def _normal_form_terms(fterms, reducers, order):
-    """Full reduction of a term dict against a list of _reducer; returns
-    a dict.
+def _reducer(terms, lt):
+    """Integer term dict with leading exponent lt, as _normal_form takes
+    it: the support mask of lt, lt, its coefficient, and the other
+    terms with their masks."""
+    return (_support(lt), lt, terms[lt],
+            [(e, c, _support(e)) for e, c in terms.items() if e != lt])
+
+
+def _spoly(ri, rj):
+    """S-polynomial of two _reducer, fraction-free: the term dict of
+    (l/lc_i)*u_i*f_i - (l/lc_j)*u_j*f_j with l = lcm(lc_i, lc_j) and u_i,
+    u_j the cofactors of the leads in their lcm.  The leads cancel and
+    are left out."""
+    _, lti, lci, taili = ri
+    _, ltj, lcj, tailj = rj
+    u = _mono_lcm(lti, ltj)
+    l = math.lcm(lci, lcj)
+    a, shift = l // lci, _mono_div(u, lti)
+    terms = {_mono_mul(shift, e): a * c for e, c, _ in taili}
+    b, shift = l // lcj, _mono_div(u, ltj)
+    for e, c, _ in tailj:
+        e = _mono_mul(shift, e)
+        v = terms.get(e, 0) - b * c
+        if v:
+            terms[e] = v
+        else:
+            del terms[e]
+    return terms
+
+
+def _normal_form(fterms, reducers, order):
+    """Fraction-free full reduction of an integer term dict against a
+    list of _reducer.  Returns (remainder, scale): the remainder is an
+    integer term dict equal to scale > 0 times the exact rational
+    remainder of the same division.
+
+    A term c*m is removed with the first reducer whose lead divides m:
+    with g = gcd(c, lc), the remainder so far is multiplied by lc/g and
+    (c/g)*shift*tail is subtracted, so the leads cancel without
+    division.  A reducer with lc = 1 never scales.
 
     Every term a reduction adds is smaller than the term it removes, so
     a term once popped from the heap never comes back.  An exponent is
@@ -188,17 +237,26 @@ def _normal_form_terms(fterms, reducers, order):
     heap = [(heap_key(e), e, _support(e)) for e in work]
     heapq.heapify(heap)
     out = {}
+    scale = 1
     while heap:
         _, exp, mask = heapq.heappop(heap)
         coeff = work.pop(exp, None)
         if not coeff:
             continue
-        for lmask, lt, tail in reducers:
+        for lmask, lt, lc, tail in reducers:
             if not lmask & ~mask and _mono_divides(lt, exp):
                 break
         else:
             out[exp] = coeff
             continue
+        if lc != 1:
+            g = math.gcd(coeff, lc)
+            if g != lc:
+                a = lc // g
+                work = {e: a * c for e, c in work.items()}
+                out = {e: a * c for e, c in out.items()}
+                scale *= a
+            coeff //= g
         shift = _mono_div(exp, lt)
         smask = _support(shift)
         for e2, c2, m2 in tail:
@@ -213,15 +271,16 @@ def _normal_form_terms(fterms, reducers, order):
                 work[e] = v
             else:
                 del work[e]
-    return out
+    return out, scale
 
 
 def normal_form(f, basis_polys, order=GREVLEX):
     """Remainder of f under full division by the given polynomials."""
-    reducers = [_reducer(leading_term(g, order)[0], _monic(g, order))
-                for g in basis_polys if g]
-    terms = _normal_form_terms(f.terms, reducers, order)
-    return MultiPoly(f.variables, terms)
+    reducers = [_reducer(*_primitive_form(g, order)) for g in basis_polys if g]
+    terms, d = _clear_denominators(f)
+    out, scale = _normal_form(terms, reducers, order)
+    d *= scale
+    return MultiPoly(f.variables, {e: Fraction(c, d) for e, c in out.items()})
 
 
 def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
@@ -230,18 +289,15 @@ def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
     Pair handling uses the coprimality and chain criteria; resource
     caps abort with ResourceCapExceeded instead of exhausting memory.
     """
-    G = []
-    for g in generators:
-        if g:
-            G.append(_monic(g, order))
-    lts = [leading_term(g, order)[0] for g in G]
-    reducers = [_reducer(lt, g) for lt, g in zip(lts, G)]
+    generators = [g for g in generators if g]
+    if not generators:
+        return []
+    G, lts = map(list, zip(*(_primitive_form(g, order) for g in generators)))
+    reducers = [_reducer(g, lt) for g, lt in zip(G, lts)]
 
-    def check_caps(poly):
-        if max_degree is not None:
-            d = poly.total_degree()
-            if d is not None and d > max_degree:
-                raise ResourceCapExceeded("degree exceeded %d" % max_degree)
+    def check_caps(terms):
+        if max_degree is not None and max(map(sum, terms)) > max_degree:
+            raise ResourceCapExceeded("degree exceeded %d" % max_degree)
         if max_basis is not None and len(G) > max_basis:
             raise ResourceCapExceeded("basis size exceeded %d" % max_basis)
 
@@ -271,24 +327,23 @@ def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
                 break
         if skip:
             continue
-        s = _spoly(G[i], lts[i], G[j], lts[j], order)
-        r = MultiPoly(s.variables, _normal_form_terms(s.terms, reducers, order))
+        r, _ = _normal_form(_spoly(reducers[i], reducers[j]), reducers, order)
         if not r:
             continue
-        r = _monic(r, order)
         t = len(G)
-        G.append(r)
-        lts.append(leading_term(r, order)[0])
-        reducers.append(_reducer(lts[t], r))
-        check_caps(r)
+        lts.append(max(r, key=order.key))
+        G.append(_primitive(r, lts[t]))
+        reducers.append(_reducer(G[t], lts[t]))
+        check_caps(G[t])
         for k in range(t):
             heapq.heappush(heap, (order.key(_mono_lcm(lts[t], lts[k])), t, k))
-    return _autoreduce(G, lts, reducers, order)
+    return _autoreduce(G, lts, reducers, order, generators[0].variables)
 
 
-def _autoreduce(G, lts, reducers, order):
-    """Reduced basis from a Groebner basis G with leading exponents lts
-    and the matching list of _reducer."""
+def _autoreduce(G, lts, reducers, order, variables):
+    """Reduced monic basis over Q from a Groebner basis G of primitive
+    integer term dicts with leading exponents lts and the matching list
+    of _reducer."""
     # drop every element whose lead is divisible by another lead (the
     # first of equal leads stays); divisibility is transitive, so one
     # pass leaves exactly the minimal leads
@@ -301,12 +356,13 @@ def _autoreduce(G, lts, reducers, order):
     # fully reduce each survivor against the others; its lead survives
     out = []
     for i, k in enumerate(keep):
-        g = G[k]
         others = reducers[:i] + reducers[i + 1:]
-        r = MultiPoly(g.variables, _normal_form_terms(g.terms, others, order))
-        if not r:
-            raise ArithmeticError("reduced basis element vanished")
-        out.append((order.key(lts[k]), _monic(r, order)))
+        r, _ = _normal_form(G[k], others, order)
+        lc = r.get(lts[k])
+        if not lc:
+            raise ArithmeticError("reduced basis element lost its lead")
+        out.append((order.key(lts[k]),
+                    MultiPoly(variables, {e: Fraction(c, lc) for e, c in r.items()})))
     out.sort(key=lambda kg: kg[0])
     return [g for _, g in out]
 

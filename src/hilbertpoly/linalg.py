@@ -207,10 +207,6 @@ def mat_mul(a, b):
              for col in zip(*b)] for row in a]
 
 
-def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 

@@ -90,7 +90,8 @@ def jumps(lam, n, m):
     if not is_admissible(lam, n, m):
         raise ValueError("partition %s is not admissible for (n,m)=(%d,%d)" % (lam, n, m))
     sigma = tuple(n - m + i - lam.part(i + 1) for i in range(m + 1))
-    assert all(sigma[i] < sigma[i + 1] for i in range(m)), sigma
+    if not all(sigma[i] < sigma[i + 1] for i in range(m)):
+        raise ArithmeticError("jump sequence %s is not increasing" % (sigma,))
     return sigma
 
 

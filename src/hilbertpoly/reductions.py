@@ -178,7 +178,9 @@ def euler_quotient(gm, d, variables=None, **caps):
         raise ValueError("empty presentation needs an explicit variable list")
     ideal = HomIdeal.from_polys(variables, gens)
     value = hilbert_data(ideal, **caps).hilbert_polynomial(d)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError("Euler characteristic %s of twist %d is not an "
+                              "integer" % (value, d))
     return int(value)
 
 

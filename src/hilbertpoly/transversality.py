@@ -231,7 +231,8 @@ def dimension_jumps(A, flag):
         if cone_dim >= want and len(sigma) <= m:
             sigma.append(j)
             want += 1
-    assert len(sigma) == m + 1, "intersection dimensions did not reach m+1"
+    if len(sigma) != m + 1:
+        raise ArithmeticError("intersection dimensions did not reach m+1")
     return tuple(sigma)
 
 
@@ -320,8 +321,8 @@ def transversality_report(inst, x, flag, mu):
     J2inv = linalg.inverse(J2)
     # first derivatives of the implicit graph map: H1 = -J2^{-1} J1
     H1 = [[-v for v in row] for row in linalg.mat_mul(J2inv, J1)]
-    assert tuple(tuple(r) for r in H1) == chart, \
-        "implicit chart disagrees with echelon chart"
+    if tuple(tuple(r) for r in H1) != chart:
+        raise ArithmeticError("implicit chart disagrees with echelon chart")
 
     hess = []
     for s in rows_pick:

@@ -110,3 +110,50 @@ def normal_form_by_scan(f, divisors, order):
             rem = rem + term
             work = work - term
     return rem
+
+
+def spoly(f, g, order):
+    """S-polynomial of f and g from MultiPoly arithmetic: the lcm of the
+    leading monomials over each leading term, times the polynomial."""
+    variables = f.variables
+    lf = max(f.terms, key=order.key)
+    lg = max(g.terms, key=order.key)
+    u = tuple(max(a, b) for a, b in zip(lf, lg))
+    a = MultiPoly(variables, {tuple(p - q for p, q in zip(u, lf)): 1 / f.terms[lf]})
+    b = MultiPoly(variables, {tuple(p - q for p, q in zip(u, lg)): 1 / g.terms[lg]})
+    return a * f - b * g
+
+
+def reduced_basis_by_scan(gens, order):
+    """Reduced monic Groebner basis, sorted by leading monomial, the
+    textbook way in rational arithmetic: keep the basis interreduced
+    with normal_form_by_scan, and add the first S-polynomial remainder
+    that is not zero until there is none."""
+    basis = _interreduce([g for g in gens if g], order)
+    while True:
+        for i in range(len(basis)):
+            for j in range(i):
+                r = normal_form_by_scan(spoly(basis[i], basis[j], order), basis, order)
+                if r:
+                    break
+            else:
+                continue
+            break
+        else:
+            return sorted(basis, key=lambda g: order.key(max(g.terms, key=order.key)))
+        basis = _interreduce(basis + [r], order)
+
+
+def _interreduce(basis, order):
+    """Replace an element by its remainder modulo the others, dropping
+    zeros, until no element changes; then make each one monic."""
+    i = 0
+    while i < len(basis):
+        others = basis[:i] + basis[i + 1:]
+        r = normal_form_by_scan(basis[i], others, order)
+        if r == basis[i]:
+            i += 1
+        else:
+            basis = others + ([r] if r else [])
+            i = 0
+    return [g * (1 / g.terms[max(g.terms, key=order.key)]) for g in basis]

@@ -29,7 +29,7 @@ from hilbertpoly.grobner import (
     normal_form,
     parse_ideal_file,
 )
-from oracles import normal_form_by_scan
+from oracles import normal_form_by_scan, reduced_basis_by_scan, spoly
 
 
 def ideal(var_text, *polys):
@@ -125,7 +125,7 @@ def small_poly(draw):
     terms = {}
     for _ in range(draw(st.integers(1, 4))):
         exp = tuple(draw(st.integers(0, 3)) for _ in XYZ)
-        terms[exp] = Fraction(draw(st.integers(-3, 3)))
+        terms[exp] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
     return MultiPoly(XYZ, terms)
 
 
@@ -136,6 +136,36 @@ def test_normal_form_matches_scan_division(f, divisors, order):
     assert normal_form(f, divisors, order) == normal_form_by_scan(f, divisors, order)
 
 
+@st.composite
+def small_system(draw):
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            exp = tuple(draw(st.integers(0, 2)) for _ in XYZ)
+            terms[exp] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+        gens.append(MultiPoly(XYZ, terms))
+    return gens
+
+
+def _basis_or_cap(gens, order):
+    try:
+        return buchberger(gens, order, max_basis=30, max_degree=10)
+    except ResourceCapExceeded as exc:
+        return str(exc)
+
+
+@given(small_system(),
+       st.lists(st.fractions().filter(bool), min_size=3, max_size=3),
+       st.sampled_from([GREVLEX, LEX, MonomialOrder("grevlex", ranking=(2, 0, 1))]))
+@settings(max_examples=60, deadline=None)
+def test_basis_invariant_under_scaling_generators(gens, scalars, order):
+    basis = _basis_or_cap(gens, order)
+    assert _basis_or_cap([c * g for c, g in zip(scalars, gens)], order) == basis
+    if not isinstance(basis, str):
+        assert basis == reduced_basis_by_scan(gens, order)
+
+
 def test_hilbert_data_without_asserts():
     # python -O strips assert statements; the Groebner path's checks
     # must still run and its answers must not change
@@ -143,17 +173,19 @@ def test_hilbert_data_without_asserts():
         import sys
         from hilbertpoly.arith import parse_poly
         from hilbertpoly.grobner import HomIdeal, hilbert_data
+        from hilbertpoly.reductions import euler_quotient, ideal_to_graded_matrix
         v = ("x0", "x1", "x2", "x3")
-        cubic = ["x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"]
-        data = hilbert_data(HomIdeal.from_polys(v, [parse_poly(p, v) for p in cubic]))
+        cubic = [parse_poly(p, v) for p in ["x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"]]
+        data = hilbert_data(HomIdeal.from_polys(v, cubic))
         print(sys.flags.optimize, data.hilbert_polynomial.to_text("k"),
-              [data.hilbert_function(k) for k in range(5)], data.index_of_regularity)
+              [data.hilbert_function(k) for k in range(5)], data.index_of_regularity,
+              [euler_quotient(ideal_to_graded_matrix(cubic), d) for d in (-1, 2)])
     """)
     src = os.path.dirname(os.path.dirname(hilbertpoly.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout == "1 3*k + 1 [1, 4, 7, 10, 13] 0\n"
+    assert out.stdout == "1 3*k + 1 [1, 4, 7, 10, 13] 0 [-2, 7]\n"
 
 
 # -- Hilbert series of monomial ideals
@@ -333,15 +365,13 @@ def test_variable_ranking_permutes_priority():
 
 
 def test_every_spoly_reduces_to_zero():
-    from hilbertpoly.grobner import GrobnerBasis, leading_term, _spoly
+    from hilbertpoly.grobner import GrobnerBasis
     gens = polys("x y z", "x^2 + y*z", "y^2 - x*z", "x*y + z^2")
     gb = GrobnerBasis.of(gens)
     els = gb.elements
     for i in range(len(els)):
         for j in range(i):
-            lti = leading_term(els[i], gb.order)[0]
-            ltj = leading_term(els[j], gb.order)[0]
-            s = _spoly(els[i], lti, els[j], ltj, gb.order)
+            s = spoly(els[i], els[j], gb.order)
             assert not gb.normal_form(s)
 
 
