@@ -20,6 +20,11 @@ class PolyParseError(ValueError):
     """Raised when polynomial text cannot be parsed."""
 
 
+class CrossCheckFailed(ArithmeticError):
+    """An exact check between two routes, or an integrality the theory
+    guarantees, failed: a fault in the program, not in its input."""
+
+
 def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import MultiPoly, TruncSeries, UniPoly, binom_poly
+from .arith import CrossCheckFailed, MultiPoly, TruncSeries, UniPoly, binom_poly
 from .grobner import HomIdeal, monomials_of_degree
 from .partitions import enumerate_partitions
 from .symfun import CoeffSeq, delta_det, delta_table, scaling_factor, todd_poly
@@ -173,7 +173,7 @@ def euler_char_twist(ci, d):
     expo = TruncSeries.monomial(K, 1, d).exp()
     value = deg_cap(TruncClass(ci, expo) * todd_class(ci))
     if value.denominator != 1:
-        raise AssertionError("non-integral Euler characteristic %s" % value)
+        raise CrossCheckFailed("non-integral Euler characteristic %s" % value)
     return int(value)
 
 
@@ -212,8 +212,8 @@ def projective_character(ci, lam):
     det = delta_det(lam, CoeffSeq(values, pad=True))
     value = det[lam.size] * ci.degree
     if value.denominator != 1 or value < 0:
-        raise AssertionError("character %s -> %s is not a nonnegative integer"
-                             % (lam, value))
+        raise CrossCheckFailed("character %s -> %s is not a nonnegative integer"
+                               % (lam, value))
     return int(value)
 
 
@@ -236,7 +236,7 @@ def hilbert_poly_from_characters(ci, chars):
                  Fraction(0)) / math.factorial(k)
         scaled = scaling_factor(k, ci.m) * math.factorial(k) * pk
         if scaled.denominator != 1:
-            raise AssertionError("scaled coefficient p_%d not integral" % k)
+            raise CrossCheckFailed("scaled coefficient p_%d not integral" % k)
         coeffs.append(pk)
     return UniPoly(coeffs)
 
@@ -247,8 +247,8 @@ def hilbert_poly_characters(ci):
     poly = hilbert_poly_from_characters(ci, character_table(ci))
     hrr = hilbert_poly_hrr(ci)
     if poly != hrr:
-        raise AssertionError("character route %r disagrees with Riemann-Roch %r"
-                             % (poly, hrr))
+        raise CrossCheckFailed("character route %r disagrees with Riemann-Roch %r"
+                               % (poly, hrr))
     return poly
 
 

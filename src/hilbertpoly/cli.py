@@ -6,7 +6,8 @@ than one computation route include an ``agreement`` field, and any
 disagreement turns into exit status 2.
 
 Exit codes: 0 ok, 2 cross-route disagreement, 3 resource cap hit,
-4 parse error.
+4 parse error.  A failed internal cross-check (CrossCheckFailed) also
+exits 2, with the JSON error "cross-check" on stderr and no report.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import PolyParseError, parse_poly
+from .arith import CrossCheckFailed, PolyParseError, parse_poly
 from .chern import (
     CompleteIntersection,
     character_table,
@@ -187,6 +188,8 @@ def cmd_delta(args, config):
 
 
 def cmd_todd(args, config):
+    if args.m < 0:
+        raise CliParseError("todd needs m >= 0, got %d" % args.m)
     _emit({"m": args.m, "todd": todd_poly(args.m).to_text()}, config)
     return EXIT_OK
 
@@ -344,6 +347,10 @@ def main(argv=None):
         print(json.dumps({"schema": SCHEMA, "error": "resource-cap",
                           "detail": str(exc)}), file=sys.stderr)
         return EXIT_RESOURCE
+    except CrossCheckFailed as exc:
+        print(json.dumps({"schema": SCHEMA, "error": "cross-check",
+                          "detail": str(exc)}), file=sys.stderr)
+        return EXIT_DISAGREE
     except (CliParseError, PolyParseError, ValueError, OSError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": "parse",
                           "detail": str(exc)}), file=sys.stderr)

@@ -17,6 +17,10 @@ Conventions
   positive leading coefficient) and reduces fraction-free; only the
   bases and remainders it returns are rational, and Groebner bases are
   returned reduced and monic.
+* Buchberger selects critical pairs by the Gebauer-Moeller update:
+  criterion B prunes the old pairs when an element arrives, criteria M
+  and F keep one new pair per minimal lcm, and no pair is formed with
+  an element whose lead a later lead divides.
 """
 
 from __future__ import annotations
@@ -286,14 +290,26 @@ def normal_form(f, basis_polys, order=GREVLEX):
 def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
     """Reduced Groebner basis of the given generators.
 
-    Pair handling uses the coprimality and chain criteria; resource
-    caps abort with ResourceCapExceeded instead of exhausting memory.
+    Pairs are handled by the Gebauer-Moeller update (Gebauer & Moeller,
+    JSC 1988; Becker-Weispfenning's UPDATE).  Each element t, input
+    generator or new remainder alike, enters through update(t):
+    criterion B deletes the live pairs it makes redundant, criteria M
+    and F keep one new pair per minimal lcm, a minimal lcm whose group
+    holds a coprime pair (Buchberger's first criterion) gets none, and
+    t retires from the active set every element whose lead its lead
+    divides.  Only active elements get new pairs; every element stays a
+    reducer.
+
+    Resource caps abort with ResourceCapExceeded instead of exhausting
+    memory.  max_basis bounds the number of elements the run holds: the
+    generators plus every remainder it adds, retired ones included.
     """
     generators = [g for g in generators if g]
     if not generators:
         return []
     G, lts = map(list, zip(*(_primitive_form(g, order) for g in generators)))
     reducers = [_reducer(g, lt) for g, lt in zip(G, lts)]
+    masks = [r[0] for r in reducers]
 
     def check_caps(terms):
         if max_degree is not None and max(map(sum, terms)) > max_degree:
@@ -301,31 +317,53 @@ def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
         if max_basis is not None and len(G) > max_basis:
             raise ResourceCapExceeded("basis size exceeded %d" % max_basis)
 
+    heap = []
+    # (i, j) -> (lcm of the leads, its support mask) for each pair still
+    # to reduce; a popped heap entry whose pair is gone is skipped
+    live = {}
+    active = []  # elements whose lead no later lead divides
+
+    def update(t):
+        lt, mask = lts[t], masks[t]
+        # criterion B: lt | lcm(i, j) and lcm(i, j) is neither lcm(t, i)
+        # nor lcm(t, j), so the pairs (t, i) and (t, j) cover (i, j)
+        dead = [ij for ij, (u, umask) in live.items()
+                if not mask & ~umask and _mono_divides(lt, u)
+                and _mono_lcm(lt, lts[ij[0]]) != u and _mono_lcm(lt, lts[ij[1]]) != u]
+        for ij in dead:
+            del live[ij]
+        # new pairs grouped by lcm: [first k, the lcm's support mask,
+        # whether some pair of the group is coprime]
+        groups = {}
+        for k in active:
+            u = _mono_lcm(lt, lts[k])
+            group = groups.get(u)
+            if group is None:
+                groups[u] = [k, mask | masks[k], not mask & masks[k]]
+            elif not mask & masks[k]:
+                group[2] = True
+        # criteria M and F: keep only the minimal lcms; a proper divisor
+        # has a smaller degree, so it is kept before its multiples
+        kept = []
+        for u in sorted(groups, key=sum):
+            k, umask, coprime = groups[u]
+            if any(not m & ~umask and _mono_divides(v, u) for v, m in kept):
+                continue
+            kept.append((u, umask))
+            if not coprime:
+                live[t, k] = u, umask
+                heapq.heappush(heap, (order.key(u), t, k))
+        active[:] = [k for k in active
+                     if mask & ~masks[k] or not _mono_divides(lt, lts[k])]
+        active.append(t)
+
     for g in G:
         check_caps(g)
-    heap = []
-    for i in range(len(G)):
-        for j in range(i):
-            heapq.heappush(heap, (order.key(_mono_lcm(lts[i], lts[j])), i, j))
-    done = set()
+    for t in range(len(G)):
+        update(t)
     while heap:
         _, i, j = heapq.heappop(heap)
-        done.add((i, j))
-        u = _mono_lcm(lts[i], lts[j])
-        # coprime criterion
-        if u == _mono_mul(lts[i], lts[j]):
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j) or not _mono_divides(lts[k], u):
-                continue
-            a = (max(i, k), min(i, k))
-            b = (max(j, k), min(j, k))
-            if a in done and b in done:
-                skip = True
-                break
-        if skip:
+        if live.pop((i, j), None) is None:
             continue
         r, _ = _normal_form(_spoly(reducers[i], reducers[j]), reducers, order)
         if not r:
@@ -334,9 +372,9 @@ def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
         lts.append(max(r, key=order.key))
         G.append(_primitive(r, lts[t]))
         reducers.append(_reducer(G[t], lts[t]))
+        masks.append(reducers[t][0])
         check_caps(G[t])
-        for k in range(t):
-            heapq.heappush(heap, (order.key(_mono_lcm(lts[t], lts[k])), t, k))
+        update(t)
     return _autoreduce(G, lts, reducers, order, generators[0].variables)
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .arith import MultiPoly, frac
+from .arith import CrossCheckFailed, MultiPoly, frac
 from .partitions import enumerate_partitions
 
 
@@ -255,7 +255,7 @@ class DeltaTable:
             if mu.size > self.m - self.k:
                 raise ValueError("entry %s too large for (m,k)" % mu)
             if (N * value).denominator != 1:
-                raise AssertionError("scaled entry %s -> %s not integral" % (mu, value))
+                raise CrossCheckFailed("scaled entry %s -> %s not integral" % (mu, value))
 
 
 def delta_table(m, k, n):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .arith import MultiPoly, frac
+from .arith import CrossCheckFailed, MultiPoly, frac
 from .partitions import is_admissible, jumps, partition_from_jumps
 
 
@@ -313,7 +313,7 @@ def transversality_report(inst, x, flag, mu):
         if len(rows_pick) == n - m:
             break
     if len(rows_pick) < n - m:
-        raise AssertionError("chart block is singular at a cell point")
+        raise CrossCheckFailed("chart block is singular at a cell point")
 
     Jsel = [jac[s] for s in rows_pick]
     J2 = [row[m + 1:] for row in Jsel]

@@ -51,6 +51,15 @@ def test_todd_command():
     assert report["todd"] == "1/12*c1^2 + 1/12*c2"
 
 
+def test_todd_negative_m_is_parse_error(capsys):
+    code, out = run_cli("todd", "-1")
+    assert code == EXIT_PARSE
+    assert out == ""
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse"
+    assert "m >= 0" in err["detail"]
+
+
 def test_delta_command():
     code, report = run_json("delta", "m=1", "k=0", "n=2")
     assert code == EXIT_OK
@@ -220,6 +229,21 @@ def test_character_route_disagreement_exit_code(monkeypatch):
     assert code == EXIT_DISAGREE
     assert report["agreement"] is False
     assert report["hilbert_characters"]["text"] == "41"
+
+
+def test_failed_cross_check_exit_code(monkeypatch, capsys):
+    import hilbertpoly.chern as chern
+    from fractions import Fraction
+
+    # every Delta-determinant reads 1/3: deg P_mu = 4/3 for the quartic
+    # is not an integer, and projective_character refuses it
+    monkeypatch.setattr(chern, "delta_det", lambda lam, seq: [Fraction(1, 3)] * 8)
+    code, out = run_cli("characters", "n=2", "degrees=4")
+    assert code == EXIT_DISAGREE
+    assert out == ""
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "cross-check"
+    assert "not a nonnegative integer" in err["detail"]
 
 
 def test_parser_carries_no_state_between_calls():

@@ -85,6 +85,14 @@ def test_resource_caps():
     with pytest.raises(ResourceCapExceeded, match="degree"):
         buchberger(polys("x y", "x^5 - y^5"), max_degree=4)
     assert buchberger(polys("x y", "x^4 - y^4"), max_degree=4) == polys("x y", "x^4 - y^4")
+    # the inputs fit under the basis cap; the remainders the run adds do
+    # not, even though the update retires the generators x*y and y^2 -
+    # both leads are divisible by the remainder y
+    mid_run = polys("x y", "x*y", "y^2 + y", "x - y + 1")
+    assert len(buchberger(mid_run)) == 2
+    with pytest.raises(ResourceCapExceeded, match="basis size"):
+        buchberger(mid_run, max_basis=3)
+    assert buchberger(mid_run, max_basis=4) == polys("x y", "y", "x + 1")
 
 
 # -- normal forms and membership
@@ -164,6 +172,72 @@ def test_basis_invariant_under_scaling_generators(gens, scalars, order):
     assert _basis_or_cap([c * g for c, g in zip(scalars, gens)], order) == basis
     if not isinstance(basis, str):
         assert basis == reduced_basis_by_scan(gens, order)
+
+
+@pytest.mark.parametrize("gens, basis, pairs", [
+    # x*y*z, x*z, y*z and z enter in turn.  x*z pairs with x*y*z and
+    # retires it.  y*z pairs with x*z; criterion B keeps (x*z, x*y*z),
+    # as lcm(y*z, x*z) equals its lcm.  z deletes (y*z, x*z) by
+    # criterion B, keeps (x*z, x*y*z) for lcm(z, x*y*z) = x*y*z, pairs
+    # with x*z and y*z, and retires both
+    (("x*y*z", "x*z", "y*z", "z"), ("z",), 3),
+    # x pairs with y (lcm x*y, coprime) and with x*y*z; x*y divides
+    # x*y*z, so the coprime group eliminates the second pair too
+    (("y", "x*y*z", "x"), ("y", "x"), 1),
+])
+def test_update_reduces_only_needed_pairs(monkeypatch, gens, basis, pairs):
+    # monomial generators: every S-polynomial is zero, so the count
+    # shows exactly which pairs the update left to reduce
+    grobner = hilbertpoly.grobner
+    spoly_calls = []
+    monkeypatch.setattr(grobner, "_spoly",
+                        lambda ri, rj, real=grobner._spoly: spoly_calls.append(1) or real(ri, rj))
+    assert buchberger(polys("x y z", *gens)) == polys("x y z", *basis)
+    assert len(spoly_calls) == pairs
+
+
+@st.composite
+def sat_shaped_system(draw):
+    """SAT-shaped systems: 4-5 variables, 6-12 monomials and binomials
+    with coefficients +-1.  Leads come from a small pool of
+    exponents and their multiples by one variable, so that leads repeat
+    and divide each other: criteria B, M and F and the retiring of
+    active elements all get work."""
+    n = draw(st.integers(4, 5))
+    exponent = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+    pool = draw(st.lists(exponent, min_size=2, max_size=4))
+    gens = []
+    for _ in range(draw(st.integers(6, 12))):
+        lead = list(draw(st.sampled_from(pool)))
+        lead[draw(st.integers(0, n - 1))] += draw(st.integers(0, 1))
+        terms = {tuple(lead): Fraction(draw(st.sampled_from([-1, 1])))}
+        if draw(st.booleans()):
+            other = draw(exponent)
+            if other not in terms:
+                terms[other] = Fraction(draw(st.sampled_from([-1, 1])))
+        gens.append(MultiPoly(tuple("x%d" % i for i in range(n)), terms))
+    return gens, draw(st.permutations(range(n)).map(tuple))
+
+
+@given(sat_shaped_system())
+@settings(max_examples=40, deadline=None)
+def test_sat_shaped_basis_matches_scan(case):
+    gens, ranking = case
+    for order in (GREVLEX, LEX, MonomialOrder("grevlex", ranking)):
+        assert buchberger(gens, order) == reduced_basis_by_scan(gens, order)
+
+
+@pytest.mark.parametrize("num_vars, clauses", [
+    (3, ((1, -2, 3), (-1, 2), (2, -3), (-1, -2, -3))),
+    (4, ((1, 2, -3), (-1, 3, 4), (2, -4), (-2, -3, 4), (1, -4))),
+    (4, ((-1, -2), (1, 3, -4), (2, 3, 4), (-3, -4, 1), (-1, 2, -3), (4,))),
+])
+def test_sat_ideal_basis_matches_scan(num_vars, clauses):
+    from hilbertpoly.reductions import CnfFormula, sat_to_ideal
+    gens = sat_to_ideal(CnfFormula(num_vars, clauses)).generators
+    affine = [g.set_variable("x0", 1) for g in gens]
+    for system in (gens, affine):
+        assert buchberger(system) == reduced_basis_by_scan(system, GREVLEX)
 
 
 def test_hilbert_data_without_asserts():
