@@ -8,10 +8,11 @@ arith           exact polynomials and truncated power series over Q
 linalg          exact rational linear algebra
 partitions      partitions, containment, jump sequences
 symfun          Delta determinants, Todd/Chern polynomials, delta tables
-grobner         Buchberger bases, Hilbert series/polynomials, zero counting
+grobner         Buchberger bases, Hilbert series/polynomials, zero counting,
+                membership via Hilbert data
 chern           complete-intersection Chern/Todd pipeline and characters
 transversality  Schubert cells, charts, and the tangency rank tests
-reductions      #SAT encodings, membership via Hilbert data, interpolation
+reductions      #SAT encodings, graded matrices, interpolation
 cli             batch command-line front end
 """
 

@@ -160,12 +160,6 @@ class MultiPoly:
 
     # -- queries
 
-    def total_degree(self):
-        """Largest total degree of a term; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def is_homogeneous(self):
         """Common total degree of all terms, ANY_DEGREE for 0, None if mixed."""
         if not self.terms:

@@ -151,7 +151,7 @@ def chern_tangent(ci):
         cj = TruncSeries.monomial(K, j, cone[j])
         twist = twist + cj * one_plus_h ** (ci.m + 1 - j)
     if adjunction != twist:
-        raise ArithmeticError("tangent Chern class routes disagree")
+        raise CrossCheckFailed("tangent Chern class routes disagree")
     return TruncClass(ci, adjunction)
 
 
@@ -190,7 +190,7 @@ def euler_top(ci):
     """Topological Euler characteristic deg(c_m(TV) cap [V])."""
     value = deg_cap(chern_tangent(ci))
     if value.denominator != 1:
-        raise ArithmeticError("non-integral topological Euler characteristic %s" % value)
+        raise CrossCheckFailed("non-integral topological Euler characteristic %s" % value)
     return int(value)
 
 

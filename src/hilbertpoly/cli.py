@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import linalg
 from .arith import CrossCheckFailed, PolyParseError, parse_poly
 from .chern import (
     CompleteIntersection,
@@ -35,18 +36,24 @@ from .grobner import (
     count_zero_dim,
     hilbert_data,
     in_ideal,
+    membership_via_hilbert,
     parse_ideal_file,
     ideal_file_text,
 )
 from .partitions import parse_partition
 from .reductions import (
     count_sat_bruteforce,
-    him_decide,
     parse_dimacs,
     sat_to_ideal,
 )
 from .symfun import delta_table, todd_poly
-from .transversality import InputInstance, random_flag, transversality_report
+from .transversality import (
+    InputInstance,
+    jacobian_at,
+    normalize_point,
+    random_flag,
+    transversality_report,
+)
 
 SCHEMA = 1
 
@@ -225,7 +232,7 @@ def cmd_membership(args, config):
     ideal = parse_ideal_file(open(args.ideal).read())
     g = parse_poly(args.poly, ideal.variables)
     direct = in_ideal(g, ideal, **config.caps())
-    via_hilbert = him_decide(ideal, g, **config.caps())
+    via_hilbert = membership_via_hilbert(ideal, g, **config.caps())
     agree = direct == via_hilbert
     _emit({"poly": g.to_text(), "in_ideal": direct,
            "him_decide": via_hilbert, "agreement": agree}, config)
@@ -252,9 +259,7 @@ def cmd_trans(args, config):
     if args.m is not None:
         m = args.m
     else:
-        from . import linalg
         probe = InputInstance(polys=ideal.generators, n=n, m=n)
-        from .transversality import jacobian_at, normalize_point
         m = n - linalg.rank(jacobian_at(probe, normalize_point(x)))
     inst = InputInstance(polys=ideal.generators, n=n, m=m)
     flag = random_flag(n, config.seed)

@@ -375,21 +375,19 @@ def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
         masks.append(reducers[t][0])
         check_caps(G[t])
         update(t)
-    return _autoreduce(G, lts, reducers, order, generators[0].variables)
+    return _autoreduce(G, lts, reducers, active, order, generators[0].variables)
 
 
-def _autoreduce(G, lts, reducers, order, variables):
+def _autoreduce(G, lts, reducers, active, order, variables):
     """Reduced monic basis over Q from a Groebner basis G of primitive
-    integer term dicts with leading exponents lts and the matching list
-    of _reducer."""
-    # drop every element whose lead is divisible by another lead (the
-    # first of equal leads stays); divisibility is transitive, so one
-    # pass leaves exactly the minimal leads
-    n = len(G)
-    keep = [i for i in range(n)
-            if not any(j != i and _mono_divides(lts[j], lts[i]) and
-                       (not _mono_divides(lts[i], lts[j]) or j < i)
-                       for j in range(n))]
+    integer term dicts with leading exponents lts, the matching list of
+    _reducer and buchberger's active elements."""
+    # every minimal lead is held by an active element, and no two active
+    # leads are equal (a newcomer retires an equal lead), so dropping the
+    # active elements whose lead another active lead divides leaves
+    # exactly one element per minimal lead
+    keep = [i for i in active
+            if not any(j != i and _mono_divides(lts[j], lts[i]) for j in active)]
     reducers = [reducers[i] for i in keep]
     # fully reduce each survivor against the others; its lead survives
     out = []
@@ -586,7 +584,7 @@ def hilbert_function_direct(ideal, k):
             for e, c in g.terms.items():
                 row[col[_mono_mul(shift, e)]] = c
             rows.append(row)
-    return len(monos) - (linalg.rank(rows) if rows else 0)
+    return len(monos) - linalg.rank(rows)
 
 
 INFINITE = float("inf")

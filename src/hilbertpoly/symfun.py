@@ -211,7 +211,7 @@ def d_coeff(lam, mu, m):
              for j in range(1, m + 1)] for i in range(1, m + 1)]
     value = linalg.det(rows)
     if value.denominator != 1:
-        raise ArithmeticError("non-integral binomial determinant %s" % value)
+        raise CrossCheckFailed("non-integral binomial determinant %s" % value)
     return int(value)
 
 

@@ -152,12 +152,11 @@ def gauss_point(inst, x):
     if not is_zero_of(inst, x):
         raise ValueError("point is not a zero of the system")
     jac = jacobian_at(inst, x)
-    rk = linalg.rank(jac) if inst.polys else 0
+    rk = linalg.rank(jac)
     if rk != inst.n - inst.m:
         raise ValueError("Jacobian rank %d at %s, expected %d"
                          % (rk, x, inst.n - inst.m))
-    basis = linalg.kernel(jac, ncols=inst.n + 1) if inst.polys else \
-        linalg.identity(inst.n + 1)
+    basis = linalg.kernel(jac, ncols=inst.n + 1)
     return GrassPoint(tuple(tuple(v) for v in basis))
 
 
@@ -174,7 +173,7 @@ def in_Q_lambda(inst, x, flag, lam):
     for i in range(inst.m + 1):
         delta = inst.m - i + lam.part(i + 1)
         rows = [list(r) for r in flag.dual_matrix[:delta]] + [list(r) for r in jac]
-        if rows and linalg.rank(rows) > inst.n - i:
+        if linalg.rank(rows) > inst.n - i:
             return False
     return True
 
@@ -203,18 +202,17 @@ def schubert_cell_coords(A, flag, mu):
     return tuple(tuple(E[i][j] for i in range(m + 1)) for j in rest)
 
 
+def _on_cell(chart, sigma):
+    """Echelon zero pattern: a chart (None outside U_mu) lies on the cell
+    when every slot (j, i) with j >= sigma_i - i is zero."""
+    return chart is not None and all(
+        chart[j][i] == 0 for i, s in enumerate(sigma) for j in range(s - i, len(chart)))
+
+
 def in_cell(A, flag, mu):
     """Cell membership through the echelon zero pattern of the chart."""
-    n, m = flag.n, A.dim
-    sigma = jumps(mu, n, m)
-    chart = schubert_cell_coords(A, flag, mu)
-    if chart is None:
-        return False
-    for i in range(m + 1):
-        for j in range(sigma[i] - i, n - m):
-            if chart[j][i] != 0:
-                return False
-    return True
+    sigma = jumps(mu, flag.n, A.dim)
+    return _on_cell(schubert_cell_coords(A, flag, mu), sigma)
 
 
 def dimension_jumps(A, flag):
@@ -270,13 +268,13 @@ def transversality_report(inst, x, flag, mu):
         raise ValueError("point is not a zero of the system")
     A = gauss_point(inst, x)  # raises when the rank is off
     report["smooth"] = True
-    if not in_cell(A, flag, mu):
+    sigma = jumps(mu, n, m)
+    chart = schubert_cell_coords(A, flag, mu)
+    if not _on_cell(chart, sigma):
         return report
     report["on_cell"] = True
-    chart = schubert_cell_coords(A, flag, mu)
     report["chart"] = chart
 
-    sigma = jumps(mu, n, m)
     rest = [j for j in range(n + 1) if j not in sigma]
     order = list(sigma) + rest
     if report["needed"] == 0:
@@ -296,22 +294,9 @@ def transversality_report(inst, x, flag, mu):
 
     jac = [[f.partial(v).eval_point(z) for v in zvars] for f in fz]
     block = [row[m + 1:] for row in jac]
-    # pick n-m rows with an invertible square block
-    rows_pick = []
-    work = [(list(row), s) for s, row in enumerate(block)]
-    reduced = []
-    for row, s in work:
-        vec = list(row)
-        for rvec, _ in reduced:
-            piv = next(i for i, v in enumerate(rvec) if v)
-            if vec[piv]:
-                fct = vec[piv] / rvec[piv]
-                vec = [a - fct * b for a, b in zip(vec, rvec)]
-        if any(vec):
-            reduced.append((vec, s))
-            rows_pick.append(s)
-        if len(rows_pick) == n - m:
-            break
+    # pick n-m rows with an invertible square block: the pivot columns of
+    # the transpose are the first rows independent of the rows before them
+    rows_pick = linalg.rref(linalg.transpose(block))[1]
     if len(rows_pick) < n - m:
         raise CrossCheckFailed("chart block is singular at a cell point")
 
@@ -322,7 +307,7 @@ def transversality_report(inst, x, flag, mu):
     # first derivatives of the implicit graph map: H1 = -J2^{-1} J1
     H1 = [[-v for v in row] for row in linalg.mat_mul(J2inv, J1)]
     if tuple(tuple(r) for r in H1) != chart:
-        raise ArithmeticError("implicit chart disagrees with echelon chart")
+        raise CrossCheckFailed("implicit chart disagrees with echelon chart")
 
     hess = []
     for s in rows_pick:

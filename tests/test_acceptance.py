@@ -24,11 +24,11 @@ from hilbertpoly.chern import (
 )
 from hilbertpoly.grobner import HomIdeal, count_zero_dim, hilbert_data, in_ideal, \
     monomials_of_degree
+from hilbertpoly.grobner import membership_via_hilbert as him_decide
 from hilbertpoly.partitions import Partition, enumerate_partitions, jumps
 from hilbertpoly.reductions import (
     CnfFormula,
     count_sat_bruteforce,
-    him_decide,
     sat_to_ideal,
 )
 from hilbertpoly.symfun import (

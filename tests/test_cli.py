@@ -304,3 +304,25 @@ def test_repeated_variable_is_parse_error(tmp_path, capsys):
     assert code == EXIT_PARSE
     assert out == ""
     assert json.loads(capsys.readouterr().err)["error"] == "parse"
+
+
+def test_tangent_chern_disagreement_exit_code(monkeypatch, capsys):
+    import hilbertpoly.chern as chern
+    from hilbertpoly.arith import TruncSeries
+
+    real = chern.chern_cone_tangent
+
+    def off_by_one(ci):
+        # add 1 to every Chern class of the cone tangent bundle
+        return real(ci) + TruncSeries.truncated(ci.m + 1, [1] * (ci.m + 1))
+
+    # chern_tangent is memoised: a class cached by an earlier test would
+    # never reach the patched route
+    chern.chern_tangent.cache_clear()
+    monkeypatch.setattr(chern, "chern_cone_tangent", off_by_one)
+    code, out = run_cli("ci", "n=3", "degrees=2")
+    assert code == EXIT_DISAGREE
+    assert out == ""
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "cross-check"
+    assert "tangent Chern class routes disagree" in err["detail"]

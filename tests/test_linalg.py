@@ -1,0 +1,108 @@
+import itertools
+from fractions import Fraction
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import assume, given, settings
+
+from hilbertpoly.linalg import det, inverse, kernel, mat_mul, rank, solve, transpose
+
+# small integers make exact dependences (and so singular matrices) common
+entries = st.one_of(st.integers(-2, 2).map(Fraction),
+                    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
+
+
+@st.composite
+def matrices(draw, nrows=st.integers(0, 5), ncols=st.integers(0, 5)):
+    nr, nc = draw(nrows), draw(ncols)
+    return [[draw(entries) for _ in range(nc)] for _ in range(nr)]
+
+
+@st.composite
+def squares(draw):
+    n = draw(st.integers(0, 5))
+    return draw(matrices(st.just(n), st.just(n)))
+
+
+@st.composite
+def singular_squares(draw):
+    """Square matrix with one row a combination of the others (the zero
+    row when n = 1)."""
+    n = draw(st.integers(1, 5))
+    a = draw(matrices(st.just(n), st.just(n)))
+    k = draw(st.integers(0, n - 1))
+    coeffs = [draw(entries) for _ in range(n)]
+    a[k] = [sum((c * a[i][j] for i, c in enumerate(coeffs) if i != k), Fraction(0))
+            for j in range(n)]
+    return a
+
+
+def leibniz(a):
+    """Determinant as the signed sum over all permutations."""
+    n = len(a)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction((-1) ** inversions)
+        for i, p in enumerate(perm):
+            term *= a[i][p]
+        total += term
+    return total
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+@given(st.one_of(squares(), singular_squares()))
+@settings(max_examples=60, deadline=None)
+def test_det_matches_leibniz(a):
+    assert det(a) == leibniz(a)
+
+
+@given(matrices())
+@settings(max_examples=60, deadline=None)
+def test_rank_matches_transpose_and_kernel(a):
+    ncols = len(a[0]) if a else 3
+    basis = kernel(a, ncols=ncols)
+    assert rank(a) == rank(transpose(a)) == ncols - len(basis)
+    for v in basis:
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+
+
+@given(st.one_of(squares(), singular_squares()))
+@settings(max_examples=60, deadline=None)
+def test_det_vanishes_exactly_when_rank_deficient(a):
+    assert (det(a) == 0) == (rank(a) < len(a))
+
+
+@given(squares(), st.lists(entries, min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_solve_and_inverse_of_nonsingular(a, rhs):
+    n = len(a)
+    assume(det(a) != 0)
+    b = rhs[:n]
+    x = solve(a, b)
+    assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+    assert mat_mul(a, inverse(a)) == identity(n)
+
+
+@given(singular_squares())
+@settings(max_examples=40, deadline=None)
+def test_singular_matrix_raises(a):
+    with pytest.raises(ValueError, match="singular matrix"):
+        solve(a, [Fraction(1)] * len(a))
+    with pytest.raises(ValueError, match="singular matrix"):
+        inverse(a)
+
+
+def test_empty_and_degenerate_shapes():
+    assert rank([]) == 0
+    assert det([]) == 1
+    assert rank([[], []]) == 0
+    for k in range(4):
+        assert kernel([], ncols=k) == identity(k)
+    with pytest.raises(ValueError):
+        kernel([])
+    with pytest.raises(ValueError):
+        det([[1, 2]])

@@ -8,6 +8,7 @@ from hilbertpoly.grobner import (
     count_zero_dim,
     hilbert_data,
     in_ideal,
+    membership_via_hilbert as him_decide,
 )
 from hilbertpoly.reductions import (
     CnfFormula,
@@ -15,7 +16,6 @@ from hilbertpoly.reductions import (
     count_sat_bruteforce,
     dimacs_text,
     euler_quotient,
-    him_decide,
     ideal_to_graded_matrix,
     interpolate,
     parse_dimacs,

@@ -349,3 +349,31 @@ def test_whole_space_trivially_transversal():
     inst = InputInstance(polys=(), n=2, m=2)
     flag = random_flag(2, 1)
     assert transversal_at(inst, (1, 1, 1), flag, Partition()) is True
+
+
+def test_redundant_generator_gives_same_report():
+    # 2*(x0*x2 - x1^2) listed first makes the second Jacobian row
+    # dependent; the square of the conic listed first has a zero Jacobian
+    # row on the conic, so the chart block must come from the second row
+    conic = parse_poly("x0*x2 - x1^2", X3)
+    cases = [((1, 1, 1), CONIC_FLAG), ((1, 1, 1), random_flag(2, 4242))]
+    for seed in range(10):
+        t0 = Fraction(seed - 4)
+        x = (1, t0, t0 * t0)
+        f0 = (1, t0 + 1, t0 * t0 + 2 * t0)  # x plus the tangent direction
+        cases.append((x, flag_from_columns(f0, (0, 1, seed), (0, 0, 1))))
+    for first in (conic * 2, conic * conic):
+        listed = InputInstance(polys=(first, conic), n=2, m=1)
+        on_cell = 0
+        for x, flag in cases:
+            rep = transversality_report(listed, x, flag, Partition([1]))
+            assert rep == transversality_report(CONIC, x, flag, Partition([1]))
+            on_cell += rep["on_cell"]
+        assert on_cell >= 10
+    # and a non-transversal verdict: the line x2 = 0, listed as 2*x2 and x2
+    line = parse_poly("x2", X3)
+    doubled_line = InputInstance(polys=(line * 2, line), n=2, m=1)
+    flag = flag_from_columns((1, 2, 0), (0, 1, 1), (1, 0, 0))
+    rep = transversality_report(doubled_line, (1, 4, 0), flag, Partition([1]))
+    assert rep == transversality_report(LINE, (1, 4, 0), flag, Partition([1]))
+    assert rep["on_cell"] and rep["transversal"] is False
