@@ -2,8 +2,11 @@
 
 Everything lives in the truncated ring Q[h]/(h^(m+1)) where h is the
 hyperplane class; the degree functional reads off the h^m coefficient
-and multiplies by deg V = prod d_i.  Three independent routes to the
-Hilbert polynomial come out of this module:
+and multiplies by deg V = prod d_i.  Each Chern class is a monomial
+c_i h^i, so a determinant Delta_lam of Chern classes is the scalar one
+of the Chern numbers times h^|lam|; the Todd class and the characters
+are taken over scalars, zero-padded past h^m (no term of weight <= m
+reads there).  Three independent routes come out of this module:
 
 * hilbert_poly_hrr        - Riemann-Roch coefficients k! p_k = deg(h^k T_{m-k})
 * hilbert_poly_characters - the delta-table combination of projective
@@ -17,10 +20,10 @@ of weights d_i - 1 (via the gradient maps) is the one derivation made
 here that is pinned by tests rather than quoted: it reproduces the
 classical count d(d-1) of tangents through a point for plane curves.
 
-chern_tangent is memoised for the life of the process: its class
-depends only on the frozen CompleteIntersection, and TruncClass and
-TruncSeries are immutable, so todd_class and euler_top share one build
-(and one twist cross-check) per complete intersection.
+chern_tangent and chern_cone_normal are memoised for the life of the
+process: each class depends only on the frozen CompleteIntersection,
+and TruncClass and TruncSeries are immutable, so every caller shares
+one build (and one twist cross-check) per complete intersection.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import lru_cache
 from .arith import CrossCheckFailed, MultiPoly, TruncSeries, UniPoly, binom_poly
 from .grobner import HomIdeal, monomials_of_degree
 from .partitions import enumerate_partitions
-from .symfun import CoeffSeq, delta_det, delta_table, scaling_factor, todd_poly
+from .symfun import CoeffSeq, delta_det, delta_table, scaling_factor, todd_value
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,7 @@ def deg_cap(x):
     return x.series[x.ci.m] * x.ci.degree
 
 
+@lru_cache(maxsize=None)
 def chern_cone_normal(ci):
     """Total Chern class of the cone normal bundle: prod (1 + (d_i-1) h)."""
     K = ci.m + 1
@@ -158,13 +162,8 @@ def chern_tangent(ci):
 def todd_class(ci):
     """Todd class 1 + sum_i T_i(c_1..c_i) of the tangent Chern classes."""
     K = ci.m + 1
-    c = chern_tangent(ci)
-    total = TruncSeries.one(K)
-    for i in range(1, K):
-        values = {"c%d" % (j + 1): TruncSeries.monomial(K, j + 1, c.coefficient(j + 1))
-                  for j in range(i)}
-        total = total + todd_poly(i).substitute(values)
-    return TruncClass(ci, total)
+    c = CoeffSeq(chern_tangent(ci).series.coeffs, pad=True)
+    return TruncClass(ci, TruncSeries(K, [todd_value(i, c) for i in range(K)]))
 
 
 def euler_char_twist(ci, d):
@@ -203,14 +202,8 @@ def projective_character(ci, lam):
         raise ValueError("|lambda| must be at most m")
     if lam.part(1) > ci.n - ci.m:
         return 0
-    K = ci.m + 1
-    normal = chern_cone_normal(ci).series
-    upto = lam.part(1) + lam.length
-    values = [TruncSeries.one(K)]
-    values += [TruncSeries.monomial(K, i, normal[i]) if i < K else TruncSeries.zero(K)
-               for i in range(1, upto + 1)]
-    det = delta_det(lam, CoeffSeq(values, pad=True))
-    value = det[lam.size] * ci.degree
+    normal = CoeffSeq(chern_cone_normal(ci).series.coeffs, pad=True)
+    value = delta_det(lam, normal) * ci.degree
     if value.denominator != 1 or value < 0:
         raise CrossCheckFailed("character %s -> %s is not a nonnegative integer"
                                % (lam, value))

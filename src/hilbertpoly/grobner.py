@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .arith import ANY_DEGREE, MultiPoly, UniPoly, binom_poly, parse_poly
+from .arith import ANY_DEGREE, CrossCheckFailed, MultiPoly, UniPoly, binom_poly, parse_poly
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -396,7 +396,7 @@ def _autoreduce(G, lts, reducers, active, order, variables):
         r, _ = _normal_form(G[k], others, order)
         lc = r.get(lts[k])
         if not lc:
-            raise ArithmeticError("reduced basis element lost its lead")
+            raise CrossCheckFailed("reduced basis element lost its lead")
         out.append((order.key(lts[k]),
                     MultiPoly(variables, {e: Fraction(c, lc) for e, c in r.items()})))
     out.sort(key=lambda kg: kg[0])
@@ -502,8 +502,8 @@ class HilbertData:
             total += (self.series_numerator.coefficient(j)
                       * binom_poly(self.nvars - 1 - j, self.nvars - 1)(k))
         if total.denominator != 1 or total < 0:
-            raise ArithmeticError("Hilbert function value %s in degree %d "
-                                  "is not a natural number" % (total, k))
+            raise CrossCheckFailed("Hilbert function value %s in degree %d "
+                                   "is not a natural number" % (total, k))
         return int(total)
 
 

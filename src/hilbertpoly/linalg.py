@@ -1,10 +1,10 @@
 """Exact linear algebra over Q: rank, determinant, solve, kernel, RREF.
 
-Matrices are lists of rows of Fractions.  There are two eliminations:
-rank and det share one fraction-free Bareiss elimination over integer
-rows (each row's denominators cleared first), and rref is the one
-Gauss-Jordan elimination, which solve and inverse run on the augmented
-matrix and kernel on the matrix itself.
+Matrices are lists of rows whose entries are ints or Fractions.  There
+are two eliminations: rank and det share one fraction-free Bareiss
+elimination over integer rows (each row's denominators cleared first),
+and rref is the one Gauss-Jordan elimination, which solve and inverse
+run on the augmented matrix and kernel on the matrix itself.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from .arith import frac
 
 def _bareiss(rows):
     """Fraction-free Bareiss elimination (Bareiss 1968) of a rational
-    matrix; returns (rank, det), det being the determinant when the
-    matrix is square and 0 otherwise."""
+    matrix of ints or Fractions (both carry numerator and denominator);
+    returns (rank, det), det being the determinant when the matrix is
+    square and 0 otherwise."""
     a, scale = [], 1
     for row in rows:
-        row = [frac(x) for x in row]
         # one lcm at a time: math.lcm(*generator) raised the peak memory
         # of a 231-report `ci` pass by about 0.3 MiB
         den = 1

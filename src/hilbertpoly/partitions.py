@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 
+from .arith import CrossCheckFailed
+
 
 class Partition:
     """Immutable integer partition."""
@@ -91,7 +93,7 @@ def jumps(lam, n, m):
         raise ValueError("partition %s is not admissible for (n,m)=(%d,%d)" % (lam, n, m))
     sigma = tuple(n - m + i - lam.part(i + 1) for i in range(m + 1))
     if not all(sigma[i] < sigma[i + 1] for i in range(m)):
-        raise ArithmeticError("jump sequence %s is not increasing" % (sigma,))
+        raise CrossCheckFailed("jump sequence %s is not increasing" % (sigma,))
     return sigma
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ANY_DEGREE, MultiPoly, UniPoly
+from .arith import ANY_DEGREE, CrossCheckFailed, MultiPoly, UniPoly
 from .grobner import HomIdeal, hilbert_data
 
 
@@ -174,8 +174,8 @@ def euler_quotient(gm, d, variables=None, **caps):
     ideal = HomIdeal.from_polys(variables, gens)
     value = hilbert_data(ideal, **caps).hilbert_polynomial(d)
     if value.denominator != 1:
-        raise ArithmeticError("Euler characteristic %s of twist %d is not an "
-                              "integer" % (value, d))
+        raise CrossCheckFailed("Euler characteristic %s of twist %d is not an "
+                               "integer" % (value, d))
     return int(value)
 
 

@@ -1,8 +1,8 @@
 """Symmetric-function engine: Jacobi-Trudi-shaped determinants, the
-Bernoulli-derived b-sequence, Todd and Chern-character polynomials,
-Schur evaluation, binomial-determinant shift coefficients, and the
-delta tables that assemble Hilbert coefficients from projective
-characters.
+Bernoulli-derived b-sequence, the Todd formula (symbolic or at Chern
+numbers), Chern-character polynomials, Schur evaluation, integer
+binomial-determinant shift coefficients, and the delta tables that
+assemble Hilbert coefficients from projective characters.
 
 Sign convention: bernoulli(n) returns the all-positive values
 B_1 = 1/6, B_2 = 1/30, B_3 = 1/42, ...  (the alternating signs live in
@@ -72,7 +72,7 @@ def delta_det(lam, c):
     if r == 0:
         return c.one
     rows = [[c[lam.part(i) - i + j] for j in range(1, r + 1)] for i in range(1, r + 1)]
-    if all(isinstance(x, Fraction) for row in rows for x in row):
+    if isinstance(c.one, (int, Fraction)):
         return linalg.det(rows)
     return linalg.det_ring(rows, c.one)
 
@@ -121,24 +121,27 @@ def chern_coeff_seq(m):
     return CoeffSeq(values, pad=True)
 
 
-@lru_cache(maxsize=None)
-def todd_poly(m):
-    """m-th Todd polynomial in c_1..c_m via the determinantal formula
-    T_m = sum over |lam| = m of Delta_{lam'}(b) Delta_lam(c).
-
-    T_1 = c1/2, T_2 = (c1^2 + c2)/12, T_3 = c1*c2/24, ...
-    """
-    names = _chern_vars(m)
+def todd_value(m, c):
+    """T_m(c_1..c_m) over the ring of the CoeffSeq c, by the determinantal
+    formula T_m = sum over |lam| = m of Delta_{lam'}(b) Delta_lam(c)."""
     if m == 0:
-        return MultiPoly.constant(names, 1)
+        return c.one
     b = b_sequence(m)
-    c = chern_coeff_seq(m)
-    total = MultiPoly.zero(names)
+    total = c.zero
     for lam in enumerate_partitions(m):
         coeff = delta_det(lam.conjugate(), b)
         if coeff:
             total = total + coeff * delta_det(lam, c)
     return total
+
+
+@lru_cache(maxsize=None)
+def todd_poly(m):
+    """m-th Todd polynomial in formal c_1..c_m (todd_value over MultiPoly).
+
+    T_1 = c1/2, T_2 = (c1^2 + c2)/12, T_3 = c1*c2/24, ...
+    """
+    return todd_value(m, chern_coeff_seq(m))
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +154,7 @@ def chern_character_poly(i):
     if i < 1:
         raise ValueError("defined for i >= 1")
     names = _chern_vars(i)
-    e = [MultiPoly.constant(names, 1)] + [MultiPoly.variable(names, nm) for nm in names]
+    e = chern_coeff_seq(i).values
     p = [None] * (i + 1)
     for k in range(1, i + 1):
         acc = MultiPoly.constant(names, (-1) ** (k - 1) * k) * e[k]
@@ -207,9 +210,9 @@ def d_coeff(lam, mu, m):
         raise ValueError("partitions must have length <= m")
     if m == 0:
         return 1
-    rows = [[Fraction(math.comb(lam.part(i) + m + 1 - i, mu.part(j) + m + 1 - j))
-             for j in range(1, m + 1)] for i in range(1, m + 1)]
-    value = linalg.det(rows)
+    tops = [lam.part(i) + m + 1 - i for i in range(1, m + 1)]
+    bottoms = [mu.part(j) + m + 1 - j for j in range(1, m + 1)]
+    value = linalg.det([[math.comb(t, u) for u in bottoms] for t in tops])
     if value.denominator != 1:
         raise CrossCheckFailed("non-integral binomial determinant %s" % value)
     return int(value)

@@ -230,7 +230,7 @@ def dimension_jumps(A, flag):
             sigma.append(j)
             want += 1
     if len(sigma) != m + 1:
-        raise ArithmeticError("intersection dimensions did not reach m+1")
+        raise CrossCheckFailed("intersection dimensions did not reach m+1")
     return tuple(sigma)
 
 

@@ -21,7 +21,7 @@ from hilbertpoly.chern import (
 )
 from hilbertpoly.grobner import hilbert_data
 from hilbertpoly.partitions import Partition, enumerate_partitions
-from hilbertpoly.symfun import CoeffSeq, d_coeff, delta_coeff, delta_det
+from hilbertpoly.symfun import CoeffSeq, d_coeff, delta_coeff, delta_det, todd_poly
 
 
 CI = CompleteIntersection
@@ -210,3 +210,32 @@ def test_grobner_cross_check_one_case():
     ci = CI(3, (2, 2))
     data = hilbert_data(generic_ci_ideal(ci, seed=5))
     assert data.hilbert_polynomial == ci_hilbert_series_oracle(ci)
+
+
+def test_todd_class_matches_symbolic_todd_polynomials():
+    # the scalar Todd class against the symbolic Todd polynomials with
+    # the tangent classes c_j h^j substituted (m <= 8 on this grid)
+    for ci in ci_grid(8, 3, 4):
+        K = ci.m + 1
+        c = chern_tangent(ci)
+        td = todd_class(ci).series
+        assert td[0] == 1
+        for i in range(1, K):
+            values = {"c%d" % j: TruncSeries.monomial(K, j, c.coefficient(j))
+                      for j in range(1, i + 1)}
+            assert td[i] == todd_poly(i).substitute(values)[i], (ci, i)
+
+
+def test_projective_character_matches_series_determinant():
+    # the scalar character against the determinant over truncated series
+    # with entries c_i h^i of the cone normal class
+    for ci in ci_grid(8, 3, 4):
+        K = ci.m + 1
+        normal = chern_cone_normal(ci).series
+        for mu, value in character_table(ci).items():
+            upto = mu.part(1) + mu.length
+            entries = [TruncSeries.one(K)]
+            entries += [TruncSeries.monomial(K, i, normal[i]) if i < K
+                        else TruncSeries.zero(K) for i in range(1, upto + 1)]
+            det = delta_det(mu, CoeffSeq(entries, pad=True))
+            assert value == det[mu.size] * ci.degree, (ci, mu)

@@ -39,6 +39,15 @@ def test_ci_command_plane_cubic():
     assert report["schema"] == 1 and report["seed"] == 0
 
 
+def test_ci_command_dimension_ten_and_eleven():
+    # m = 11 and m = 10: past the m <= 8 of the ci grid tests
+    for degrees in ("2", "3,2"):
+        code, report = run_json("ci", "n=12", "degrees=" + degrees)
+        assert code == EXIT_OK
+        assert report["agreement"] is True
+        assert report["hilbert_hrr"] == report["hilbert_series"]
+
+
 def test_characters_quartic_plane_curve():
     code, report = run_json("characters", "n=2", "degrees=4")
     assert code == EXIT_OK
@@ -237,7 +246,7 @@ def test_failed_cross_check_exit_code(monkeypatch, capsys):
 
     # every Delta-determinant reads 1/3: deg P_mu = 4/3 for the quartic
     # is not an integer, and projective_character refuses it
-    monkeypatch.setattr(chern, "delta_det", lambda lam, seq: [Fraction(1, 3)] * 8)
+    monkeypatch.setattr(chern, "delta_det", lambda lam, seq: Fraction(1, 3))
     code, out = run_cli("characters", "n=2", "degrees=4")
     assert code == EXIT_DISAGREE
     assert out == ""
@@ -258,11 +267,12 @@ def test_parser_carries_no_state_between_calls():
 def test_ci_grid_reports_independent_of_order():
     # the process-wide caches behind `ci` must not make a report depend
     # on which reports ran before it
-    from hilbertpoly.chern import chern_tangent, ci_grid
+    from hilbertpoly.chern import chern_cone_normal, chern_tangent, ci_grid
     from hilbertpoly.symfun import delta_coeff
 
     delta_coeff.cache_clear()
     chern_tangent.cache_clear()
+    chern_cone_normal.cache_clear()
     argvs = [["ci", "n=%d" % ci.n, "degrees=" + ",".join(map(str, ci.degrees))]
              for ci in ci_grid(5, 2, 3)]
     forward = [run_cli(*argv) for argv in argvs]

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 
 import hilbertpoly
-from hilbertpoly.arith import MultiPoly, UniPoly, binom_poly, parse_poly
+from hilbertpoly.arith import CrossCheckFailed, MultiPoly, UniPoly, binom_poly, parse_poly
 from hilbertpoly.grobner import (
     GREVLEX,
     LEX,
+    HilbertData,
     HomIdeal,
     INFINITE,
     MonomialOrder,
@@ -319,6 +320,14 @@ def test_hilbert_function_agrees_with_polynomial_beyond_regularity():
         for k in range(data.index_of_regularity, data.index_of_regularity + 6):
             assert data.hilbert_function(k) == data.hilbert_polynomial(k)
             assert hilbert_function_direct(I, k) == data.hilbert_function(k)
+
+
+def test_non_natural_hilbert_function_is_cross_check_failure():
+    half = UniPoly([Fraction(1, 2)])
+    data = HilbertData(nvars=1, series_numerator=half, hilbert_polynomial=half,
+                       index_of_regularity=0)
+    with pytest.raises(CrossCheckFailed, match="not a natural number"):
+        data.hilbert_function(0)
 
 
 def test_hilbert_degree_equals_dimension():
