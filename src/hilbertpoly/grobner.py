@@ -10,7 +10,8 @@ Conventions
   that of S/I as given, not of the vanishing ideal of its zero set.
 * count_zero_dim counts points with multiplicity (vector-space
   dimension of the quotient); with generic data that is the geometric
-  count.
+  count.  It reads the count off the Hilbert-series numerator of the
+  leading-term ideal, the integer series the Hilbert data comes from.
 * The normal form takes its next term, the largest left, from a heap
   keyed by MonomialOrder.heap_key instead of scanning the remainder.
 * The Groebner core works on primitive integer polynomials (content 1,
@@ -447,14 +448,15 @@ def _minimal_monomials(exps):
 
 def hilbert_series_monomial(exps, nvars):
     """Numerator Q(t) with HS_{S/L}(t) = Q(t)/(1-t)^nvars for the monomial
-    ideal L generated by the given exponent vectors."""
+    ideal L generated by the given exponent vectors; the recursion runs
+    on integer coefficient lists."""
     gens = _minimal_monomials([tuple(e) for e in exps])
 
     def rec(gens):
         if not gens:
-            return UniPoly.constant(1)
+            return [1]
         if any(sum(g) == 0 for g in gens):
-            return UniPoly()
+            return []
         # find a variable shared by some pair of generators
         pivot = None
         for a, b in itertools.combinations(gens, 2):
@@ -465,22 +467,25 @@ def hilbert_series_monomial(exps, nvars):
             if pivot is not None:
                 break
         if pivot is None:
-            # pairwise coprime: Koszul-type product formula
-            q = UniPoly.constant(1)
+            # pairwise coprime: multiply by each 1 - t^d in place
+            q = [1]
             for g in gens:
-                term = [Fraction(0)] * (sum(g) + 1)
-                term[0], term[-1] = Fraction(1), Fraction(-1)
-                q = q * UniPoly(term)
+                d = sum(g)
+                q += [0] * d
+                for k in range(len(q) - 1, d - 1, -1):
+                    q[k] -= q[k - d]
             return q
         xv = tuple(int(i == pivot) for i in range(nvars))
-        plus = _minimal_monomials([xv] + [g for g in gens if g[pivot] == 0])
-        colon = _minimal_monomials(
+        q = rec(_minimal_monomials([xv] + [g for g in gens if g[pivot] == 0]))
+        colon = rec(_minimal_monomials(
             [tuple(e - 1 if i == pivot else e for i, e in enumerate(g)) if g[pivot]
-             else g for g in gens])
-        t = UniPoly([0, 1])
-        return rec(plus) + t * rec(colon)
+             else g for g in gens]))
+        q += [0] * (len(colon) + 1 - len(q))  # q + t * colon
+        for k, c in enumerate(colon, 1):
+            q[k] += c
+        return q
 
-    return rec(gens)
+    return UniPoly(rec(gens))
 
 
 @dataclass(frozen=True)
@@ -497,32 +502,31 @@ class HilbertData:
         """dim of the degree-k graded piece, read off the series."""
         if k < 0:
             return 0
-        total = Fraction(0)
-        for j in range(min(k, self.series_numerator.degree) + 1):
-            total += (self.series_numerator.coefficient(j)
-                      * binom_poly(self.nvars - 1 - j, self.nvars - 1)(k))
-        if total.denominator != 1 or total < 0:
+        value = _expand_series(self.series_numerator, self.nvars, k)[k]
+        if value.denominator != 1 or value < 0:
             raise CrossCheckFailed("Hilbert function value %s in degree %d "
-                                   "is not a natural number" % (total, k))
-        return int(total)
+                                   "is not a natural number" % (value, k))
+        return int(value)
+
+
+def _cancel_one_minus_t(q):
+    """(qbar, k) with q = (1-t)^k * qbar and qbar(1) != 0, or (0, 0)
+    for q = 0."""
+    k = 0
+    while q and q(1) == 0:
+        q = q.divide_by_one_minus_t()
+        k += 1
+    return q, k
 
 
 def _hilbert_data_from_numerator(q, nvars):
-    qbar = q
-    cancelled = 0
-    while qbar and qbar(1) == 0:
-        qbar = qbar.divide_by_one_minus_t()
-        cancelled += 1
-    D = nvars - cancelled
+    qbar, cancelled = _cancel_one_minus_t(q)
     if not qbar:
-        poly = UniPoly()
-        return HilbertData(nvars, q, poly, 0)
-    if D <= 0:
-        poly = UniPoly()
-    else:
-        poly = UniPoly()
-        for j in range(qbar.degree + 1):
-            c = qbar.coefficient(j)
+        return HilbertData(nvars, q, UniPoly(), 0)
+    D = nvars - cancelled
+    poly = UniPoly()
+    if D > 0:
+        for j, c in enumerate(qbar.coeffs):
             if c:
                 poly = poly + c * binom_poly(D - 1 - j, D - 1)
 
@@ -591,29 +595,22 @@ INFINITE = float("inf")
 
 
 def count_zero_dim(gens, order=GREVLEX, max_basis=None, max_degree=None):
-    """Number of common zeros (with multiplicity) of an affine system,
-    or INFINITE when the staircase is infinite."""
+    """Number of common zeros (with multiplicity) of an affine system, or
+    INFINITE, read off the Hilbert-series numerator q = (1-t)^k * qbar of
+    its leading-term ideal: q = 0 means none, k < nvars infinitely many,
+    and otherwise the count of standard monomials is qbar(1)."""
     gens = [g for g in gens if g]
     if not gens:
         return INFINITE
     nvars = len(gens[0].variables)
-    if nvars == 0:
-        return 0
     gb = GrobnerBasis.of(gens, order, max_basis=max_basis, max_degree=max_degree)
-    lts = gb.leading_exponents()
-    if not lts:
+    qbar, cancelled = _cancel_one_minus_t(
+        hilbert_series_monomial(gb.leading_exponents(), nvars))
+    if not qbar:
+        return 0
+    if cancelled < nvars:
         return INFINITE
-    bounds = []
-    for v in range(nvars):
-        pure = [e[v] for e in lts if all(x == 0 for i, x in enumerate(e) if i != v)]
-        if not pure:
-            return INFINITE
-        bounds.append(min(pure))
-    count = 0
-    for exp in itertools.product(*(range(b) for b in bounds)):
-        if not any(_mono_divides(lt, exp) for lt in lts):
-            count += 1
-    return count
+    return int(qbar(1))
 
 
 def fresh_variable(variables):

@@ -195,9 +195,10 @@ def schubert_cell_coords(A, flag, mu):
     sigma = jumps(mu, n, m)
     B = _flag_coordinates(A, flag)
     Bsig = [[row[s] for s in sigma] for row in B]
-    if linalg.det(Bsig) == 0:
+    try:
+        E = linalg.mat_mul(linalg.inverse(Bsig), B)
+    except ValueError:  # Bsig is singular
         return None
-    E = linalg.mat_mul(linalg.inverse(Bsig), B)
     rest = [j for j in range(n + 1) if j not in sigma]
     return tuple(tuple(E[i][j] for i in range(m + 1)) for j in rest)
 
@@ -334,7 +335,8 @@ def transversality_report(inst, x, flag, mu):
                             v += (hs[m + 1 + t][m + 1 + kk]
                                   * H1[t][key[0]] * H1[kk][key[1]])
                     rhs.append(-v)
-                second[key] = linalg.solve(J2, rhs)
+                second[key] = [sum((a * b for a, b in zip(row, rhs)), Fraction(0))
+                               for row in J2inv]
             col = second[key]
             for t in range(n - m):
                 mat[t][i] = col[t]

@@ -3,13 +3,16 @@
 These deliberately avoid the code paths they check: the b-sequence
 comes from long division of power series, the Todd polynomials from
 the graded parts of a product of one-variable series rewritten in the
-elementary symmetric basis.
+elementary symmetric basis, the zero count of a staircase from the box
+under its pure powers.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from hilbertpoly.arith import MultiPoly, TruncSeries
+from hilbertpoly.grobner import INFINITE
 
 
 def b_prefix_by_inversion(K):
@@ -157,3 +160,17 @@ def _interreduce(basis, order):
             basis = others + ([r] if r else [])
             i = 0
     return [g * (1 / g.terms[max(g.terms, key=order.key)]) for g in basis]
+
+
+def standard_monomial_count(lts, nvars):
+    """Number of exponent vectors in nvars variables that no vector of
+    lts divides, by enumerating the box under the smallest pure power of
+    each variable; INFINITE when some variable has no pure power."""
+    bounds = []
+    for v in range(nvars):
+        pure = [e[v] for e in lts if all(x == 0 for i, x in enumerate(e) if i != v)]
+        if not pure:
+            return INFINITE
+        bounds.append(min(pure))
+    return sum(1 for exp in itertools.product(*(range(b) for b in bounds))
+               if not any(all(a <= b for a, b in zip(lt, exp)) for lt in lts))

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -27,10 +29,11 @@ from hilbertpoly.grobner import (
     ideal_file_text,
     in_ideal,
     membership_via_hilbert,
+    monomials_of_degree,
     normal_form,
     parse_ideal_file,
 )
-from oracles import normal_form_by_scan, reduced_basis_by_scan, spoly
+from oracles import normal_form_by_scan, reduced_basis_by_scan, spoly, standard_monomial_count
 
 
 def ideal(var_text, *polys):
@@ -247,20 +250,22 @@ def test_hilbert_data_without_asserts():
     script = textwrap.dedent("""
         import sys
         from hilbertpoly.arith import parse_poly
-        from hilbertpoly.grobner import HomIdeal, hilbert_data
+        from hilbertpoly.grobner import HomIdeal, count_zero_dim, hilbert_data
         from hilbertpoly.reductions import euler_quotient, ideal_to_graded_matrix
         v = ("x0", "x1", "x2", "x3")
         cubic = [parse_poly(p, v) for p in ["x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"]]
         data = hilbert_data(HomIdeal.from_polys(v, cubic))
         print(sys.flags.optimize, data.hilbert_polynomial.to_text("k"),
               [data.hilbert_function(k) for k in range(5)], data.index_of_regularity,
-              [euler_quotient(ideal_to_graded_matrix(cubic), d) for d in (-1, 2)])
+              [euler_quotient(ideal_to_graded_matrix(cubic), d) for d in (-1, 2)],
+              [count_zero_dim([parse_poly(p, ("x", "y")) for p in system])
+               for system in (["x^2 - 1", "y^3 - y"], ["x*y - y"])])
     """)
     src = os.path.dirname(os.path.dirname(hilbertpoly.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout == "1 3*k + 1 [1, 4, 7, 10, 13] 0 [-2, 7]\n"
+    assert out.stdout == "1 3*k + 1 [1, 4, 7, 10, 13] 0 [-2, 7] [6, inf]\n"
 
 
 # -- Hilbert series of monomial ideals
@@ -280,6 +285,41 @@ def test_series_numerator_two_generators():
     assert q == UniPoly([1, 0, -2, 1])
 
 
+@st.composite
+def monomial_generators(draw):
+    """Exponent vectors in 1-4 variables: random ones plus the pure
+    powers of every variable (a finite staircase), of some variables
+    (usually an infinite one), or the unit monomial."""
+    n = draw(st.integers(1, 4))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=6))
+    extra = draw(st.sampled_from(["all", "some", "unit"]))
+    if extra == "unit":
+        exps.append((0,) * n)
+    else:
+        pure = (range(n) if extra == "all"
+                else sorted(draw(st.sets(st.integers(0, n - 1), max_size=n - 1))))
+        for v in pure:
+            exps.append(tuple(draw(st.integers(1, 4)) if i == v else 0 for i in range(n)))
+    return n, exps
+
+
+@given(monomial_generators())
+@settings(max_examples=150, deadline=None)
+def test_series_numerator_counts_standard_monomials(case):
+    n, exps = case
+    variables = tuple("x%d" % i for i in range(n))
+    gens = [MultiPoly(variables, {e: Fraction(1)}) for e in exps]
+    assert count_zero_dim(gens) == standard_monomial_count(exps, n)
+    q = hilbert_series_monomial(exps, n)
+    assert all(c.denominator == 1 for c in q.coeffs)
+    # coefficient k of q/(1-t)^n, against the standard monomials of degree k
+    for k in range(7):
+        series = sum(q.coefficient(j) * math.comb(k - j + n - 1, n - 1) for j in range(k + 1))
+        standard = sum(1 for e in itertools.product(range(k + 1), repeat=n)
+                       if sum(e) == k and not any(all(map(int.__le__, g, e)) for g in exps))
+        assert series == standard
+
+
 # -- Hilbert data
 
 
@@ -292,8 +332,6 @@ def test_hilbert_projective_space():
 def test_hilbert_hypersurface():
     for n, d in [(2, 3), (3, 2), (4, 3)]:
         variables = tuple("x%d" % i for i in range(n + 1))
-        f = MultiPoly(variables, {tuple(d if i == j else 0 for i in range(n + 1)): 1
-                                  for j in range(1)})
         # x0^d + x1^d + ... is irreducible enough for Hilbert purposes;
         # any degree-d hypersurface has the same Hilbert polynomial
         f = MultiPoly(variables,
@@ -372,9 +410,6 @@ def test_bezout_small_random_systems():
         gens = []
         for d in degs:
             terms = {}
-            from hilbertpoly.grobner import monomials_of_degree
-            for e in monomials_of_degree(n, 0):
-                pass
             for k in range(d + 1):
                 for e in monomials_of_degree(n, k):
                     terms[e] = Fraction(rng.randint(-5, 5))
