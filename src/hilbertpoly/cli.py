@@ -6,7 +6,9 @@ than one computation route include an ``agreement`` field, and any
 disagreement turns into exit status 2.
 
 Exit codes: 0 ok, 2 cross-route disagreement, 3 resource cap hit,
-4 parse error.  A failed internal cross-check (CrossCheckFailed) also
+4 parse error.  Usage errors (an unknown command, a missing argument, a
+negative cap) are parse errors, with the JSON error "parse" on stderr;
+--help exits 0.  A failed internal cross-check (CrossCheckFailed) also
 exits 2, with the JSON error "cross-check" on stderr and no report.
 """
 
@@ -76,6 +78,21 @@ class Config:
 
 class CliParseError(ValueError):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error by raising CliParseError, so that main
+    exits with the parse code instead of argparse's exit status 2."""
+
+    def error(self, message):
+        raise CliParseError(message)
+
+
+def _cap(text):
+    """A resource cap: a natural number."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("expected a natural number, got %r" % text)
+    return int(text)
 
 
 def _q(x):
@@ -280,14 +297,14 @@ def cmd_trans(args, config):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hilbertpoly",
         allow_abbrev=False,
         description="Hilbert polynomials by cross-validated routes, "
                     "Schubert transversality tests, and #SAT reductions.")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-basis", type=int, default=5000)
-    parser.add_argument("--max-degree", type=int, default=120)
+    parser.add_argument("--max-basis", type=_cap, default=5000)
+    parser.add_argument("--max-degree", type=_cap, default=120)
     parser.add_argument("--output", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -343,10 +360,10 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
-    config = Config(seed=args.seed, max_basis=args.max_basis,
-                    max_degree=args.max_degree, output=args.output)
     try:
+        args = _parser().parse_args(argv)
+        config = Config(seed=args.seed, max_basis=args.max_basis,
+                        max_degree=args.max_degree, output=args.output)
         return args.func(args, config)
     except ResourceCapExceeded as exc:
         print(json.dumps({"schema": SCHEMA, "error": "resource-cap",

@@ -12,8 +12,17 @@ Conventions
   dimension of the quotient); with generic data that is the geometric
   count.  It reads the count off the Hilbert-series numerator of the
   leading-term ideal, the integer series the Hilbert data comes from.
-* The normal form takes its next term, the largest left, from a heap
-  keyed by MonomialOrder.heap_key instead of scanning the remainder.
+* Inside the Groebner core and the Hilbert-series recursion an exponent
+  vector is one Python int (_Packing): fields with a guard bit each,
+  laid out so that integer comparison is the monomial order.  Products
+  and quotients are + and -, divisibility is a guard-bit test, and the
+  normal form takes its next term, the largest left, from a heap of
+  negated ints.  Tuples appear only where MultiPoly terms go in and come
+  out.
+* The field width is derived from the input degrees.  A guard bit is
+  checked at every pack, every grevlex lcm and every new term; an
+  overflow reruns the whole call at twice the width, so no exponent is
+  ever wrapped and the result does not depend on the width.
 * The Groebner core works on primitive integer polynomials (content 1,
   positive leading coefficient) and reduces fraction-free; only the
   bases and remainders it returns are rational, and Groebner bases are
@@ -67,40 +76,101 @@ class MonomialOrder:
             return tuple(exp)
         return (sum(exp), tuple(-e for e in reversed(exp)))
 
-    def heap_key(self, exp):
-        """Key sorting exactly opposite to key: a min-heap on it pops the
-        largest monomial first."""
-        if self.ranking is not None:
-            exp = tuple(exp[i] for i in self.ranking)
-        if self.kind == "lex":
-            return tuple(-e for e in exp)
-        return (-sum(exp), exp[::-1])
-
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
 
 
-def _mono_divides(a, b):
-    return all(map(operator.le, a, b))
+class _FieldOverflow(Exception):
+    """A packed exponent outgrew its field; the run starts over wider."""
 
-def _mono_div(b, a):
-    return tuple(map(operator.sub, b, a))
 
-def _mono_lcm(a, b):
-    return tuple(map(max, a, b))
+class _Packing:
+    """Exponent vectors in nvars variables packed into Python ints whose
+    integer order is the monomial order (Bachmann & Schoenemann, ISSAC
+    1998).
 
-def _mono_mul(a, b):
-    return tuple(map(operator.add, a, b))
+    Each field holds bits value bits under one guard bit, clear in every
+    valid monomial.  Lex puts the exponents in ranking order, the most
+    significant in the top field.  Grevlex puts e_1..e_n, the exponents
+    in ranking order, in the low n fields and the weight sums
+    S_k = e_1 + ... + e_k in the n fields above them, S_n (the degree)
+    on top: comparing S_n, S_{n-1}, ..., S_1 is comparing the degree and
+    then the last exponents, smaller first.
 
-def _support(exp):
-    """Bitmask of the variables occurring in exp: a divisor's support is
-    a subset of its multiple's."""
-    mask = 0
-    for i, e in enumerate(exp):
-        if e:
-            mask |= 1 << i
-    return mask
+    For valid a and b, a + b is the product; a divides b exactly when
+    (b - a) & guard is 0, and b - a is then the quotient; a and b are
+    coprime exactly when lcm(a, b) == a + b.  A field of a + b or of an
+    lcm is less than twice the limit, so it cannot spill into the next
+    field, and its guard bit shows whether it overflowed.
+    """
+
+    def __init__(self, order, nvars, bits):
+        self.bits = bits
+        self.grevlex = order.kind == "grevlex"
+        w = bits + 1
+        field_of = [0] * nvars
+        for k, v in enumerate(range(nvars) if order.ranking is None else order.ranking):
+            field_of[v] = k if self.grevlex else nvars - 1 - k
+        self.shifts = tuple(w * f for f in field_of)
+        nfields = 2 * nvars if self.grevlex else nvars
+        low = sum(1 << w * f for f in range(nvars))  # a 1 in each exponent field
+        self.exp_guard = low << bits
+        self.guard = sum(1 << w * f + bits for f in range(nfields))
+        self.ones = low * ((1 << bits) - 1)
+        self.exp_mask = (1 << w * nvars) - 1
+        # times the exponent fields, this puts e_1 + ... + e_k into the
+        # field of S_k, and partial sums above S_n that sums_mask drops
+        self.sums_mul = low << w * nvars
+        self.sums_mask = self.exp_mask << w * nvars
+        self.top = w * max(nfields - 1, 0)
+
+    def pack(self, exp):
+        if (sum(exp) if self.grevlex else max(exp, default=0)) >> self.bits:
+            raise _FieldOverflow
+        p = 0
+        for e, s in zip(exp, self.shifts):
+            p += e << s
+        if self.grevlex:
+            p += (p * self.sums_mul) & self.sums_mask
+        return p
+
+    def unpack(self, p):
+        mask = (1 << self.bits) - 1
+        return tuple((p >> s) & mask for s in self.shifts)
+
+    def degree(self, p):
+        return p >> self.top if self.grevlex else sum(self.unpack(p))
+
+    def lcm(self, a, b):
+        """Field-wise max of the exponents: the guard of each field of
+        (a | guard) - b stays set where a's exponent is the larger."""
+        t = ((a | self.exp_guard) - b) & self.exp_guard
+        u = b ^ ((a ^ b) & (t - (t >> self.bits)))
+        if self.grevlex:
+            u &= self.exp_mask
+            u += (u * self.sums_mul) & self.sums_mask
+            if u & self.guard:
+                raise _FieldOverflow
+        return u
+
+
+def _bits_for(degree):
+    """Value bits of a field that holds the product of two monomials of
+    the given degree, and at least 8."""
+    return max(8, degree.bit_length() + 1)
+
+
+def _packed(order, polys, run, *args):
+    """run(packing, *args) with fields that hold the product of any two
+    terms of the polys, twice as wide each time a field overflows: the
+    arithmetic is exact, so a rerun gives the same result."""
+    bits = _bits_for(max((sum(e) for f in polys for e in f.terms), default=0))
+    while True:
+        try:
+            return run(_Packing(order, len(polys[0].variables), bits), *args)
+        except _FieldOverflow:
+            bits *= 2
 
 
 def leading_term(f, order):
@@ -182,20 +252,20 @@ def _primitive(terms, lt):
     return {e: c // g for e, c in terms.items()}
 
 
-def _primitive_form(f, order):
-    """Nonzero f as a primitive integer term dict, and its leading
-    exponent."""
+def _primitive_form(f, pk):
+    """Nonzero f as a primitive integer term dict on packed exponents,
+    and its leading exponent."""
     terms, _ = _clear_denominators(f)
-    lt = max(terms, key=order.key)
+    terms = {pk.pack(e): c for e, c in terms.items()}
+    lt = max(terms)
     return _primitive(terms, lt), lt
 
 
-def _reducer(terms, lt):
-    """Integer term dict with leading exponent lt, as _normal_form takes
-    it: the support mask of lt, lt, its coefficient, and the other
-    terms with their masks."""
-    return (_support(lt), lt, terms[lt],
-            [(e, c, _support(e)) for e, c in terms.items() if e != lt])
+def _reducer(terms, lt, pk):
+    """Integer term dict with leading exponent lt, as _normal_form and
+    _spoly take it: lt, its coefficient, the other terms and the
+    packing."""
+    return lt, terms[lt], [(e, c) for e, c in terms.items() if e != lt], pk
 
 
 def _spoly(ri, rj):
@@ -203,24 +273,27 @@ def _spoly(ri, rj):
     (l/lc_i)*u_i*f_i - (l/lc_j)*u_j*f_j with l = lcm(lc_i, lc_j) and u_i,
     u_j the cofactors of the leads in their lcm.  The leads cancel and
     are left out."""
-    _, lti, lci, taili = ri
-    _, ltj, lcj, tailj = rj
-    u = _mono_lcm(lti, ltj)
+    lti, lci, taili, pk = ri
+    ltj, lcj, tailj, _ = rj
+    u = pk.lcm(lti, ltj)
     l = math.lcm(lci, lcj)
-    a, shift = l // lci, _mono_div(u, lti)
-    terms = {_mono_mul(shift, e): a * c for e, c, _ in taili}
-    b, shift = l // lcj, _mono_div(u, ltj)
-    for e, c, _ in tailj:
-        e = _mono_mul(shift, e)
+    a, shift = l // lci, u - lti
+    terms = {shift + e: a * c for e, c in taili}
+    b, shift = l // lcj, u - ltj
+    for e, c in tailj:
+        e += shift
         v = terms.get(e, 0) - b * c
         if v:
             terms[e] = v
         else:
             del terms[e]
+    guard = pk.guard
+    if any(e & guard for e in terms):
+        raise _FieldOverflow
     return terms
 
 
-def _normal_form(fterms, reducers, order):
+def _normal_form(fterms, reducers, guard):
     """Fraction-free full reduction of an integer term dict against a
     list of _reducer.  Returns (remainder, scale): the remainder is an
     integer term dict equal to scale > 0 times the exact rational
@@ -232,24 +305,24 @@ def _normal_form(fterms, reducers, order):
     division.  A reducer with lc = 1 never scales.
 
     Every term a reduction adds is smaller than the term it removes, so
-    a term once popped from the heap never comes back.  An exponent is
-    pushed when it enters work; an entry whose exponent has since
-    cancelled out of work is skipped when popped.  Heap entries carry
-    the exponent's support mask, the union of the masks of its factors.
+    a term once popped from the heap never comes back.  The heap holds
+    the negated packed exponents, so it pops the largest first.  An
+    exponent is pushed when it enters work; an entry whose exponent has
+    since cancelled out of work is skipped when popped.
     """
-    heap_key = order.heap_key
     work = dict(fterms)
-    heap = [(heap_key(e), e, _support(e)) for e in work]
+    heap = [-e for e in work]
     heapq.heapify(heap)
     out = {}
     scale = 1
     while heap:
-        _, exp, mask = heapq.heappop(heap)
+        exp = -heapq.heappop(heap)
         coeff = work.pop(exp, None)
         if not coeff:
             continue
-        for lmask, lt, lc, tail in reducers:
-            if not lmask & ~mask and _mono_divides(lt, exp):
+        for lt, lc, tail, _ in reducers:
+            shift = exp - lt
+            if not shift & guard:
                 break
         else:
             out[exp] = coeff
@@ -262,14 +335,14 @@ def _normal_form(fterms, reducers, order):
                 out = {e: a * c for e, c in out.items()}
                 scale *= a
             coeff //= g
-        shift = _mono_div(exp, lt)
-        smask = _support(shift)
-        for e2, c2, m2 in tail:
-            e = _mono_mul(shift, e2)
+        for e2, c2 in tail:
+            e = shift + e2
             old = work.get(e)
             if old is None:
+                if e & guard:
+                    raise _FieldOverflow
                 work[e] = -coeff * c2
-                heapq.heappush(heap, (heap_key(e), e, smask | m2))
+                heapq.heappush(heap, -e)
                 continue
             v = old - coeff * c2
             if v:
@@ -281,11 +354,16 @@ def _normal_form(fterms, reducers, order):
 
 def normal_form(f, basis_polys, order=GREVLEX):
     """Remainder of f under full division by the given polynomials."""
-    reducers = [_reducer(*_primitive_form(g, order)) for g in basis_polys if g]
+    divisors = [g for g in basis_polys if g]
+    return _packed(order, [f] + divisors, _packed_normal_form, f, divisors)
+
+
+def _packed_normal_form(pk, f, divisors):
+    reducers = [_reducer(*_primitive_form(g, pk), pk) for g in divisors]
     terms, d = _clear_denominators(f)
-    out, scale = _normal_form(terms, reducers, order)
+    out, scale = _normal_form({pk.pack(e): c for e, c in terms.items()}, reducers, pk.guard)
     d *= scale
-    return MultiPoly(f.variables, {e: Fraction(c, d) for e, c in out.items()})
+    return MultiPoly(f.variables, {pk.unpack(e): Fraction(c, d) for e, c in out.items()})
 
 
 def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
@@ -308,54 +386,57 @@ def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
     generators = [g for g in generators if g]
     if not generators:
         return []
-    G, lts = map(list, zip(*(_primitive_form(g, order) for g in generators)))
-    reducers = [_reducer(g, lt) for g, lt in zip(G, lts)]
-    masks = [r[0] for r in reducers]
+    return _packed(order, generators, _buchberger, generators, max_basis, max_degree)
+
+
+def _buchberger(pk, generators, max_basis, max_degree):
+    G, lts = map(list, zip(*(_primitive_form(g, pk) for g in generators)))
+    reducers = [_reducer(g, lt, pk) for g, lt in zip(G, lts)]
+    guard, lcm = pk.guard, pk.lcm
 
     def check_caps(terms):
-        if max_degree is not None and max(map(sum, terms)) > max_degree:
+        if max_degree is not None and max(map(pk.degree, terms)) > max_degree:
             raise ResourceCapExceeded("degree exceeded %d" % max_degree)
         if max_basis is not None and len(G) > max_basis:
             raise ResourceCapExceeded("basis size exceeded %d" % max_basis)
 
     heap = []
-    # (i, j) -> (lcm of the leads, its support mask) for each pair still
-    # to reduce; a popped heap entry whose pair is gone is skipped
+    # (i, j) -> lcm of the leads for each pair still to reduce; a popped
+    # heap entry whose pair is gone is skipped
     live = {}
     active = []  # elements whose lead no later lead divides
 
     def update(t):
-        lt, mask = lts[t], masks[t]
+        lt = lts[t]
         # criterion B: lt | lcm(i, j) and lcm(i, j) is neither lcm(t, i)
         # nor lcm(t, j), so the pairs (t, i) and (t, j) cover (i, j)
-        dead = [ij for ij, (u, umask) in live.items()
-                if not mask & ~umask and _mono_divides(lt, u)
-                and _mono_lcm(lt, lts[ij[0]]) != u and _mono_lcm(lt, lts[ij[1]]) != u]
+        dead = [ij for ij, u in live.items()
+                if not (u - lt) & guard
+                and lcm(lt, lts[ij[0]]) != u and lcm(lt, lts[ij[1]]) != u]
         for ij in dead:
             del live[ij]
-        # new pairs grouped by lcm: [first k, the lcm's support mask,
-        # whether some pair of the group is coprime]
+        # new pairs grouped by lcm: [first k, whether some pair of the
+        # group is coprime]
         groups = {}
         for k in active:
-            u = _mono_lcm(lt, lts[k])
+            u = lcm(lt, lts[k])
             group = groups.get(u)
             if group is None:
-                groups[u] = [k, mask | masks[k], not mask & masks[k]]
-            elif not mask & masks[k]:
-                group[2] = True
+                groups[u] = [k, u == lt + lts[k]]
+            elif u == lt + lts[k]:
+                group[1] = True
         # criteria M and F: keep only the minimal lcms; a proper divisor
-        # has a smaller degree, so it is kept before its multiples
+        # is a smaller monomial, so it is kept before its multiples
         kept = []
-        for u in sorted(groups, key=sum):
-            k, umask, coprime = groups[u]
-            if any(not m & ~umask and _mono_divides(v, u) for v, m in kept):
+        for u in sorted(groups):
+            if any(not (u - v) & guard for v in kept):
                 continue
-            kept.append((u, umask))
+            kept.append(u)
+            k, coprime = groups[u]
             if not coprime:
-                live[t, k] = u, umask
-                heapq.heappush(heap, (order.key(u), t, k))
-        active[:] = [k for k in active
-                     if mask & ~masks[k] or not _mono_divides(lt, lts[k])]
+                live[t, k] = u
+                heapq.heappush(heap, (u, t, k))
+        active[:] = [k for k in active if (lts[k] - lt) & guard]
         active.append(t)
 
     for g in G:
@@ -366,42 +447,41 @@ def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
         _, i, j = heapq.heappop(heap)
         if live.pop((i, j), None) is None:
             continue
-        r, _ = _normal_form(_spoly(reducers[i], reducers[j]), reducers, order)
+        r, _ = _normal_form(_spoly(reducers[i], reducers[j]), reducers, guard)
         if not r:
             continue
         t = len(G)
-        lts.append(max(r, key=order.key))
+        lts.append(max(r))
         G.append(_primitive(r, lts[t]))
-        reducers.append(_reducer(G[t], lts[t]))
-        masks.append(reducers[t][0])
+        reducers.append(_reducer(G[t], lts[t], pk))
         check_caps(G[t])
         update(t)
-    return _autoreduce(G, lts, reducers, active, order, generators[0].variables)
+    return _autoreduce(G, lts, reducers, active, pk, generators[0].variables)
 
 
-def _autoreduce(G, lts, reducers, active, order, variables):
-    """Reduced monic basis over Q from a Groebner basis G of primitive
-    integer term dicts with leading exponents lts, the matching list of
-    _reducer and buchberger's active elements."""
+def _autoreduce(G, lts, reducers, active, pk, variables):
+    """Reduced monic basis over Q, sorted by lead, from a Groebner basis
+    G of primitive integer term dicts with leading exponents lts, the
+    matching list of _reducer and buchberger's active elements."""
     # every minimal lead is held by an active element, and no two active
     # leads are equal (a newcomer retires an equal lead), so dropping the
     # active elements whose lead another active lead divides leaves
     # exactly one element per minimal lead
-    keep = [i for i in active
-            if not any(j != i and _mono_divides(lts[j], lts[i]) for j in active)]
+    guard = pk.guard
+    keep = sorted((i for i in active
+                   if all(j == i or (lts[i] - lts[j]) & guard for j in active)),
+                  key=lts.__getitem__)
     reducers = [reducers[i] for i in keep]
     # fully reduce each survivor against the others; its lead survives
     out = []
     for i, k in enumerate(keep):
         others = reducers[:i] + reducers[i + 1:]
-        r, _ = _normal_form(G[k], others, order)
+        r, _ = _normal_form(G[k], others, guard)
         lc = r.get(lts[k])
         if not lc:
             raise CrossCheckFailed("reduced basis element lost its lead")
-        out.append((order.key(lts[k]),
-                    MultiPoly(variables, {e: Fraction(c, lc) for e, c in r.items()})))
-    out.sort(key=lambda kg: kg[0])
-    return [g for _, g in out]
+        out.append(MultiPoly(variables, {pk.unpack(e): Fraction(c, lc) for e, c in r.items()}))
+    return out
 
 
 @dataclass(frozen=True)
@@ -437,55 +517,65 @@ def in_ideal(f, ideal, order=GREVLEX, **caps):
 # Hilbert series / function / polynomial
 
 
-def _minimal_monomials(exps):
-    exps = sorted(set(exps), key=sum)
+def _minimal_monomials(monos, guard):
+    """The packed monomials that no other one divides, in ascending
+    order; sorting puts every proper divisor before its multiples."""
     out = []
-    for e in exps:
-        if not any(_mono_divides(m, e) for m in out):
-            out.append(e)
+    for m in sorted(set(monos)):
+        for d in out:
+            if not (m - d) & guard:
+                break
+        else:
+            out.append(m)
     return out
 
 
 def hilbert_series_monomial(exps, nvars):
     """Numerator Q(t) with HS_{S/L}(t) = Q(t)/(1-t)^nvars for the monomial
     ideal L generated by the given exponent vectors; the recursion runs
-    on integer coefficient lists."""
-    gens = _minimal_monomials([tuple(e) for e in exps])
+    on integer coefficient lists and on grevlex-packed monomials, whose
+    top field is the degree.  It only lowers exponents, so the width that
+    holds the generators holds every node."""
+    exps = list(exps)
+    pk = _Packing(GREVLEX, nvars, _bits_for(max(map(sum, exps), default=0)))
+    guard, exp_guard, ones = pk.guard, pk.exp_guard, pk.ones
+    # the guard bit of each variable's field -> the variable as a monomial
+    units = {1 << s + pk.bits: pk.pack(tuple(int(i == v) for i in range(nvars)))
+             for v, s in enumerate(pk.shifts)}
 
     def rec(gens):
         if not gens:
             return [1]
-        if any(sum(g) == 0 for g in gens):
+        if not gens[0]:  # the unit monomial, which is then the only one
             return []
-        # find a variable shared by some pair of generators
-        pivot = None
-        for a, b in itertools.combinations(gens, 2):
-            for v in range(nvars):
-                if a[v] and b[v]:
-                    pivot = v
-                    break
-            if pivot is not None:
+        # the guard of a field of g + ones is set where g's exponent is
+        # not zero; find a variable shared by some pair of generators
+        nonzero = [(g + ones) & exp_guard for g in gens]
+        for a, b in itertools.combinations(nonzero, 2):
+            pivot = a & b
+            if pivot:
+                pivot &= -pivot  # the first variable they share
                 break
-        if pivot is None:
+        else:
             # pairwise coprime: multiply by each 1 - t^d in place
             q = [1]
             for g in gens:
-                d = sum(g)
+                d = pk.degree(g)
                 q += [0] * d
                 for k in range(len(q) - 1, d - 1, -1):
                     q[k] -= q[k - d]
             return q
-        xv = tuple(int(i == pivot) for i in range(nvars))
-        q = rec(_minimal_monomials([xv] + [g for g in gens if g[pivot] == 0]))
+        unit = units[pivot]
+        q = rec(_minimal_monomials(
+            [unit] + [g for g, m in zip(gens, nonzero) if not m & pivot], guard))
         colon = rec(_minimal_monomials(
-            [tuple(e - 1 if i == pivot else e for i, e in enumerate(g)) if g[pivot]
-             else g for g in gens]))
+            [g - unit if m & pivot else g for g, m in zip(gens, nonzero)], guard))
         q += [0] * (len(colon) + 1 - len(q))  # q + t * colon
         for k, c in enumerate(colon, 1):
             q[k] += c
         return q
 
-    return UniPoly(rec(gens))
+    return UniPoly(rec(_minimal_monomials(map(pk.pack, exps), guard)))
 
 
 @dataclass(frozen=True)
@@ -586,7 +676,7 @@ def hilbert_function_direct(ideal, k):
         for shift in monomials_of_degree(nvars, k - d):
             row = [Fraction(0)] * len(monos)
             for e, c in g.terms.items():
-                row[col[_mono_mul(shift, e)]] = c
+                row[col[tuple(map(operator.add, shift, e))]] = c
             rows.append(row)
     return len(monos) - linalg.rank(rows)
 

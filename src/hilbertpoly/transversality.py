@@ -23,7 +23,7 @@ so callers see which hypothesis failed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -33,15 +33,23 @@ from .partitions import is_admissible, jumps, partition_from_jumps
 
 @dataclass(frozen=True)
 class Flag:
-    """Complete flag in P^n: basis columns span, dual rows cut out."""
+    """Complete flag in P^n: basis columns span, dual rows cut out.
+
+    inverse is the inverse of the basis matrix: from_basis passes the
+    one it derives the dual rows from, and a flag built without it
+    computes it once."""
 
     basis: tuple        # (n+1) x (n+1), columns l_0..l_n
     dual_matrix: tuple  # n x (n+1) rows of linear forms
+    inverse: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.basis) - 1
         if linalg.det(self.basis) == 0:
             raise ValueError("flag basis is singular")
+        if self.inverse is None:
+            object.__setattr__(self, "inverse",
+                               tuple(map(tuple, linalg.inverse(self.basis))))
         if len(self.dual_matrix) != n:
             raise ValueError("dual matrix must have n rows")
         cols = linalg.transpose(self.basis)
@@ -58,10 +66,10 @@ class Flag:
     def from_basis(cls, basis):
         """Derive the dual rows from the inverse of the basis matrix."""
         basis = tuple(tuple(frac(x) for x in row) for row in basis)
-        inv = linalg.inverse(basis)
+        inv = tuple(map(tuple, linalg.inverse(basis)))
         n = len(basis) - 1
-        dual = tuple(tuple(inv[n - i]) for i in range(n))
-        return cls(basis=basis, dual_matrix=dual)
+        dual = tuple(inv[n - i] for i in range(n))
+        return cls(basis=basis, dual_matrix=dual, inverse=inv)
 
 
 def random_flag(n, seed):
@@ -183,8 +191,7 @@ def in_Q_lambda(inst, x, flag, lam):
 
 
 def _flag_coordinates(A, flag):
-    inv = linalg.inverse(flag.basis)
-    return linalg.mat_mul([list(r) for r in A.span_matrix], linalg.transpose(inv))
+    return linalg.mat_mul([list(r) for r in A.span_matrix], linalg.transpose(flag.inverse))
 
 
 def schubert_cell_coords(A, flag, mu):

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import hilbertpoly
 from hilbertpoly.cli import (
     EXIT_DISAGREE,
@@ -210,6 +212,52 @@ def test_resource_cap_exit_code(tmp_path):
                      "x0^2 + x1*x2\nx1^3 - x0*x2^2\nx2^4 - x0*x1^3\n")
     code, _ = run_cli("--max-basis", "1", "hilbert", str(ideal))
     assert code == EXIT_RESOURCE
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (("bogus",), "invalid choice"),
+    ((), "required: command"),
+    (("todd",), "required: m"),
+    (("--output", "yaml", "todd", "2"), "invalid choice"),
+    (("--max-basis", "-1", "todd", "2"), "--max-basis"),
+    (("--max-degree", "-3", "todd", "2"), "--max-degree"),
+    (("--max-degree", "many", "todd", "2"), "--max-degree"),
+])
+def test_usage_error_is_parse_error(capsys, argv, detail):
+    code, out = run_cli(*argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "parse"
+    assert detail in err["detail"]
+    assert "usage:" not in captured.out + captured.err
+
+
+def test_zero_caps_are_caps(tmp_path):
+    # 0 is a natural number: the caps parse, and the run hits them
+    ideal = tmp_path / "line.ideal"
+    ideal.write_text("vars: x0 x1\nx0\n")
+    code, _ = run_cli("--max-degree", "0", "hilbert", str(ideal))
+    assert code == EXIT_RESOURCE
+
+
+def test_exit_codes_of_the_process():
+    src = os.path.dirname(os.path.dirname(hilbertpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "hilbertpoly", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    out = run("bogus")
+    assert out.returncode == EXIT_PARSE
+    assert json.loads(out.stderr)["error"] == "parse"
+    out = run("--max-basis", "-1", "todd", "2")
+    assert out.returncode == EXIT_PARSE
+    out = run("--help")
+    assert out.returncode == EXIT_OK
+    assert out.stdout.startswith("usage: hilbertpoly")
 
 
 def test_text_output_mode():

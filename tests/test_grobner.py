@@ -32,6 +32,8 @@ from hilbertpoly.grobner import (
     monomials_of_degree,
     normal_form,
     parse_ideal_file,
+    _FieldOverflow,
+    _Packing,
 )
 from oracles import normal_form_by_scan, reduced_basis_by_scan, spoly, standard_monomial_count
 
@@ -115,18 +117,103 @@ def order_and_exponents(draw):
     n = draw(st.integers(1, 4))
     ranking = draw(st.none() | st.permutations(range(n)).map(tuple))
     order = MonomialOrder(draw(st.sampled_from(["grevlex", "lex"])), ranking)
-    exps = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n),
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 6)] * n),
                          min_size=2, max_size=10, unique=True))
     return order, exps
 
 
-@given(order_and_exponents())
-@settings(max_examples=100, deadline=None)
-def test_heap_key_sorts_opposite_to_key(case):
+def _fits(order, exp, bits):
+    """Whether exp packs in fields of the given bits: grevlex holds the
+    degree in a field, lex each exponent."""
+    return (sum(exp) if order.kind == "grevlex" else max(exp)) < 2 ** bits
+
+
+@given(order_and_exponents(), st.integers(2, 5))
+@settings(max_examples=150, deadline=None)
+def test_packed_monomials_match_tuples(case, bits):
     order, exps = case
-    for a in exps:
-        for b in exps:
-            assert (order.heap_key(a) < order.heap_key(b)) == (order.key(a) > order.key(b))
+    pk = _Packing(order, len(exps[0]), bits)
+    packed = {}
+    for e in exps:
+        if _fits(order, e, bits):
+            packed[e] = pk.pack(e)
+            assert pk.unpack(packed[e]) == e
+            assert pk.degree(packed[e]) == sum(e)
+        else:
+            with pytest.raises(_FieldOverflow):
+                pk.pack(e)
+    for a, pa in packed.items():
+        for b, pb in packed.items():
+            # integer order is the monomial order
+            assert (pa < pb) == (order.key(a) < order.key(b))
+            divides = all(x <= y for x, y in zip(a, b))
+            assert (not (pb - pa) & pk.guard) == divides
+            if divides:
+                assert pk.unpack(pb - pa) == tuple(y - x for x, y in zip(a, b))
+            product = tuple(x + y for x, y in zip(a, b))
+            # a product that does not fit sets a guard bit
+            assert (not (pa + pb) & pk.guard) == _fits(order, product, bits)
+            if _fits(order, product, bits):
+                assert pa + pb == pk.pack(product)
+            lcm = tuple(max(x, y) for x, y in zip(a, b))
+            if _fits(order, lcm, bits):
+                assert pk.lcm(pa, pb) == pk.pack(lcm)
+                coprime = all(not x or not y for x, y in zip(a, b))
+                assert (pk.lcm(pa, pb) == pa + pb) == coprime
+            else:
+                with pytest.raises(_FieldOverflow):
+                    pk.lcm(pa, pb)
+
+
+def test_input_exponent_past_sixteen_bits():
+    big = 2 ** 16
+    for order in (GREVLEX, LEX):
+        gens = polys("x y", "x^%d - y^2" % big, "x*y")
+        basis = buchberger(gens, order)
+        assert basis == reduced_basis_by_scan(gens, order)
+        assert sorted(g.to_text() for g in basis) == ["x*y", "x^%d - y^2" % big, "y^3"]
+
+
+@pytest.mark.parametrize("k, widths", [(63, [8]), (64, [8, 16])])
+def test_basis_degree_crossing_the_field_width(monkeypatch, k, widths):
+    # lex reduces x^k - 1 by x - y^4 to y^(4k) - 1: at k = 64 the y field
+    # outgrows the 8 bits the inputs start with, and the run starts over
+    grobner = hilbertpoly.grobner
+    seen = []
+
+    class Recording(grobner._Packing):
+        def __init__(self, order, nvars, bits):
+            seen.append(bits)
+            super().__init__(order, nvars, bits)
+
+    monkeypatch.setattr(grobner, "_Packing", Recording)
+    gens = polys("x y", "x^%d - 1" % k, "x - y^4")
+    basis = buchberger(gens, LEX)
+    assert seen == widths
+    assert basis == reduced_basis_by_scan(gens, LEX)
+    assert basis == polys("x y", "y^%d - 1" % (4 * k), "x - y^4")
+    # the public normal form crosses the width the same way
+    seen.clear()
+    f, g = polys("x y", "x^%d" % k, "x - y^4")
+    remainder = normal_form(f, [g], LEX)
+    assert seen == widths
+    assert remainder == normal_form_by_scan(f, [g], LEX)
+    assert remainder == polys("x y", "y^%d" % (4 * k))[0]
+
+
+def test_series_numerator_exponents_past_sixteen_bits():
+    # L = (x^a, x*y, y^b): by inclusion-exclusion over the generators and
+    # their lcms x^a*y, x*y^b and x^a*y^b, the numerator is
+    # 1 - t^2 - t^a - t^b + t^(a+1) + t^(b+1)
+    a, b = 2 ** 16, 2 ** 16 + 3
+    coeffs = [0] * (b + 2)
+    for d, c in ((0, 1), (2, -1), (a, -1), (b, -1), (a + 1, 1), (b + 1, 1)):
+        coeffs[d] += c
+    for n in (2, 3):
+        gens = [(a,) + (0,) * (n - 1), (1, 1) + (0,) * (n - 2), (0, b) + (0,) * (n - 2)]
+        assert hilbert_series_monomial(gens, n) == UniPoly(coeffs)
+    # the standard monomials are 1, x..x^(a-1) and y..y^(b-1)
+    assert count_zero_dim(polys("x y", "x^%d" % a, "x*y", "y^%d" % b)) == a + b - 1
 
 
 XYZ = ("x", "y", "z")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hilbertpoly import linalg
 from hilbertpoly.arith import TruncSeries, parse_poly
 from hilbertpoly.linalg import det, rank
 from hilbertpoly.partitions import Partition, enumerate_partitions, jumps
@@ -51,6 +52,21 @@ def test_flag_consistency_check():
         Flag(basis=((1, 0), (0, 1)), dual_matrix=((1, 0),))
     f = Flag.from_basis(((1, 0), (0, 1)))
     assert f.dual_matrix == ((0, 1),)
+
+
+def test_flag_basis_inverted_once(monkeypatch):
+    calls = []
+    real = linalg.inverse
+    monkeypatch.setattr(linalg, "inverse", lambda a: calls.append(len(a)) or real(a))
+    flag = flag_from_columns((1, 2, 3), (0, 1, 0), (0, 0, 1))
+    assert calls == [3]
+    # a directly built flag computes its inverse; it equals from_basis's
+    direct = Flag(basis=flag.basis, dual_matrix=flag.dual_matrix)
+    assert calls == [3, 3]
+    assert direct.inverse == flag.inverse == tuple(map(tuple, real(flag.basis)))
+    # the chart inverts only its (m+1) x (m+1) block, not the basis again
+    schubert_cell_coords(GrassPoint(((1, 2, 3), (0, 1, 0))), flag, Partition([1]))
+    assert calls == [3, 3, 2]
 
 
 def test_random_flag_deterministic_and_nonsingular():
