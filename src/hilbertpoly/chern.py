@@ -142,18 +142,16 @@ def chern_tangent(ci):
     (1+h)^(m+1-j); a mismatch would mean an internal inconsistency.
     """
     K = ci.m + 1
-    num = TruncSeries.truncated(K, [1, 1]) ** (ci.n + 1)
+    num = TruncSeries(K, [math.comb(ci.n + 1, i) for i in range(K)])
     den = TruncSeries.one(K)
     for d in ci.degrees:
         den = den * TruncSeries.truncated(K, [1, d])
     adjunction = num * den.inverse()
 
+    # the h^i coefficient of sum_j c_j h^j (1+h)^(K-j)
     cone = chern_cone_tangent(ci).series
-    one_plus_h = TruncSeries.truncated(K, [1, 1])
-    twist = TruncSeries.zero(K)
-    for j in range(K):
-        cj = TruncSeries.monomial(K, j, cone[j])
-        twist = twist + cj * one_plus_h ** (ci.m + 1 - j)
+    twist = TruncSeries(K, [sum(cone[j] * math.comb(K - j, i - j) for j in range(i + 1))
+                            for i in range(K)])
     if adjunction != twist:
         raise CrossCheckFailed("tangent Chern class routes disagree")
     return TruncClass(ci, adjunction)

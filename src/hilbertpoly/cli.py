@@ -9,7 +9,10 @@ Exit codes: 0 ok, 2 cross-route disagreement, 3 resource cap hit,
 4 parse error.  Usage errors (an unknown command, a missing argument, a
 negative cap) are parse errors, with the JSON error "parse" on stderr;
 --help exits 0.  A failed internal cross-check (CrossCheckFailed) also
-exits 2, with the JSON error "cross-check" on stderr and no report.
+exits 2, with the JSON error "cross-check" on stderr and no report.  The
+closed-form commands ci, characters, delta and todd refuse an m above
+MAX_M, and ci a series degree above MAX_SERIES_DEGREE, before doing any
+work: exit 3, with the JSON error "resource-cap".
 """
 
 from __future__ import annotations
@@ -63,6 +66,20 @@ EXIT_OK = 0
 EXIT_DISAGREE = 2
 EXIT_RESOURCE = 3
 EXIT_PARSE = 4
+
+# The largest m each closed-form command accepts: the dimension n - r
+# for ci and characters, the argument m for delta and todd.  Processor
+# times at the cap, Python 3.11 on one core of a shared 2-core host:
+# `ci n=21 degrees=2` 3.7 s; `delta m=20 k=0 n=21` 1.3 s and n=40
+# 34 s; `characters` with r >= m = 30 6.7 s; `todd 11` 3.4 s, where
+# `todd 12` took 52 s.  ci builds every delta table of its m, so delta
+# shares its cap.
+MAX_M = {"ci": 20, "characters": 30, "delta": 20, "todd": 11}
+
+# The largest degree sum(d_i - 1) of the numerator prod(1 + t + ... +
+# t^(d_i - 1)) that ci's series route expands densely; a degree 10^30
+# would not fit in a list.  `ci n=21 degrees=1001` takes 6.1 s.
+MAX_SERIES_DEGREE = 1000
 
 
 @dataclass
@@ -128,6 +145,11 @@ def _parse_kv(tokens, spec, required=()):
     return out
 
 
+def _check_m(command, m):
+    if m > MAX_M[command]:
+        raise ResourceCapExceeded("%s needs m <= %d, got %d" % (command, MAX_M[command], m))
+
+
 def _degrees(text):
     text = text.strip()
     if not text:
@@ -172,6 +194,11 @@ def _character_map(table):
 def cmd_ci(args, config):
     kv = _parse_kv(args.params, {"n": int, "degrees": _degrees}, required=("n",))
     ci = CompleteIntersection(kv["n"], kv.get("degrees", ()))
+    _check_m("ci", ci.m)
+    series_degree = sum(d - 1 for d in ci.degrees)
+    if series_degree > MAX_SERIES_DEGREE:
+        raise ResourceCapExceeded("ci needs sum(d_i - 1) <= %d, got %d"
+                                  % (MAX_SERIES_DEGREE, series_degree))
     hrr = hilbert_poly_hrr(ci)
     table = character_table(ci)
     chars = hilbert_poly_from_characters(ci, table)
@@ -195,6 +222,7 @@ def cmd_ci(args, config):
 def cmd_characters(args, config):
     kv = _parse_kv(args.params, {"n": int, "degrees": _degrees}, required=("n",))
     ci = CompleteIntersection(kv["n"], kv.get("degrees", ()))
+    _check_m("characters", ci.m)
     _emit({"n": ci.n, "degrees": list(ci.degrees),
            "characters": _character_map(character_table(ci))}, config)
     return EXIT_OK
@@ -203,6 +231,7 @@ def cmd_characters(args, config):
 def cmd_delta(args, config):
     kv = _parse_kv(args.params, {"m": int, "k": int, "n": int},
                    required=("m", "k", "n"))
+    _check_m("delta", kv["m"])
     table = delta_table(kv["m"], kv["k"], kv["n"])
     entries = [{"mu": list(mu.parts), "value": _q(value)}
                for mu, value in sorted(table.entries.items(),
@@ -214,6 +243,7 @@ def cmd_delta(args, config):
 def cmd_todd(args, config):
     if args.m < 0:
         raise CliParseError("todd needs m >= 0, got %d" % args.m)
+    _check_m("todd", args.m)
     _emit({"m": args.m, "todd": todd_poly(args.m).to_text()}, config)
     return EXIT_OK
 

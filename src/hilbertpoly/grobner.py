@@ -173,12 +173,6 @@ def _packed(order, polys, run, *args):
             bits *= 2
 
 
-def leading_term(f, order):
-    """(exponent, coefficient) of the largest term; f must be nonzero."""
-    exp = max(f.terms, key=order.key)
-    return exp, f.terms[exp]
-
-
 # ---------------------------------------------------------------------------
 # ideals
 
@@ -296,8 +290,8 @@ def _spoly(ri, rj):
 def _normal_form(fterms, reducers, guard):
     """Fraction-free full reduction of an integer term dict against a
     list of _reducer.  Returns (remainder, scale): the remainder is an
-    integer term dict equal to scale > 0 times the exact rational
-    remainder of the same division.
+    integer term dict, its terms largest first, equal to scale > 0 times
+    the exact rational remainder of the same division.
 
     A term c*m is removed with the first reducer whose lead divides m:
     with g = gcd(c, lc), the remainder so far is multiplied by lc/g and
@@ -382,6 +376,9 @@ def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
     Resource caps abort with ResourceCapExceeded instead of exhausting
     memory.  max_basis bounds the number of elements the run holds: the
     generators plus every remainder it adds, retired ones included.
+
+    Each element lists its terms largest first, so its lead is the
+    first key of its terms.
     """
     generators = [g for g in generators if g]
     if not generators:
@@ -460,9 +457,10 @@ def _buchberger(pk, generators, max_basis, max_degree):
 
 
 def _autoreduce(G, lts, reducers, active, pk, variables):
-    """Reduced monic basis over Q, sorted by lead, from a Groebner basis
-    G of primitive integer term dicts with leading exponents lts, the
-    matching list of _reducer and buchberger's active elements."""
+    """Reduced monic basis over Q, sorted by lead, each element's terms
+    largest first, from a Groebner basis G of primitive integer term
+    dicts with leading exponents lts, the matching list of _reducer and
+    buchberger's active elements."""
     # every minimal lead is held by an active element, and no two active
     # leads are equal (a newcomer retires an equal lead), so dropping the
     # active elements whose lead another active lead divides leaves
@@ -476,10 +474,12 @@ def _autoreduce(G, lts, reducers, active, pk, variables):
     out = []
     for i, k in enumerate(keep):
         others = reducers[:i] + reducers[i + 1:]
+        # _normal_form moves terms to r largest first, and no other lead
+        # divides lts[k], so the lead is r's first key
         r, _ = _normal_form(G[k], others, guard)
-        lc = r.get(lts[k])
-        if not lc:
+        if next(iter(r), None) != lts[k]:
             raise CrossCheckFailed("reduced basis element lost its lead")
+        lc = r[lts[k]]
         out.append(MultiPoly(variables, {pk.unpack(e): Fraction(c, lc) for e, c in r.items()}))
     return out
 
@@ -499,7 +499,8 @@ class GrobnerBasis:
         return cls(order=order, elements=tuple(basis))
 
     def leading_exponents(self):
-        return [leading_term(g, self.order)[0] for g in self.elements]
+        # buchberger lists each element's terms largest first
+        return [next(iter(g.terms)) for g in self.elements]
 
     def normal_form(self, f):
         return normal_form(f, self.elements, self.order)

@@ -10,9 +10,12 @@ the series t/(1 - e^{-t}) itself, whose even coefficients are
 b_{2j} = (-1)^{j-1} B_j / (2j)!).  Modern references instead attach the
 sign to the Bernoulli number; conversions must keep that in mind.
 
-delta_coeff is memoised for the life of the process: delta^{m,k}_mu
-depends only on (m, k, mu), never on a variety, and is an immutable
-Fraction.  delta_table is not cached, since its entries dict is mutable.
+Memoised for the life of the process, since none of them depends on a
+variety and each value is immutable: delta_b (Delta_lam(b) by lam),
+todd_terms (the nonzero terms of the Todd formula for each m),
+delta_coeff (delta^{m,k}_mu, a Fraction) and delta_table (a DeltaTable
+whose entries are a read-only mapping, checked for integrality once per
+table).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import linalg
 from .arith import CrossCheckFailed, MultiPoly, frac
@@ -109,6 +113,16 @@ def b_sequence(K):
     return CoeffSeq(values)
 
 
+@lru_cache(maxsize=None)
+def delta_b(lam):
+    """Delta_lam(b) for the coefficients b of t/(1 - e^{-t}).
+
+    No entry b_i of the determinant has i > lam_1 + len(lam) - 1 <= |lam|,
+    so b_sequence(|lam|) holds every one of them.
+    """
+    return delta_det(lam, b_sequence(max(lam.size, 1)))
+
+
 def _chern_vars(m):
     return tuple("c%d" % i for i in range(1, m + 1))
 
@@ -121,17 +135,22 @@ def chern_coeff_seq(m):
     return CoeffSeq(values, pad=True)
 
 
+@lru_cache(maxsize=None)
+def todd_terms(m):
+    """The pairs (lam, Delta_{lam'}(b)) over |lam| = m whose coefficient
+    Delta_{lam'}(b) is nonzero, in enumerate_partitions order."""
+    terms = ((lam, delta_b(lam.conjugate())) for lam in enumerate_partitions(m))
+    return tuple((lam, coeff) for lam, coeff in terms if coeff)
+
+
 def todd_value(m, c):
     """T_m(c_1..c_m) over the ring of the CoeffSeq c, by the determinantal
     formula T_m = sum over |lam| = m of Delta_{lam'}(b) Delta_lam(c)."""
     if m == 0:
         return c.one
-    b = b_sequence(m)
     total = c.zero
-    for lam in enumerate_partitions(m):
-        coeff = delta_det(lam.conjugate(), b)
-        if coeff:
-            total = total + coeff * delta_det(lam, c)
+    for lam, coeff in todd_terms(m):
+        total = total + coeff * delta_det(lam, c)
     return total
 
 
@@ -205,13 +224,22 @@ def schur_eval(lam, gamma):
 
 
 def d_coeff(lam, mu, m):
-    """Binomial determinant det C(lam_i+m+1-i, mu_j+m+1-j), size m x m."""
+    """Binomial determinant det C(lam_i+m+1-i, mu_j+m+1-j), 1 <= i, j <= m,
+    taken as the determinant of its top-left l x l block, l the longer
+    of the lengths of lam and mu.
+
+    That block is enough: for a row i > l the top m+1-i is below the
+    bottom mu_j+m+1-j of every column j < i and equals the bottom at
+    j = i, so the matrix is block upper triangular and its lower-right
+    block is unitriangular.
+    """
     if lam.length > m or mu.length > m:
         raise ValueError("partitions must have length <= m")
-    if m == 0:
+    ell = max(lam.length, mu.length)
+    if ell == 0:
         return 1
-    tops = [lam.part(i) + m + 1 - i for i in range(1, m + 1)]
-    bottoms = [mu.part(j) + m + 1 - j for j in range(1, m + 1)]
+    tops = [lam.part(i) + m + 1 - i for i in range(1, ell + 1)]
+    bottoms = [mu.part(j) + m + 1 - j for j in range(1, ell + 1)]
     value = linalg.det([[math.comb(t, u) for u in bottoms] for t in tops])
     if value.denominator != 1:
         raise CrossCheckFailed("non-integral binomial determinant %s" % value)
@@ -236,23 +264,24 @@ def delta_coeff(m, k, mu):
         raise ValueError("need 0 <= k <= m")
     if mu.size > m - k:
         raise ValueError("need |mu| <= m-k")
-    b = b_sequence(max(m, 1))
     total = Fraction(0)
     for lam in enumerate_partitions(m - k, max_len=max(m, 1), containing=mu):
-        total += delta_det(lam, b) * d_coeff(lam, mu, m)
+        total += delta_b(lam) * d_coeff(lam, mu, m)
     return (-1) ** mu.size * total
 
 
 @dataclass(frozen=True)
 class DeltaTable:
-    """All delta^{m,k}_mu with |mu| <= m-k and mu_1 <= n-m."""
+    """All delta^{m,k}_mu with |mu| <= m-k and mu_1 <= n-m; entries is a
+    read-only view of a private copy of the mapping it is built from."""
 
     m: int
     k: int
     n: int
-    entries: dict
+    entries: MappingProxyType
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         N = scaling_factor(self.k, self.m)
         for mu, value in self.entries.items():
             if mu.size > self.m - self.k:
@@ -261,7 +290,10 @@ class DeltaTable:
                 raise CrossCheckFailed("scaled entry %s -> %s not integral" % (mu, value))
 
 
+@lru_cache(maxsize=None)
 def delta_table(m, k, n):
+    if not 0 <= k <= m <= n:
+        raise ValueError("need 0 <= k <= m <= n")
     entries = {}
     for size in range(m - k + 1):
         for mu in enumerate_partitions(size, max_part=n - m):

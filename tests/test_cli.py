@@ -1,17 +1,23 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import hilbertpoly
+from hilbertpoly import cli
 from hilbertpoly.cli import (
     EXIT_DISAGREE,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_RESOURCE,
+    MAX_M,
+    MAX_SERIES_DEGREE,
     main,
 )
 
@@ -315,12 +321,13 @@ def test_parser_carries_no_state_between_calls():
 def test_ci_grid_reports_independent_of_order():
     # the process-wide caches behind `ci` must not make a report depend
     # on which reports ran before it
+    from hilbertpoly.arith import binom_poly
     from hilbertpoly.chern import chern_cone_normal, chern_tangent, ci_grid
-    from hilbertpoly.symfun import delta_coeff
+    from hilbertpoly.symfun import delta_b, delta_coeff, delta_table, todd_terms
 
-    delta_coeff.cache_clear()
-    chern_tangent.cache_clear()
-    chern_cone_normal.cache_clear()
+    for cache in (binom_poly, delta_b, todd_terms, delta_coeff, delta_table,
+                  chern_tangent, chern_cone_normal):
+        cache.cache_clear()
     argvs = [["ci", "n=%d" % ci.n, "degrees=" + ",".join(map(str, ci.degrees))]
              for ci in ci_grid(5, 2, 3)]
     forward = [run_cli(*argv) for argv in argvs]
@@ -384,3 +391,109 @@ def test_tangent_chern_disagreement_exit_code(monkeypatch, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "cross-check"
     assert "tangent Chern class routes disagree" in err["detail"]
+
+
+# -- caps of the closed-form commands
+
+
+def _refused(capsys, *argv):
+    code, out = run_cli(*argv)
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "resource-cap"
+    return err["detail"]
+
+
+def _no_work(*args):
+    raise AssertionError("a refused command must not start its work")
+
+
+def test_ci_cap_on_m(monkeypatch, capsys):
+    cap = MAX_M["ci"]
+    code, report = run_json("ci", "n=%d" % cap)
+    assert code == EXIT_OK and report["dimension"] == cap
+    monkeypatch.setattr(cli, "hilbert_poly_hrr", _no_work)
+    assert "m <= %d" % cap in _refused(capsys, "ci", "n=%d" % (cap + 1))
+    assert "m <= %d" % cap in _refused(capsys, "ci", "n=%d" % (cap + 3), "degrees=2,2")
+
+
+def test_ci_cap_on_series_degree(monkeypatch, capsys):
+    code, report = run_json("ci", "n=2", "degrees=%d" % (MAX_SERIES_DEGREE + 1))
+    assert code == EXIT_OK and report["agreement"] is True
+    monkeypatch.setattr(cli, "hilbert_poly_hrr", _no_work)
+    _refused(capsys, "ci", "n=2", "degrees=%d" % (MAX_SERIES_DEGREE + 2))
+    # a degree that no list could hold
+    _refused(capsys, "ci", "n=1", "degrees=%d" % 10 ** 30)
+
+
+def test_characters_cap_on_m(monkeypatch, capsys):
+    cap = MAX_M["characters"]
+    code, report = run_json("characters", "n=%d" % cap)
+    assert code == EXIT_OK and report["characters"] == {"[]": 1}
+    monkeypatch.setattr(cli, "character_table", _no_work)
+    _refused(capsys, "characters", "n=%d" % (cap + 1))
+
+
+def test_delta_cap_on_m(monkeypatch, capsys):
+    cap = MAX_M["delta"]
+    args = "m=%d" % cap, "k=%d" % cap, "n=%d" % cap
+    code, report = run_json("delta", *args)
+    assert code == EXIT_OK and report["entries"] == [{"mu": [], "value": "1"}]
+    monkeypatch.setattr(cli, "delta_table", _no_work)
+    _refused(capsys, "delta", "m=%d" % (cap + 1), "k=%d" % (cap + 1), "n=%d" % (cap + 1))
+
+
+def test_todd_cap_on_m(monkeypatch, capsys):
+    # the symbolic Todd polynomial at the cap takes seconds; a stand-in
+    # shows that the cap lets it through
+    cap = MAX_M["todd"]
+    monkeypatch.setattr(cli, "todd_poly", lambda m: cli.parse_poly("c%d" % m, ("c%d" % m,)))
+    code, report = run_json("todd", str(cap))
+    assert code == EXIT_OK and report["todd"] == "c%d" % cap
+    monkeypatch.setattr(cli, "todd_poly", _no_work)
+    assert "m <= %d" % cap in _refused(capsys, "todd", str(cap + 1))
+    _refused(capsys, "todd", str(10 ** 30))
+
+
+# -- fuzzing the closed-form commands
+
+_INTS = st.one_of(st.integers(-3, 7),
+                  st.sampled_from([MAX_M["ci"] + 1, MAX_M["characters"] + 1,
+                                   10 ** 6, -10 ** 6, 10 ** 30]))
+_JUNK = st.sampled_from(["", "x", "1,,2", "1e3", "-0", "+3", " 3", "0x10", "3_0",
+                         "=", "n", "[1]", "1/2", "nan", "-", ",", "\u0663"])
+_VALUES = st.one_of(_INTS.map(str), _JUNK,
+                    st.lists(_INTS, max_size=4).map(lambda ds: ",".join(map(str, ds))))
+
+
+def _params(keys):
+    pair = st.tuples(st.sampled_from(keys), _VALUES).map("=".join)
+    return st.lists(st.one_of(pair, _JUNK), max_size=4)
+
+
+_ARGV = st.one_of(
+    st.tuples(st.just(["ci"]), _params(["n", "degrees", "m"])),
+    st.tuples(st.just(["characters"]), _params(["n", "degrees", "k"])),
+    st.tuples(st.just(["delta"]), _params(["m", "k", "n", "degrees"])),
+    st.tuples(st.just(["todd"]), st.lists(st.one_of(_INTS.map(str), _JUNK), max_size=2)),
+).map(lambda parts: parts[0] + parts[1])
+
+
+@given(_ARGV, st.sampled_from([[], ["--output", "text"], ["--seed", "-2"]]))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_closed_form_commands_never_raise(argv, options):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(options + argv)
+    assert code in (EXIT_OK, EXIT_DISAGREE, EXIT_RESOURCE, EXIT_PARSE)
+    if code == EXIT_OK:
+        assert out.getvalue() and err.getvalue() == ""
+        if not options:
+            json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        error = json.loads(err.getvalue())["error"]
+        assert error == {EXIT_DISAGREE: "cross-check", EXIT_RESOURCE: "resource-cap",
+                         EXIT_PARSE: "parse"}[code]

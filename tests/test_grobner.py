@@ -569,6 +569,17 @@ def test_variable_ranking_permutes_priority():
     assert sorted(g.to_text() for g in gb) == ["x^2", "y"]
 
 
+def test_leading_exponents_are_the_largest_terms():
+    # leading_exponents reads each lead off buchberger's term order; here
+    # every lead is found again by a scan under order.key
+    from hilbertpoly.grobner import GrobnerBasis
+    gens = polys("x y z", "x^2 - y^2 + z", "x*y*z - z^3 + x", "y^4 - x*z^3 + 2*y")
+    for order in (GREVLEX, LEX, MonomialOrder("grevlex", ranking=(2, 0, 1)),
+                  MonomialOrder("lex", ranking=(1, 2, 0))):
+        gb = GrobnerBasis.of(gens, order)
+        assert gb.leading_exponents() == [max(g.terms, key=order.key) for g in gb.elements]
+
+
 def test_every_spoly_reduces_to_zero():
     from hilbertpoly.grobner import GrobnerBasis
     gens = polys("x y z", "x^2 + y*z", "y^2 - x*z", "x*y + z^2")

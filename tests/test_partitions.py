@@ -128,6 +128,26 @@ def test_jumps_roundtrip_random_larger(n, data):
     assert partition_from_jumps(jumps(lam, n, m), n, m) == lam
 
 
+_PARTITION_TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from(list("[],0123456789 -+\t\u0663_x")), max_size=20),
+    st.text(max_size=12),
+    st.lists(st.integers(-3, 50), max_size=5).map(lambda ps: "[%s]" % ",".join(map(str, ps))),
+)
+
+
+@given(_PARTITION_TEXT)
+@settings(max_examples=300)
+def test_parse_partition_fuzz(text):
+    # either a partition whose printed form parses back to it, or a
+    # ValueError, which the CLI reports as a parse error
+    try:
+        lam = parse_partition(text)
+    except ValueError:
+        return
+    assert isinstance(lam, Partition)
+    assert parse_partition(str(lam)) == lam
+
+
 def test_text_syntax():
     assert parse_partition("[3,1]") == Partition([3, 1])
     assert parse_partition("[]") == Partition()

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hilbertpoly import linalg
 from hilbertpoly.arith import TruncSeries, parse_poly
 from hilbertpoly.partitions import Partition, enumerate_partitions
 from hilbertpoly.symfun import (
@@ -252,6 +253,22 @@ def test_d_coeff_examples():
             assert d_coeff(lam, lam, m) == 1
 
 
+@pytest.mark.parametrize("m", range(1, 8))
+def test_d_coeff_is_the_full_binomial_determinant(m):
+    # d_coeff takes only the top-left l x l block; here the whole m x m
+    # matrix, for lam containing mu and not
+    pool = [lam for size in range(8) for lam in enumerate_partitions(size, max_len=m)]
+    seen = set()
+    for lam in pool:
+        tops = [lam.part(i) + m + 1 - i for i in range(1, m + 1)]
+        for mu in pool:
+            bottoms = [mu.part(j) + m + 1 - j for j in range(1, m + 1)]
+            full = linalg.det([[math.comb(t, u) for u in bottoms] for t in tops])
+            assert d_coeff(lam, mu, m) == full, (lam, mu, m)
+            seen.add(lam.contains(mu))
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("m", range(1, 6))
 def test_d_coeff_hooks(m):
     for k in range(m + 1):
@@ -292,6 +309,26 @@ def test_delta_table_filters_memoised_coefficients(ns):
         assert set(entries) == expected
         for mu, value in entries.items():
             assert value == delta_coeff.__wrapped__(m, k, mu)
+
+
+def test_delta_table_entries_are_read_only():
+    # delta_table is memoised, so a caller that could write to a table
+    # would change every later table of the same (m, k, n)
+    table = delta_table(2, 0, 3)
+    with pytest.raises(TypeError):
+        table.entries[Partition([1])] = 0
+    with pytest.raises(TypeError):
+        del table.entries[Partition()]
+    assert delta_table(2, 0, 3) is table
+    assert table.entries[Partition([1])] == Fraction(-2, 3)
+
+
+@pytest.mark.parametrize("mkn", [(2, 3, 3), (2, -1, 3), (-1, 0, 0), (3, 0, 2)])
+def test_delta_table_rejects_out_of_range_arguments(mkn):
+    # k > m and m < 0 used to give an empty table, n < m a table holding
+    # the empty partition although mu_1 <= n - m < 0 excludes it
+    with pytest.raises(ValueError):
+        delta_table(*mkn)
 
 
 def test_scaling_factor():
