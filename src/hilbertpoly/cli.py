@@ -12,7 +12,9 @@ negative cap) are parse errors, with the JSON error "parse" on stderr;
 exits 2, with the JSON error "cross-check" on stderr and no report.  The
 closed-form commands ci, characters, delta and todd refuse an m above
 MAX_M, and ci a series degree above MAX_SERIES_DEGREE, before doing any
-work: exit 3, with the JSON error "resource-cap".
+work: exit 3, with the JSON error "resource-cap".  So does trans for an
+input polynomial of degree above --max-degree; without --m it takes the
+dimension from the Hilbert polynomial, under both Groebner caps.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
 from .arith import CrossCheckFailed, PolyParseError, parse_poly
 from .chern import (
     CompleteIntersection,
@@ -53,9 +55,8 @@ from .reductions import (
 )
 from .symfun import delta_table, todd_poly
 from .transversality import (
+    Flag,
     InputInstance,
-    jacobian_at,
-    normalize_point,
     random_flag,
     transversality_report,
 )
@@ -293,26 +294,49 @@ def cmd_count(args, config):
     return EXIT_OK
 
 
+def _rational(token):
+    """A rational written p or p/q."""
+    text = token.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise CliParseError("expected a rational p or p/q, got %r" % token)
+    num, _, den = text.partition("/")
+    if den and not int(den):
+        raise CliParseError("zero denominator in %r" % token)
+    return Fraction(int(num), int(den or 1))
+
+
+def _read_flag(path, n):
+    """Flag from a file of n+1 lines of n+1 rationals: the rows of the
+    basis matrix, whose column j spans F_j.  Blank lines and # comments
+    are skipped."""
+    lines = [ln.split() for ln in open(path).read().splitlines()]
+    rows = [[_rational(tok) for tok in ln] for ln in lines if ln and not ln[0].startswith("#")]
+    if len(rows) != n + 1 or any(len(row) != n + 1 for row in rows):
+        raise CliParseError("flag file needs %d lines of %d rationals" % (n + 1, n + 1))
+    return Flag.from_basis(rows)
+
+
 def cmd_trans(args, config):
     ideal = parse_ideal_file(open(args.instance).read())
     n = len(ideal.variables) - 1
-    try:
-        x = tuple(Fraction(tok) for tok in args.point.split(","))
-    except ZeroDivisionError:
-        raise CliParseError("zero denominator in point %r" % args.point) from None
+    degree = max((sum(e) for g in ideal.generators for e in g.terms), default=0)
+    if degree > config.max_degree:
+        raise ResourceCapExceeded("input degree %d exceeds %d" % (degree, config.max_degree))
+    x = tuple(_rational(tok) for tok in args.point.split(","))
     if len(x) != n + 1:
         raise CliParseError("point has %d coordinates, expected %d" % (len(x), n + 1))
     mu = parse_partition(args.partition)
-    if args.m is not None:
-        m = args.m
-    else:
-        probe = InputInstance(polys=ideal.generators, n=n, m=n)
-        m = n - linalg.rank(jacobian_at(probe, normalize_point(x)))
+    flag = _read_flag(args.flag, n) if args.flag else random_flag(n, config.seed)
+    # the dimension of the variety: n - rank J(x) is that of the tangent
+    # space at x, which is larger at a singular point
+    m = args.m if args.m is not None else hilbert_data(
+        ideal, **config.caps()).hilbert_polynomial.degree
     inst = InputInstance(polys=ideal.generators, n=n, m=m)
-    flag = random_flag(n, config.seed)
     report = transversality_report(inst, x, flag, mu)
     out = {
         "n": n, "m": m, "mu": str(mu),
+        "flag": {"source": "file" if args.flag else "seed", "file": args.flag,
+                 "basis": [[_q(v) for v in row] for row in flag.basis]},
         "point": [_q(v) for v in report["point"]],
         "smooth": report["smooth"],
         "on_cell": report["on_cell"],
@@ -376,7 +400,12 @@ def build_parser():
     p.add_argument("instance")
     p.add_argument("point", help="comma-separated rational coordinates")
     p.add_argument("partition", help="partition like [1]")
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--m", type=int, default=None,
+                   help="dimension of the variety (default: the degree of "
+                        "its Hilbert polynomial)")
+    p.add_argument("--flag", default=None, metavar="FILE",
+                   help="basis matrix of the flag, one row per line "
+                        "(default: a flag drawn from --seed)")
     p.set_defaults(func=cmd_trans)
 
     return parser

@@ -1,4 +1,5 @@
-"""Exact linear algebra over Q: rank, determinant, solve, kernel, RREF.
+"""Exact linear algebra over Q: rank, determinant, solve, kernel, RREF,
+and an integer check of a claimed inverse.
 
 Matrices are lists of rows whose entries are ints or Fractions.  There
 are two eliminations: rank and det share one fraction-free Bareiss
@@ -10,25 +11,34 @@ run on the augmented matrix and kernel on the matrix itself.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .arith import frac
 
 
-def _bareiss(rows):
-    """Fraction-free Bareiss elimination (Bareiss 1968) of a rational
-    matrix of ints or Fractions (both carry numerator and denominator);
-    returns (rank, det), det being the determinant when the matrix is
-    square and 0 otherwise."""
-    a, scale = [], 1
+def _cleared(rows):
+    """Rational rows of ints or Fractions (both carry numerator and
+    denominator) as integer rows, each times the lcm of its
+    denominators; returns (integer rows, lcms)."""
+    out, dens = [], []
     for row in rows:
         # one lcm at a time: math.lcm(*generator) raised the peak memory
         # of a 231-report `ci` pass by about 0.3 MiB
         den = 1
         for x in row:
             den = math.lcm(den, x.denominator)
-        scale *= den
-        a.append([x.numerator * (den // x.denominator) for x in row])
+        dens.append(den)
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out, dens
+
+
+def _bareiss(rows):
+    """Fraction-free Bareiss elimination (Bareiss 1968) of a rational
+    matrix; returns (rank, det), det being the determinant when the
+    matrix is square and 0 otherwise."""
+    a, dens = _cleared(rows)
+    scale = math.prod(dens)
     nr, nc = len(a), len(a[0]) if a else 0
     r, sign, prev = 0, 1, 1
     for col in range(nc):
@@ -160,6 +170,19 @@ def inverse(a):
     """Exact inverse of a square nonsingular rational matrix."""
     n = len(a)
     return _solve_columns(a, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def is_inverse(a, b):
+    """a b == I for square rational matrices a and b of one size, in
+    integers: row i of a and column j of b, cleared of denominators d_i
+    and e_j, have product d_i e_j when i == j and 0 otherwise."""
+    k = len(a)
+    if len(b) != k or any(len(row) != k for row in (*a, *b)):
+        return False
+    (rows, ds), (cols, es) = _cleared(a), _cleared(zip(*b))
+    return all(sum(map(operator.mul, r, c)) == (d * e if i == j else 0)
+               for i, (r, d) in enumerate(zip(rows, ds))
+               for j, (c, e) in enumerate(zip(cols, es)))
 
 
 def mat_mul(a, b):

@@ -8,12 +8,15 @@ rational arithmetic; projective points are normalized to leading
 coordinate 1.
 
 The tangency test at a point x with Gauss image on the cell e_mu works
-in coordinates adapted to the chart: the variety becomes the graph of
-an implicit map h, whose first and second derivatives at x come from
-two linear solves against the invertible Jacobian block.  The m+1
-matrices of second derivatives span the image of the Gauss
-differential; transversality holds when they fill the chart directions
-complementary to the cell.
+in coordinates x = L z adapted to the chart (L: the flag basis, pivot
+columns first), where the variety is the graph of an implicit map h.
+By the chain rule, with nothing substituted symbolically, the Jacobian
+in z is J(x) L, and J2 h_ab = -(u_a^T H_f(x) u_b) for an invertible
+block J2 of it, the Hessians H_f(x) of the input polynomials and the
+graph's tangent vectors u_a in x coordinates.  The m+1 matrices of
+second derivatives span the image of the Gauss differential;
+transversality holds when they fill the chart directions complementary
+to the cell.
 
 The decision is exposed as separate pieces (smoothness, cell
 membership, the tangency verdict) rather than as one bare implication,
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .arith import CrossCheckFailed, MultiPoly, frac
+from .arith import CrossCheckFailed, frac
 from .partitions import is_admissible, jumps, partition_from_jumps
 
 
@@ -45,11 +48,10 @@ class Flag:
 
     def __post_init__(self):
         n = len(self.basis) - 1
-        if linalg.det(self.basis) == 0:
-            raise ValueError("flag basis is singular")
         if self.inverse is None:
-            object.__setattr__(self, "inverse",
-                               tuple(map(tuple, linalg.inverse(self.basis))))
+            object.__setattr__(self, "inverse", _basis_inverse(self.basis))
+        elif not linalg.is_inverse(self.basis, self.inverse):
+            raise ValueError("inverse is not the inverse of the flag basis")
         if len(self.dual_matrix) != n:
             raise ValueError("dual matrix must have n rows")
         cols = linalg.transpose(self.basis)
@@ -66,10 +68,19 @@ class Flag:
     def from_basis(cls, basis):
         """Derive the dual rows from the inverse of the basis matrix."""
         basis = tuple(tuple(frac(x) for x in row) for row in basis)
-        inv = tuple(map(tuple, linalg.inverse(basis)))
+        inv = _basis_inverse(basis)
         n = len(basis) - 1
         dual = tuple(inv[n - i] for i in range(n))
         return cls(basis=basis, dual_matrix=dual, inverse=inv)
+
+
+def _basis_inverse(basis):
+    if any(len(row) != len(basis) for row in basis):
+        raise ValueError("flag basis is not square")
+    try:
+        return tuple(map(tuple, linalg.inverse(basis)))
+    except ValueError:
+        raise ValueError("flag basis is singular") from None
 
 
 def random_flag(n, seed):
@@ -145,27 +156,44 @@ def jacobian_at(inst, x):
             for f in inst.polys]
 
 
-def input_condition_at(inst, x):
-    """Rank of the Jacobian at a zero is at least n-m (the kernel is at
-    most (m+1)-dimensional)."""
+def hessian_at(f, x):
+    """Matrix of second partials of the polynomial f at x."""
+    grads = [f.partial(v) for v in f.variables]
+    return [[g.partial(v).eval_point(x) for v in f.variables] for g in grads]
+
+
+def _zero(inst, x):
+    """x normalized; raises unless it is a zero of the system."""
     x = normalize_point(x)
     if not is_zero_of(inst, x):
         raise ValueError("point is not a zero of the system")
-    return linalg.rank(jacobian_at(inst, x)) >= inst.n - inst.m
+    return x
+
+
+def input_condition_at(inst, x):
+    """Rank of the Jacobian at a zero is at least n-m (the kernel is at
+    most (m+1)-dimensional)."""
+    return linalg.rank(jacobian_at(inst, _zero(inst, x))) >= inst.n - inst.m
+
+
+def _gauss_point(inst, jac):
+    """Kernel of the Jacobian jac at a zero, or None when its rank is
+    not n-m (x is not a smooth point of an m-dimensional variety)."""
+    if linalg.rank(jac) != inst.n - inst.m:
+        return None
+    basis = linalg.kernel(jac, ncols=inst.n + 1)
+    return GrassPoint(tuple(tuple(v) for v in basis))
 
 
 def gauss_point(inst, x):
     """Tangent space at a smooth point, as the Jacobian kernel."""
-    x = normalize_point(x)
-    if not is_zero_of(inst, x):
-        raise ValueError("point is not a zero of the system")
+    x = _zero(inst, x)
     jac = jacobian_at(inst, x)
-    rk = linalg.rank(jac)
-    if rk != inst.n - inst.m:
+    A = _gauss_point(inst, jac)
+    if A is None:
         raise ValueError("Jacobian rank %d at %s, expected %d"
-                         % (rk, x, inst.n - inst.m))
-    basis = linalg.kernel(jac, ncols=inst.n + 1)
-    return GrassPoint(tuple(tuple(v) for v in basis))
+                         % (linalg.rank(jac), x, inst.n - inst.m))
+    return A
 
 
 def in_Q_lambda(inst, x, flag, lam):
@@ -174,10 +202,7 @@ def in_Q_lambda(inst, x, flag, lam):
     most n-i."""
     if not is_admissible(lam, inst.n, inst.m):
         raise ValueError("partition not admissible")
-    x = normalize_point(x)
-    if not is_zero_of(inst, x):
-        raise ValueError("point is not a zero of the system")
-    jac = jacobian_at(inst, x)
+    jac = jacobian_at(inst, _zero(inst, x))
     for i in range(inst.m + 1):
         delta = inst.m - i + lam.part(i + 1)
         rows = [list(r) for r in flag.dual_matrix[:delta]] + [list(r) for r in jac]
@@ -190,17 +215,13 @@ def in_Q_lambda(inst, x, flag, lam):
 # Schubert cells via echelon charts
 
 
-def _flag_coordinates(A, flag):
-    return linalg.mat_mul([list(r) for r in A.span_matrix], linalg.transpose(flag.inverse))
-
-
 def schubert_cell_coords(A, flag, mu):
     """Chart matrix alpha_mu(A) of shape (n-m) x (m+1), or None when A
     lies outside the chart domain U_mu."""
     n = flag.n
     m = A.dim
     sigma = jumps(mu, n, m)
-    B = _flag_coordinates(A, flag)
+    B = linalg.mat_mul([list(r) for r in A.span_matrix], linalg.transpose(flag.inverse))
     Bsig = [[row[s] for s in sigma] for row in B]
     try:
         E = linalg.mat_mul(linalg.inverse(Bsig), B)
@@ -266,15 +287,18 @@ def in_schubert_variety(A, flag, lam):
 
 
 def transversality_report(inst, x, flag, mu):
-    """Full picture of the tangency test at x; see transversal_at."""
+    """Full picture of the tangency test at x; see transversal_at.  At a
+    point where the Jacobian rank is not n-m the report has smooth False
+    and stops there."""
     n, m = inst.n, inst.m
-    x = normalize_point(x)
+    x = _zero(inst, x)
     report = {"point": x, "mu": mu, "smooth": False, "on_cell": False,
               "chart": None, "span_dim": None, "needed": (n - m) * (m + 1),
               "transversal": None}
-    if not is_zero_of(inst, x):
-        raise ValueError("point is not a zero of the system")
-    A = gauss_point(inst, x)  # raises when the rank is off
+    jac = jacobian_at(inst, x)
+    A = _gauss_point(inst, jac)
+    if A is None:
+        return report
     report["smooth"] = True
     sigma = jumps(mu, n, m)
     chart = schubert_cell_coords(A, flag, mu)
@@ -291,16 +315,10 @@ def transversality_report(inst, x, flag, mu):
         return report
 
     # adapted coordinates: x = L z with L the basis columns reordered so
-    # the sigma-columns come first
+    # the sigma-columns come first; by the chain rule the Jacobian of
+    # f(L z) is J(x) L
     L = [[flag.basis[i][order[k]] for k in range(n + 1)] for i in range(n + 1)]
-    zvars = tuple("z%d" % i for i in range(n + 1))
-    lin = {("x%d" % i): sum((L[i][k] * MultiPoly.variable(zvars, zvars[k])
-                             for k in range(n + 1)), MultiPoly.zero(zvars))
-           for i in range(n + 1)}
-    fz = [f.substitute(lin) for f in inst.polys]
-    z = linalg.solve(L, list(x))
-
-    jac = [[f.partial(v).eval_point(z) for v in zvars] for f in fz]
+    jac = linalg.mat_mul(jac, L)
     block = [row[m + 1:] for row in jac]
     # pick n-m rows with an invertible square block: the pivot columns of
     # the transpose are the first rows independent of the rows before them
@@ -317,46 +335,21 @@ def transversality_report(inst, x, flag, mu):
     if tuple(tuple(r) for r in H1) != chart:
         raise CrossCheckFailed("implicit chart disagrees with echelon chart")
 
-    hess = []
+    # second derivatives: J2 h_ab = -(u_a^T H_f(x) u_b) over the picked
+    # rows f, where the columns u_a = L (e_a ; H1[., a]) of U are the
+    # graph's tangent vectors in x coordinates
+    U = linalg.mat_mul(L, [[int(i == a) for a in range(m + 1)] for i in range(m + 1)] + H1)
+    rhs = []
     for s in rows_pick:
-        f = fz[s]
-        hs = [[f.partial(zvars[i]).partial(zvars[j]).eval_point(z)
-               for j in range(n + 1)] for i in range(n + 1)]
-        hess.append(hs)
-
-    span_rows = []
-    second = {}
-    for jdir in range(m + 1):
-        mat = [[Fraction(0)] * (m + 1) for _ in range(n - m)]
-        for i in range(m + 1):
-            key = (min(i, jdir), max(i, jdir))
-            if key not in second:
-                rhs = []
-                for hs in hess:
-                    v = hs[key[0]][key[1]]
-                    for t in range(n - m):
-                        v += hs[key[0]][m + 1 + t] * H1[t][key[1]]
-                        v += hs[key[1]][m + 1 + t] * H1[t][key[0]]
-                    for t in range(n - m):
-                        for kk in range(n - m):
-                            v += (hs[m + 1 + t][m + 1 + kk]
-                                  * H1[t][key[0]] * H1[kk][key[1]])
-                    rhs.append(-v)
-                second[key] = [sum((a * b for a, b in zip(row, rhs)), Fraction(0))
-                               for row in J2inv]
-            col = second[key]
-            for t in range(n - m):
-                mat[t][i] = col[t]
-        span_rows.append([mat[t][i] for t in range(n - m) for i in range(m + 1)])
-
-    # tangent directions of the cell: unit matrices at the free chart slots
-    for i in range(m + 1):
-        for j in range(sigma[i] - i):
-            vec = [Fraction(0)] * ((n - m) * (m + 1))
-            vec[j * (m + 1) + i] = Fraction(1)
-            span_rows.append(vec)
-
-    span_dim = linalg.rank(span_rows)
+        HU = linalg.mat_mul(hessian_at(inst.polys[s], x), U)
+        rhs.append([-v for row in linalg.mat_mul(linalg.transpose(U), HU) for v in row])
+    second = linalg.mat_mul(J2inv, rhs)
+    # the cell's tangent directions are the unit matrices at the free
+    # chart slots (t, a), t < sigma_a - a: each adds one to the rank of
+    # the matrices (h_ab)_{t,a}, b <= m, at the other slots
+    span_rows = [[second[t][a * (m + 1) + b] for t in range(n - m) for a in range(m + 1)
+                  if t >= sigma[a] - a] for b in range(m + 1)]
+    span_dim = sum(s - a for a, s in enumerate(sigma)) + linalg.rank(span_rows)
     report["span_dim"] = span_dim
     report["transversal"] = span_dim == report["needed"]
     return report
@@ -369,6 +362,8 @@ def transversal_at(inst, x, flag, mu):
     rank there is exactly n-m, and the tangent space lies on the cell.
     """
     report = transversality_report(inst, x, flag, mu)
+    if not report["smooth"]:
+        raise ValueError("Jacobian rank at %s is not %d" % (report["point"], inst.n - inst.m))
     if not report["on_cell"]:
         raise ValueError("Gauss image is not on the cell e_%s" % mu)
     return report["transversal"]

@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: the b-sequence
 comes from long division of power series, the Todd polynomials from
 the graded parts of a product of one-variable series rewritten in the
 elementary symmetric basis, the zero count of a staircase from the box
-under its pure powers.
+under its pure powers, the derivatives of a polynomial in adapted
+coordinates from substituting the change of coordinates symbolically.
 """
 
 import itertools
@@ -174,3 +175,23 @@ def standard_monomial_count(lts, nvars):
         bounds.append(min(pure))
     return sum(1 for exp in itertools.product(*(range(b) for b in bounds))
                if not any(all(a <= b for a, b in zip(lt, exp)) for lt in lts))
+
+
+def substituted_derivatives(f, L, x):
+    """Gradient and Hessian of f(L z) at z = L^-1 x, by substituting
+    x_i = sum_k L[i][k] z_k into f symbolically and differentiating the
+    substituted polynomial."""
+    from hilbertpoly.linalg import solve
+
+    n = len(L) - 1
+    zvars = tuple("z%d" % i for i in range(n + 1))
+    lin = {f.variables[i]: sum((L[i][k] * MultiPoly.variable(zvars, zvars[k])
+                                for k in range(n + 1)), MultiPoly.zero(zvars))
+           for i in range(n + 1)}
+    fz = f.substitute(lin)
+    if not isinstance(fz, MultiPoly):  # a constant f substitutes to a Fraction
+        fz = MultiPoly.constant(zvars, fz)
+    z = solve(L, list(x))
+    grad = [fz.partial(v).eval_point(z) for v in zvars]
+    hess = [[fz.partial(v).partial(w).eval_point(z) for w in zvars] for v in zvars]
+    return grad, hess

@@ -7,7 +7,7 @@ import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 
 import hilbertpoly
 from hilbertpoly import cli
@@ -184,6 +184,86 @@ def test_trans_command_off_cell_with_explicit_m(tmp_path):
     assert report["transversal"] is None and report["chart"] is None
 
 
+NODE = "vars: x0 x1 x2\nx1^2*x2 - x0^3 - x0^2*x2\n"
+CONIC = "vars: x0 x1 x2\nx0*x2 - x1^2\n"
+TWISTED_CUBIC = "vars: x0 x1 x2 x3\nx0*x2 - x1^2\nx1*x3 - x2^2\nx0*x3 - x1*x2\n"
+# rows of the basis matrix of a flag whose F_0 = (1,2,3) lies on the
+# conic's tangent line at (1,1,1)
+CONIC_TANGENT_FLAG = "1 0 0\n2 1 0\n3 0 1\n"
+
+
+def test_trans_at_a_node_is_not_smooth(tmp_path):
+    # n - rank J = 2 at the node; the curve has dimension 1
+    inst = tmp_path / "node.ideal"
+    inst.write_text(NODE)
+    code, report = run_json("hilbert", str(inst))
+    assert code == EXIT_OK and report["projective_dimension"] == 1
+    code, report = run_json("trans", str(inst), "0,0,1", "[]")
+    assert code == EXIT_OK
+    assert report["m"] == 1
+    assert report["smooth"] is False and report["on_cell"] is False
+    assert report["transversal"] is None
+    code, report = run_json("trans", str(inst), "1,0,-1", "[]")
+    assert code == EXIT_OK and report["smooth"] is True
+
+
+def test_trans_with_a_flag_file(tmp_path):
+    inst = tmp_path / "conic.ideal"
+    inst.write_text(CONIC)
+    flag = tmp_path / "tangent.flag"
+    flag.write_text("# F_0 = (1,2,3)\n" + CONIC_TANGENT_FLAG + "\n")
+    code, report = run_json("trans", str(inst), "1,1,1", "[1]", "--flag", str(flag))
+    assert code == EXIT_OK
+    assert report["on_cell"] is True and report["transversal"] is True
+    assert report["chart"] == [["0", "1/2"]]
+    assert report["flag"] == {"source": "file", "file": str(flag),
+                              "basis": [["1", "0", "0"], ["2", "1", "0"], ["3", "0", "1"]]}
+    code, report = run_json("--seed", "7", "trans", str(inst), "1,1,1", "[1]")
+    assert code == EXIT_OK
+    assert report["flag"]["source"] == "seed" and report["flag"]["file"] is None
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("1 0 0\n2 1 0\n", "3 lines of 3 rationals"),
+    ("1 0 0\n2 1 0\n3 0 1\n0 0 1\n", "3 lines of 3 rationals"),
+    ("1 0 0\n2 1\n3 0 1\n", "3 lines of 3 rationals"),
+    ("1 0 0\n2 1.5 0\n3 0 1\n", "expected a rational"),
+    ("1 0 0\n2 x 0\n3 0 1\n", "expected a rational"),
+    ("1 0 0\n2 1/0 0\n3 0 1\n", "zero denominator"),
+    ("1 2 0\n2 4 0\n0 0 1\n", "flag basis is singular"),
+])
+def test_trans_bad_flag_file_is_parse_error(tmp_path, capsys, text, detail):
+    inst = tmp_path / "conic.ideal"
+    inst.write_text(CONIC)
+    flag = tmp_path / "bad.flag"
+    flag.write_text(text)
+    code, out = run_cli("trans", str(inst), "1,1,1", "[1]", "--flag", str(flag))
+    assert code == EXIT_PARSE
+    assert out == ""
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse"
+    assert detail in err["detail"]
+
+
+def test_trans_dimension_from_hilbert_obeys_the_caps(tmp_path, capsys):
+    inst = tmp_path / "cubic.ideal"
+    inst.write_text(TWISTED_CUBIC)
+    code, report = run_json("trans", str(inst), "1,2,4,8", "[]")
+    assert code == EXIT_OK and report["m"] == 1 and report["transversal"] is True
+    # three generators do not fit one basis element
+    code, out = run_cli("--max-basis", "1", "trans", str(inst), "1,2,4,8", "[]")
+    assert code == EXIT_RESOURCE and out == ""
+    assert json.loads(capsys.readouterr().err)["error"] == "resource-cap"
+    # with --m no Hilbert polynomial is computed
+    code, report = run_json("--max-basis", "1", "trans", str(inst), "1,2,4,8", "[]",
+                            "--m", "1")
+    assert code == EXIT_OK and report["m"] == 1
+    # the input degree is capped before the point is evaluated
+    code, out = run_cli("--max-degree", "1", "trans", str(inst), "1,2,4,8", "[]",
+                        "--m", "1")
+    assert code == EXIT_RESOURCE and out == ""
+
+
 def test_byte_identical_reports():
     a = run_cli("--seed", "9", "ci", "n=4", "degrees=2,3")
     b = run_cli("--seed", "9", "ci", "n=4", "degrees=2,3")
@@ -336,18 +416,31 @@ def test_ci_grid_reports_independent_of_order():
     assert all(code == EXIT_OK for code, _ in forward)
 
 
+def _conic_tangency_report():
+    from hilbertpoly.arith import parse_poly
+    from hilbertpoly.partitions import Partition
+    from hilbertpoly.transversality import Flag, InputInstance, transversality_report
+
+    conic = InputInstance((parse_poly("x0*x2 - x1^2", ("x0", "x1", "x2")),), 2, 1)
+    flag = Flag.from_basis([[1, 0, 0], [2, 1, 0], [3, 0, 1]])
+    return repr(sorted(transversality_report(conic, (1, 1, 1), flag, Partition([1])).items()))
+
+
 def test_ci_report_without_asserts():
-    # python -O strips assert statements; the checks on the ci path must
-    # still run and the report must not change
+    # python -O strips assert statements; the checks on the ci path and
+    # in the tangency report must still run and the reports must not change
     script = ("import sys; from hilbertpoly.cli import main; "
+              "from test_cli import _conic_tangency_report; "
               "print(sys.flags.optimize, file=sys.stderr); "
+              "print(_conic_tangency_report(), file=sys.stderr); "
               "sys.exit(main(['ci', 'n=4', 'degrees=2,2']))")
     src = os.path.dirname(os.path.dirname(hilbertpoly.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, os.path.dirname(__file__))))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == EXIT_OK
-    assert out.stderr == "1\n"
+    assert out.stderr == "1\n%s\n" % _conic_tangency_report()
+    assert "'transversal', True" in out.stderr
     assert (EXIT_OK, out.stdout) == run_cli("ci", "n=4", "degrees=2,2")
 
 
@@ -497,3 +590,114 @@ def test_closed_form_commands_never_raise(argv, options):
         error = json.loads(err.getvalue())["error"]
         assert error == {EXIT_DISAGREE: "cross-check", EXIT_RESOURCE: "resource-cap",
                          EXIT_PARSE: "parse"}[code]
+
+
+# -- fuzzing trans and the polynomial parsers
+
+_IDEAL_TEXTS = st.one_of(
+    st.sampled_from([
+        CONIC, NODE, TWISTED_CUBIC, "vars: x0 x1 x2 x3\nx0*x3 - x1*x2\n",
+        "vars: x0 x1 x2\nx2\n", "vars: x0 x1 x2\nx0^2\n", "vars: x0 x1 x2\n",
+        "vars: x0 x1 x2\nx0\nx1\nx2\n", "vars: x0\n", "vars: x y z\nx*z - y^2\n",
+        "vars: x0 x1 x2\nx0*x2 - x1\n", "vars: x0 x1 x2\nx0^200*x1\n",
+        "vars: x0 x1 x2\n0\n", "vars: x0 x0\nx0\n", "", "x0*x1\n",
+        "vars: x0 x1\n1/0*x0\n", "vars: x0 x1 x2\nx0**x1\n"]),
+    st.text(alphabet=" x012^*/+-\n#", max_size=30).map(lambda t: "vars: x0 x1 x2\n" + t),
+)
+_COORD = st.one_of(st.integers(-3, 3).map(str),
+                   st.sampled_from(["1/2", "-2/3", "1/0", "", "1.5", "x", " 1", "+1",
+                                    "1e3", "nan", "9" * 5000, "\u0663"]))
+_POINTS = st.one_of(
+    st.sampled_from(["1,1,1", "0,0,1", "1,2,4", "1,1,1,1", "1,2,4,8", "1,2,3,6",
+                     "0,0,0", "1", "1,1", "2,-2,-2"]),
+    st.lists(_COORD, max_size=5).map(",".join))
+_SMALL_PARTITIONS = st.sampled_from(["[]", "[1]", "[1,1]", "[2]", "[2,1]", "[2,2]"])
+_PARTITIONS = st.one_of(_SMALL_PARTITIONS,
+                        st.sampled_from(["[5]", "[0]", "[1", "1", "[-1]", "[1,2]", ""]))
+# varieties with a zero of each, so that some runs reach a verdict
+_ZEROS = st.sampled_from([
+    (CONIC, "1,1,1"), (CONIC, "4,-2,1"), (NODE, "0,0,1"), (NODE, "1,0,-1"),
+    (TWISTED_CUBIC, "1,2,4,8"), (TWISTED_CUBIC, "0,0,0,1"),
+    ("vars: x0 x1 x2 x3\nx0*x3 - x1*x2\n", "1,2,3,6"),
+    ("vars: x0 x1 x2\n", "1,-1,2"), ("vars: x0 x1 x2\nx2\n", "1,4,0")])
+
+
+def _integer_flags(k):
+    """k x k basis matrices of small integers, singular ones included."""
+    rows = st.lists(st.integers(-2, 2).map(str), min_size=k, max_size=k).map(" ".join)
+    return st.lists(rows, min_size=k, max_size=k).map("\n".join)
+
+
+_FLAG_TEXTS = st.one_of(
+    st.sampled_from([CONIC_TANGENT_FLAG, "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+                     "1 2 0\n2 4 0\n0 0 1\n", "# empty\n", "1 0\n0 1\n", "1\n"]),
+    st.integers(3, 4).flatmap(_integer_flags),
+    st.lists(st.lists(_COORD, min_size=3, max_size=4).map(" ".join),
+             min_size=3, max_size=4).map("\n".join))
+# a zero of the variety, a small partition and a flag of the right size:
+# runs that get as far as a report
+_COHERENT = _ZEROS.flatmap(lambda zero: st.tuples(
+    st.just(zero[0]), st.just(zero[1]), _SMALL_PARTITIONS,
+    st.one_of(st.none(), _integer_flags(len(zero[1].split(",")))),
+    st.sampled_from([[], ["--m", "1"]])))
+_ANY = st.tuples(_IDEAL_TEXTS, _POINTS, _PARTITIONS, st.one_of(st.none(), _FLAG_TEXTS),
+                 st.sampled_from([[], ["--m", "1"], ["--m", "2"], ["--m", "-1"],
+                                  ["--m", "9"]]))
+
+
+@given(st.one_of(_COHERENT, _ANY), st.sampled_from([[], ["--seed", "3"], ["--output", "text"]]))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_trans_never_raises(tmp_path_factory, case, options):
+    ideal, point, partition, flag, m = case
+    folder = tmp_path_factory.mktemp("trans")
+    (folder / "v.ideal").write_text(ideal)
+    argv = ["--max-basis", "40", "--max-degree", "12", *options,
+            "trans", str(folder / "v.ideal"), point, partition, *m]
+    if flag is not None:
+        (folder / "f.flag").write_text(flag)
+        argv += ["--flag", str(folder / "f.flag")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event("exit %d" % code)
+    assert code in (EXIT_OK, EXIT_DISAGREE, EXIT_RESOURCE, EXIT_PARSE)
+    if code == EXIT_OK:
+        assert out.getvalue() and err.getvalue() == ""
+        if not options or options[0] != "--output":
+            json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        error = json.loads(err.getvalue())["error"]
+        assert error == {EXIT_DISAGREE: "cross-check", EXIT_RESOURCE: "resource-cap",
+                         EXIT_PARSE: "parse"}[code]
+
+
+_POLY_ALPHABET = " xy0123^*/+-"
+
+
+@given(st.text(alphabet=_POLY_ALPHABET + "\n#:vars", max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_ideal_file_parser_raises_only_value_errors(text):
+    from hilbertpoly.grobner import parse_ideal_file
+
+    for candidate in (text, "vars: x0 x1 y\n" + text):
+        try:
+            ideal = parse_ideal_file(candidate)
+        except ValueError:
+            continue
+        assert all(g.variables == ideal.variables for g in ideal.generators)
+
+
+@given(st.text(alphabet=_POLY_ALPHABET, max_size=40),
+       st.sampled_from([None, ("x0", "x1"), ("x0", "x1", "y")]))
+@settings(max_examples=300, deadline=None)
+def test_poly_parser_raises_only_value_errors(text, variables):
+    from hilbertpoly.arith import parse_poly
+
+    try:
+        poly = parse_poly(text, variables)
+    except ValueError:
+        return
+    # the text format round-trips
+    assert parse_poly(poly.to_text(), poly.variables) == poly

@@ -5,7 +5,16 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from hilbertpoly.linalg import det, inverse, kernel, mat_mul, rank, solve, transpose
+from hilbertpoly.linalg import (
+    det,
+    inverse,
+    is_inverse,
+    kernel,
+    mat_mul,
+    rank,
+    solve,
+    transpose,
+)
 
 # small integers make exact dependences (and so singular matrices) common
 entries = st.one_of(st.integers(-2, 2).map(Fraction),
@@ -85,6 +94,28 @@ def test_solve_and_inverse_of_nonsingular(a, rhs):
     x = solve(a, b)
     assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
     assert mat_mul(a, inverse(a)) == identity(n)
+
+
+@given(squares(), squares())
+@settings(max_examples=80, deadline=None)
+def test_is_inverse_is_the_product_test(a, b):
+    # drawn pairs are mostly not inverse to each other; a nonsingular a
+    # is also tested against its inverse and against that inverse with
+    # one entry moved
+    assert is_inverse(a, b) == (len(a) == len(b) and mat_mul(a, b) == identity(len(a)))
+    if det(a) != 0:
+        inv = inverse(a)
+        assert is_inverse(a, inv) and is_inverse(inv, a)
+        if a:
+            inv[-1][0] += Fraction(1, 3)
+            assert not is_inverse(a, inv)
+
+
+def test_is_inverse_of_other_shapes():
+    assert not is_inverse([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]])
+    assert not is_inverse([[1, 0], [0, 1]], [[1, 0], [0, 1], [0, 0]])
+    assert not is_inverse([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]])
+    assert is_inverse([], [])
 
 
 @given(singular_squares())

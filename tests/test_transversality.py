@@ -5,7 +5,7 @@ import pytest
 
 from hilbertpoly import linalg
 from hilbertpoly.arith import TruncSeries, parse_poly
-from hilbertpoly.linalg import det, rank
+from hilbertpoly.linalg import det, mat_mul, rank, transpose
 from hilbertpoly.partitions import Partition, enumerate_partitions, jumps
 from hilbertpoly.transversality import (
     Flag,
@@ -14,15 +14,18 @@ from hilbertpoly.transversality import (
     cell_partition_of,
     dimension_jumps,
     gauss_point,
+    hessian_at,
     in_Q_lambda,
     in_cell,
     in_schubert_variety,
     input_condition_at,
+    jacobian_at,
     random_flag,
     schubert_cell_coords,
     transversal_at,
     transversality_report,
 )
+from oracles import substituted_derivatives
 
 X3 = ("x0", "x1", "x2")
 X4 = ("x0", "x1", "x2", "x3")
@@ -30,6 +33,9 @@ X4 = ("x0", "x1", "x2", "x3")
 CONIC = InputInstance(polys=(parse_poly("x0*x2 - x1^2", X3),), n=2, m=1)
 LINE = InputInstance(polys=(parse_poly("x2", X3),), n=2, m=1)
 QUADRIC = InputInstance(polys=(parse_poly("x0*x3 - x1*x2", X4),), n=3, m=2)
+# three quadrics whose Jacobian has rank n - m = 2 along the curve
+TWISTED_CUBIC = InputInstance(polys=tuple(parse_poly(f, X4) for f in (
+    "x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2")), n=3, m=1)
 
 
 def flag_from_columns(*cols):
@@ -67,6 +73,28 @@ def test_flag_basis_inverted_once(monkeypatch):
     # the chart inverts only its (m+1) x (m+1) block, not the basis again
     schubert_cell_coords(GrassPoint(((1, 2, 3), (0, 1, 0))), flag, Partition([1]))
     assert calls == [3, 3, 2]
+
+
+def test_flag_rejects_a_wrong_inverse():
+    flag = flag_from_columns((1, 2, 3), (0, 1, 0), (0, 0, 1))
+    Flag(basis=flag.basis, dual_matrix=flag.dual_matrix, inverse=flag.inverse)
+    off = [list(row) for row in flag.inverse]
+    off[2][0] += Fraction(1, 7)
+    for wrong in (off, flag.basis, flag.inverse[:2], [row[:2] for row in flag.inverse],
+                  list(flag.inverse) + [(0, 0, 0)]):
+        with pytest.raises(ValueError, match="not the inverse"):
+            Flag(basis=flag.basis, dual_matrix=flag.dual_matrix,
+                 inverse=tuple(map(tuple, wrong)))
+
+
+def test_singular_flag_basis_is_refused():
+    singular = ((1, 2, 0), (2, 4, 0), (0, 0, 1))
+    with pytest.raises(ValueError, match="flag basis is singular"):
+        Flag.from_basis(singular)
+    with pytest.raises(ValueError, match="flag basis is singular"):
+        Flag(basis=singular, dual_matrix=((0, 0, 1), (0, 1, 0)))
+    with pytest.raises(ValueError, match="not square"):
+        Flag.from_basis(((1, 0, 0), (0, 1, 0)))
 
 
 def test_random_flag_deterministic_and_nonsingular():
@@ -113,6 +141,46 @@ def test_gauss_point_rank_guard():
     sq = InputInstance(polys=(parse_poly("x0^2", X3),), n=2, m=1)
     with pytest.raises(ValueError):
         gauss_point(sq, (0, 0, 1))
+
+
+def test_report_at_a_singular_point_is_not_smooth():
+    # the node of x1^2*x2 = x0^3 + x0^2*x2: a curve (m = 1) whose
+    # Jacobian vanishes at (0, 0, 1)
+    node = InputInstance(polys=(parse_poly("x1^2*x2 - x0^3 - x0^2*x2", X3),), n=2, m=1)
+    rep = transversality_report(node, (0, 0, 1), CONIC_FLAG, Partition())
+    assert rep["smooth"] is False and rep["on_cell"] is False
+    assert rep["chart"] is None and rep["transversal"] is None
+    with pytest.raises(ValueError, match="Jacobian rank"):
+        transversal_at(node, (0, 0, 1), CONIC_FLAG, Partition())
+    with pytest.raises(ValueError, match="Jacobian rank 0"):
+        gauss_point(node, (0, 0, 1))
+
+
+# -- derivatives in adapted coordinates: the chain rule against symbolic
+#    substitution of x = L z
+
+
+def test_chain_rule_derivatives_match_substitution():
+    rng = random.Random(606)
+    points = {
+        "conic": (CONIC, lambda s, t: (1, t, t * t)),
+        "twisted cubic": (TWISTED_CUBIC, lambda s, t: (1, t, t * t, t ** 3)),
+        "quadric": (QUADRIC, lambda s, t: (1, s, t, s * t)),
+    }
+    for inst, point in points.values():
+        n = inst.n
+        for _ in range(6):
+            s, t = (Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2))
+            x = point(s, t)
+            while True:
+                L = [[Fraction(rng.randint(-4, 4)) for _ in range(n + 1)] for _ in range(n + 1)]
+                if det(L) != 0:
+                    break
+            JL = mat_mul(jacobian_at(inst, x), L)
+            for f, row in zip(inst.polys, JL):
+                grad, hess = substituted_derivatives(f, L, x)
+                assert row == grad
+                assert mat_mul(transpose(L), mat_mul(hessian_at(f, x), L)) == hess
 
 
 # -- Q_lambda rank tests
@@ -347,6 +415,43 @@ def test_quadric_random_tangent_flags_agree_with_jets():
         assert verdict == quadric_jet_transversal(s0, t0, flag)
         hits += 1
     assert hits >= 5
+
+
+def cubic_jet_transversal(t0, flag):
+    """Oracle: on the twisted cubic (1,t,t^2,t^3), mu=(1), transversality
+    at t0 means the constrained chart slot (j=1, i=0) moves to first
+    order along the curve."""
+    t = jet(t0, 1)
+    rows = [[jet(1), t, t * t, t * t * t], [jet(0), jet(1), 2 * t, 3 * t * t]]
+    return jet_chart(rows, flag, Partition([1]), 3, 1)[1][0][1] != 0
+
+
+def test_twisted_cubic_flags_on_the_codimension_one_cell():
+    # n - m = 2 and three generators: the chart block comes from two of
+    # the three Jacobian rows.  F_1 meets the tangent line at x in the
+    # point x + s*v, which is x itself when s = 0
+    mu = Partition([1])
+    rng = random.Random(1729)
+    verdicts = []
+    for trial in range(16):
+        t0 = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+        x = (1, t0, t0 ** 2, t0 ** 3)
+        v = (0, 1, 2 * t0, 3 * t0 ** 2)
+        s = 0 if trial % 4 == 0 else Fraction(rng.randint(1, 5))
+        on_tangent = tuple(a + s * b for a, b in zip(x, v))
+        while True:
+            cols = [tuple(rng.randint(-5, 5) for _ in range(4)), on_tangent,
+                    *(tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(2))]
+            basis = [[Fraction(cols[j][i]) for j in range(4)] for i in range(4)]
+            if det(basis) != 0:
+                flag = Flag.from_basis(basis)
+                if cell_partition_of(gauss_point(TWISTED_CUBIC, x), flag) == mu:
+                    break
+        rep = transversality_report(TWISTED_CUBIC, x, flag, mu)
+        assert rep["smooth"] and rep["on_cell"] and rep["needed"] == 4
+        assert rep["transversal"] == cubic_jet_transversal(t0, flag)
+        verdicts.append(rep["transversal"])
+    assert True in verdicts and False in verdicts
 
 
 def test_transversality_report_fields():
