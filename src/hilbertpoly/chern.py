@@ -8,12 +8,16 @@ of the Chern numbers times h^|lam|; the Todd class and the characters
 are taken over scalars, zero-padded past h^m (no term of weight <= m
 reads there).  Three independent routes come out of this module:
 
-* hilbert_poly_hrr        - Riemann-Roch coefficients k! p_k = deg(h^k T_{m-k})
-* hilbert_poly_characters - the delta-table combination of projective
-                            characters of degeneracy loci (assembled by
-                            hilbert_poly_from_characters)
-* ci_hilbert_series_oracle- elementary generating-function bookkeeping
-                            for regular sequences (the acceptance oracle)
+* hilbert_poly_hrr             - Riemann-Roch coefficients
+                                 k! p_k = deg(h^k T_{m-k})
+* hilbert_poly_from_characters - the delta-table combination of the
+                                 projective characters of degeneracy
+                                 loci (character_table)
+* ci_hilbert_series_oracle     - elementary generating-function
+                                 bookkeeping for regular sequences (the
+                                 acceptance oracle)
+
+Callers compare the routes: the ci report of cli, and the tests.
 
 The identification of the cone normal bundle as a sum of line bundles
 of weights d_i - 1 (via the gradient maps) is the one derivation made
@@ -158,7 +162,8 @@ def chern_tangent(ci):
 
 
 def todd_class(ci):
-    """Todd class 1 + sum_i T_i(c_1..c_i) of the tangent Chern classes."""
+    """Todd class 1 + sum_i T_i(c_1..c_i) of the tangent Chern classes,
+    by the determinantal Todd formula at the Chern numbers."""
     K = ci.m + 1
     c = CoeffSeq(chern_tangent(ci).series.coeffs, pad=True)
     return TruncClass(ci, TruncSeries(K, [todd_value(i, c) for i in range(K)]))
@@ -230,17 +235,6 @@ def hilbert_poly_from_characters(ci, chars):
             raise CrossCheckFailed("scaled coefficient p_%d not integral" % k)
         coeffs.append(pk)
     return UniPoly(coeffs)
-
-
-def hilbert_poly_characters(ci):
-    """Hilbert polynomial assembled from delta tables and projective
-    characters; checked against the Riemann-Roch route before returning."""
-    poly = hilbert_poly_from_characters(ci, character_table(ci))
-    hrr = hilbert_poly_hrr(ci)
-    if poly != hrr:
-        raise CrossCheckFailed("character route %r disagrees with Riemann-Roch %r"
-                               % (poly, hrr))
-    return poly
 
 
 def ci_hilbert_series_oracle(ci):

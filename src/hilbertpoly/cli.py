@@ -11,7 +11,8 @@ negative cap) are parse errors, with the JSON error "parse" on stderr;
 --help exits 0.  A failed internal cross-check (CrossCheckFailed) also
 exits 2, with the JSON error "cross-check" on stderr and no report.  The
 closed-form commands ci, characters, delta and todd refuse an m above
-MAX_M, and ci a series degree above MAX_SERIES_DEGREE, before doing any
+MAX_M, ci a series degree above MAX_SERIES_DEGREE, and reduce-sat a
+formula of more than BRUTEFORCE_MAX_VARS variables, before doing any
 work: exit 3, with the JSON error "resource-cap".  So does trans for an
 input polynomial of degree above --max-degree; without --m it takes the
 dimension from the Hilbert polynomial, under both Groebner caps.
@@ -49,6 +50,7 @@ from .grobner import (
 )
 from .partitions import parse_partition
 from .reductions import (
+    BRUTEFORCE_MAX_VARS,
     count_sat_bruteforce,
     parse_dimacs,
     sat_to_ideal,
@@ -72,10 +74,10 @@ EXIT_PARSE = 4
 # for ci and characters, the argument m for delta and todd.  Processor
 # times at the cap, Python 3.11 on one core of a shared 2-core host:
 # `ci n=21 degrees=2` 3.7 s; `delta m=20 k=0 n=21` 1.3 s and n=40
-# 34 s; `characters` with r >= m = 30 6.7 s; `todd 11` 3.4 s, where
-# `todd 12` took 52 s.  ci builds every delta table of its m, so delta
-# shares its cap.
-MAX_M = {"ci": 20, "characters": 30, "delta": 20, "todd": 11}
+# 34 s; `characters` with r >= m = 30 6.7 s; `todd 20` 1.0 s, where
+# todd_poly(24) alone takes about 3 s.  ci builds every delta table of
+# its m, so delta shares its cap, and todd takes the same one.
+MAX_M = {"ci": 20, "characters": 30, "delta": 20, "todd": 20}
 
 # The largest degree sum(d_i - 1) of the numerator prod(1 + t + ... +
 # t^(d_i - 1)) that ci's series route expands densely; a degree 10^30
@@ -251,13 +253,16 @@ def cmd_todd(args, config):
 
 def cmd_reduce_sat(args, config):
     phi = parse_dimacs(open(args.cnf).read())
+    if phi.num_vars > BRUTEFORCE_MAX_VARS:
+        raise ResourceCapExceeded("reduce-sat needs at most %d variables, got %d"
+                                  % (BRUTEFORCE_MAX_VARS, phi.num_vars))
     ideal = sat_to_ideal(phi)
     brute = count_sat_bruteforce(phi)
     data = hilbert_data(ideal, **config.caps())
     constant = data.hilbert_polynomial.coefficient(0)
     hilbert_count = int(constant) if constant.denominator == 1 else None
     affine = [g.set_variable("x0", 1) for g in ideal.generators]
-    zero_dim = count_zero_dim(affine, **config.caps())
+    zero_dim = count_zero_dim(affine, nvars=phi.num_vars, **config.caps())
     agree = (data.hilbert_polynomial.degree <= 0
              and hilbert_count == brute and zero_dim == brute)
     if args.out:
@@ -398,7 +403,9 @@ def build_parser():
 
     p = sub.add_parser("trans", help="transversality verdict at a point")
     p.add_argument("instance")
-    p.add_argument("point", help="comma-separated rational coordinates")
+    p.add_argument("point", help="comma-separated rational coordinates; "
+                                 "put -- before a point that starts with a "
+                                 "minus sign, as in: trans FILE -- -1,-1,-1 [1]")
     p.add_argument("partition", help="partition like [1]")
     p.add_argument("--m", type=int, default=None,
                    help="dimension of the variety (default: the degree of "

@@ -685,15 +685,20 @@ def hilbert_function_direct(ideal, k):
 INFINITE = float("inf")
 
 
-def count_zero_dim(gens, order=GREVLEX, max_basis=None, max_degree=None):
+def count_zero_dim(gens, order=GREVLEX, max_basis=None, max_degree=None, nvars=None):
     """Number of common zeros (with multiplicity) of an affine system, or
     INFINITE, read off the Hilbert-series numerator q = (1-t)^k * qbar of
     its leading-term ideal: q = 0 means none, k < nvars infinitely many,
-    and otherwise the count of standard monomials is qbar(1)."""
+    and otherwise the count of standard monomials is qbar(1).
+
+    nvars is read off the polynomials; it is needed only for an empty
+    list, whose system has one zero in no variables and infinitely many
+    otherwise (nvars None)."""
+    if gens:
+        nvars = len(gens[0].variables)
     gens = [g for g in gens if g]
     if not gens:
-        return INFINITE
-    nvars = len(gens[0].variables)
+        return 1 if nvars == 0 else INFINITE
     gb = GrobnerBasis.of(gens, order, max_basis=max_basis, max_degree=max_degree)
     qbar, cancelled = _cancel_one_minus_t(
         hilbert_series_monomial(gb.leading_exponents(), nvars))

@@ -73,40 +73,6 @@ def det(rows):
     return _bareiss(rows)[1]
 
 
-def det_ring(rows, one):
-    """Division-free determinant over any commutative ring.
-
-    Expansion over column subsets (O(n 2^n) ring products); fine for the
-    small Jacobi-Trudi-shaped matrices this package builds.
-    """
-    n = len(rows)
-    if n == 0:
-        return one
-    zero = one - one
-    # state: column subset (bitmask) -> minor determinant of the first
-    # popcount(mask) rows on those columns
-    states = {0: one}
-    for i in range(n):
-        new = {}
-        for mask, val in states.items():
-            # sign of placing row i at column j is (-1)^(used columns > j)
-            sign = 1
-            for j in range(n - 1, -1, -1):
-                bit = 1 << j
-                if mask & bit:
-                    sign = -sign
-                    continue
-                entry = rows[i][j]
-                m2 = mask | bit
-                contrib = val * entry if sign > 0 else -(val * entry)
-                if m2 in new:
-                    new[m2] = new[m2] + contrib
-                else:
-                    new[m2] = contrib
-        states = new
-    return states.get((1 << n) - 1, zero)
-
-
 def rref(rows):
     """Reduced row echelon form by Gauss-Jordan elimination; returns
     (matrix, pivot column list)."""

@@ -25,6 +25,8 @@ class CnfFormula:
     clauses: tuple
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise ValueError("number of variables must be >= 0, got %d" % self.num_vars)
         norm = []
         for clause in self.clauses:
             lits = []
@@ -112,7 +114,11 @@ def sat_to_ideal(phi):
     return HomIdeal.from_polys(variables, gens)
 
 
-def count_sat_bruteforce(phi, guard=24):
+# the most variables count_sat_bruteforce enumerates by default
+BRUTEFORCE_MAX_VARS = 24
+
+
+def count_sat_bruteforce(phi, guard=BRUTEFORCE_MAX_VARS):
     """Exhaustive model count; refuses instances beyond the guard size."""
     if phi.num_vars > guard:
         raise ValueError("instance too large for exhaustive counting")

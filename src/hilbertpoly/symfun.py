@@ -1,6 +1,8 @@
-"""Symmetric-function engine: Jacobi-Trudi-shaped determinants, the
-Bernoulli-derived b-sequence, the Todd formula (symbolic or at Chern
-numbers), Chern-character polynomials, Schur evaluation, integer
+"""Symmetric-function engine: Jacobi-Trudi-shaped determinants of
+rational sequences, the Bernoulli-derived b-sequence, the determinantal
+Todd formula at Chern numbers, the symbolic Todd polynomials by
+Hirzebruch's multiplicative-sequence recurrence, power sums and
+Chern-character polynomials, Schur evaluation, integer
 binomial-determinant shift coefficients, and the delta tables that
 assemble Hilbert coefficients from projective characters.
 
@@ -13,6 +15,7 @@ sign to the Bernoulli number; conversions must keep that in mind.
 Memoised for the life of the process, since none of them depends on a
 variety and each value is immutable: delta_b (Delta_lam(b) by lam),
 todd_terms (the nonzero terms of the Todd formula for each m),
+power_sums, todd_poly and chern_character_poly (MultiPoly values),
 delta_coeff (delta^{m,k}_mu, a Fraction) and delta_table (a DeltaTable
 whose entries are a read-only mapping, checked for integrality once per
 table).
@@ -32,12 +35,12 @@ from .partitions import enumerate_partitions
 
 
 class CoeffSeq:
-    """Coefficient sequence c_0 = 1, c_1, c_2, ... over a commutative ring.
+    """Coefficient sequence c_0 = 1, c_1, c_2, ... of rationals (ints or
+    Fractions).
 
-    Negative indices read as the ring zero.  Reads past the stored
-    values raise unless the sequence was built with pad=True (used for
-    Chern-class sequences, which genuinely vanish beyond the stored
-    range).
+    Negative indices read as zero.  Reads past the stored values raise
+    unless the sequence was built with pad=True (used for Chern-class
+    sequences, which genuinely vanish beyond the stored range).
     """
 
     def __init__(self, values, pad=False):
@@ -48,8 +51,8 @@ class CoeffSeq:
         self.one = values[0]
         self.zero = self.one - self.one
         self.pad = pad
-        if isinstance(self.one, Fraction) and self.one != 1:
-            raise ValueError("leading value must be the ring one")
+        if self.one != 1:
+            raise ValueError("leading value must be 1")
 
     def __getitem__(self, i):
         if i < 0:
@@ -69,16 +72,14 @@ class CoeffSeq:
 def delta_det(lam, c):
     """det((c_{lam_i - i + j})_{1<=i,j<=r}) with c_i = 0 for i < 0.
 
-    The empty partition gives the ring one; padding lam with zeros does
-    not change the value.
+    The empty partition gives 1; padding lam with zeros does not change
+    the value.
     """
     r = lam.length
     if r == 0:
         return c.one
-    rows = [[c[lam.part(i) - i + j] for j in range(1, r + 1)] for i in range(1, r + 1)]
-    if isinstance(c.one, (int, Fraction)):
-        return linalg.det(rows)
-    return linalg.det_ring(rows, c.one)
+    return linalg.det([[c[lam.part(i) - i + j] for j in range(1, r + 1)]
+                       for i in range(1, r + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -123,18 +124,6 @@ def delta_b(lam):
     return delta_det(lam, b_sequence(max(lam.size, 1)))
 
 
-def _chern_vars(m):
-    return tuple("c%d" % i for i in range(1, m + 1))
-
-
-def chern_coeff_seq(m):
-    """CoeffSeq (1, c_1, ..., c_m) of formal Chern variables."""
-    names = _chern_vars(m)
-    values = [MultiPoly.constant(names, 1)]
-    values += [MultiPoly.variable(names, name) for name in names]
-    return CoeffSeq(values, pad=True)
-
-
 @lru_cache(maxsize=None)
 def todd_terms(m):
     """The pairs (lam, Delta_{lam'}(b)) over |lam| = m whose coefficient
@@ -144,7 +133,7 @@ def todd_terms(m):
 
 
 def todd_value(m, c):
-    """T_m(c_1..c_m) over the ring of the CoeffSeq c, by the determinantal
+    """T_m(c_1..c_m) at the rational CoeffSeq c, by the determinantal
     formula T_m = sum over |lam| = m of Delta_{lam'}(b) Delta_lam(c)."""
     if m == 0:
         return c.one
@@ -155,32 +144,56 @@ def todd_value(m, c):
 
 
 @lru_cache(maxsize=None)
+def power_sums(m):
+    """The power sums p_0 = m, p_1, ..., p_m of m Chern roots as
+    polynomials in formal c_1..c_m, by Newton's identities
+    p_k = (-1)^(k-1) k c_k + sum_{j<k} (-1)^(j-1) c_j p_{k-j}."""
+    names = tuple("c%d" % i for i in range(1, m + 1))
+    c = [MultiPoly.constant(names, 1)] + [MultiPoly.variable(names, x) for x in names]
+    p = [MultiPoly.constant(names, m)]
+    for k in range(1, m + 1):
+        acc = c[k] * ((-1) ** (k - 1) * k)
+        for j in range(1, k):
+            acc = acc + (-1) ** (j - 1) * (c[j] * p[k - j])
+        p.append(acc)
+    return tuple(p)
+
+
+@lru_cache(maxsize=None)
 def todd_poly(m):
-    """m-th Todd polynomial in formal c_1..c_m (todd_value over MultiPoly).
+    """m-th Todd polynomial in formal c_1..c_m.
+
+    The Todd class is the multiplicative sequence of
+    Q(t) = t/(1 - e^{-t}) = sum b_k t^k (Hirzebruch, Topological Methods
+    in Algebraic Geometry, section 1): with log Q = sum a_k t^k it is
+    exp(sum_k a_k p_k), whose graded parts satisfy
+    n T_n = sum_{k<=n} k a_k p_k T_{n-k}.  Differentiating log Q gives
+    k a_k = k b_k - sum_{j<k} j a_j b_{k-j}.
 
     T_1 = c1/2, T_2 = (c1^2 + c2)/12, T_3 = c1*c2/24, ...
     """
-    return todd_value(m, chern_coeff_seq(m))
+    p = power_sums(m)
+    b = b_sequence(m)
+    variables = p[0].variables
+    ka = [Fraction(0)]  # ka[k] = k a_k
+    todd = [MultiPoly.constant(variables, 1)]
+    for n in range(1, m + 1):
+        ka.append(n * b[n] - sum(ka[j] * b[n - j] for j in range(1, n)))
+        acc = MultiPoly.zero(variables)
+        for k in range(1, n + 1):
+            if ka[k]:  # a_k = 0 for odd k > 1
+                acc = acc + p[k] * ka[k] * todd[n - k]
+        todd.append(acc * Fraction(1, n))
+    return todd[m]
 
 
 @lru_cache(maxsize=None)
 def chern_character_poly(i):
-    """K_i = (i-th power sum in the Chern roots)/i!, in c_1..c_i.
-
-    Newton's identities convert power sums to elementary symmetric
-    functions, here the formal c_j.
-    """
+    """K_i = p_i/i!, the i-th power sum of the Chern roots over i!, in
+    c_1..c_i."""
     if i < 1:
         raise ValueError("defined for i >= 1")
-    names = _chern_vars(i)
-    e = chern_coeff_seq(i).values
-    p = [None] * (i + 1)
-    for k in range(1, i + 1):
-        acc = MultiPoly.constant(names, (-1) ** (k - 1) * k) * e[k]
-        for j in range(1, k):
-            acc = acc + (-1) ** (j - 1) * (e[j] * p[k - j])
-        p[k] = acc
-    return p[i] * Fraction(1, math.factorial(i))
+    return power_sums(i)[i] * Fraction(1, math.factorial(i))
 
 
 def complete_homogeneous_values(gamma, upto):

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: the b-sequence
 comes from long division of power series, the Todd polynomials from
 the graded parts of a product of one-variable series rewritten in the
-elementary symmetric basis, the zero count of a staircase from the box
+elementary symmetric basis, determinants over any commutative ring
+(truncated series, polynomials) from a division-free expansion over
+column subsets, the zero count of a staircase from the box
 under its pure powers, the derivatives of a polynomial in adapted
 coordinates from substituting the change of coordinates symbolically.
 """
@@ -91,6 +93,49 @@ def todd_direct(m):
         prod = _mul_trunc(prod, fi, m)
     graded = MultiPoly(tvars, {e: c for e, c in prod.terms.items() if sum(e) == m})
     return symmetric_to_elementary(graded, tvars, cvars)
+
+
+def ring_det(rows, one):
+    """Division-free determinant over any commutative ring, by expansion
+    over column subsets (O(n 2^n) ring products); one is the ring one."""
+    n = len(rows)
+    # state: column subset (bitmask) -> minor determinant of the first
+    # popcount(mask) rows on those columns
+    states = {0: one}
+    for i in range(n):
+        new = {}
+        for mask, val in states.items():
+            # sign of placing row i at column j is (-1)^(used columns > j)
+            sign = 1
+            for j in range(n - 1, -1, -1):
+                bit = 1 << j
+                if mask & bit:
+                    sign = -sign
+                    continue
+                contrib = val * rows[i][j] if sign > 0 else -(val * rows[i][j])
+                m2 = mask | bit
+                new[m2] = new[m2] + contrib if m2 in new else contrib
+        states = new
+    return states.get((1 << n) - 1, one - one)
+
+
+def ring_delta(lam, c):
+    """Delta_lam(c) = det(c_{lam_i - i + j}) over the ring of c[0], the
+    ring one, with c_i zero for i < 0 and past the list c, by ring_det."""
+    zero = c[0] - c[0]
+
+    def entry(k):
+        return c[k] if 0 <= k < len(c) else zero
+
+    r = lam.length
+    return ring_det([[entry(lam.part(i) - i + j) for j in range(1, r + 1)]
+                     for i in range(1, r + 1)], c[0])
+
+
+def formal_chern(m):
+    """[1, c_1, ..., c_m] as polynomials in the variables c1..cm."""
+    cvars = tuple("c%d" % i for i in range(1, m + 1))
+    return [MultiPoly.constant(cvars, 1)] + [MultiPoly.variable(cvars, v) for v in cvars]
 
 
 def normal_form_by_scan(f, divisors, order):

@@ -17,8 +17,9 @@ from hilbertpoly.chern import (
     ci_grid,
     ci_hilbert_series_oracle,
     euler_top,
+    character_table,
     generic_ci_ideal,
-    hilbert_poly_characters,
+    hilbert_poly_from_characters,
     hilbert_poly_hrr,
     projective_character,
 )
@@ -42,6 +43,7 @@ from hilbertpoly.symfun import (
     scaling_factor,
     schur_eval,
     todd_poly,
+    todd_terms,
 )
 from hilbertpoly.transversality import (
     Flag,
@@ -54,7 +56,7 @@ from hilbertpoly.transversality import (
     transversal_at,
 )
 
-from oracles import b_prefix_by_inversion, todd_direct
+from oracles import b_prefix_by_inversion, formal_chern, ring_delta, todd_direct
 
 
 @contextmanager
@@ -71,13 +73,20 @@ def criterion(number, budget_seconds, description):
 
 
 def test_acceptance_1_todd_polynomials():
-    with criterion(1, 1.0, "Todd polynomials: closed values and the "
-                           "determinant formula vs direct graded parts, m <= 6"):
+    with criterion(1, 1.0, "Todd polynomials: closed values, and the "
+                           "determinant formula and the recurrence vs "
+                           "direct graded parts, m <= 6"):
         assert todd_poly(1) == parse_poly("1/2*c1", ("c1",))
         assert todd_poly(2) == parse_poly("1/12*c1^2 + 1/12*c2", ("c1", "c2"))
         assert todd_poly(3) == parse_poly("1/24*c1*c2", ("c1", "c2", "c3"))
         for m in range(7):
-            assert todd_poly(m) == todd_direct(m)
+            direct = todd_direct(m)
+            c = formal_chern(m)
+            # the determinantal formula over formal c_1..c_m
+            formula = sum((coeff * ring_delta(lam, c) for lam, coeff in todd_terms(m)),
+                          c[0] - c[0])
+            assert formula == direct
+            assert todd_poly(m) == direct
 
 
 def test_acceptance_2_bernoulli_routes():
@@ -112,7 +121,7 @@ def test_acceptance_3_three_way_hilbert_agreement():
         for ci in grid:
             oracle = ci_hilbert_series_oracle(ci)
             assert hilbert_poly_hrr(ci) == oracle
-            assert hilbert_poly_characters(ci) == oracle
+            assert hilbert_poly_from_characters(ci, character_table(ci)) == oracle
         subgrid = _subgrid_cases()
         assert len(subgrid) == 20
         for ci in subgrid:
@@ -125,7 +134,8 @@ def test_acceptance_4_plane_curves():
                            "topological Euler characteristic"):
         for d in range(1, 7):
             ci = CompleteIntersection(2, (d,))
-            p = hilbert_poly_characters(ci)
+            p = hilbert_poly_from_characters(ci, character_table(ci))
+            assert p == hilbert_poly_hrr(ci)
             genus = (d - 1) * (d - 2) // 2
             assert p.coefficient(0) == Fraction(d * (3 - d), 2)
             assert -(p.coefficient(0) - 1) == genus
@@ -146,7 +156,8 @@ def test_acceptance_6_integrality():
     with criterion(6, 5.0, "scaled integrality of Hilbert coefficients on "
                            "the grid and of Delta_lambda(b), |lambda| <= 8"):
         for ci in ci_grid(6, 3, 4):
-            p = hilbert_poly_characters(ci)
+            p = hilbert_poly_from_characters(ci, character_table(ci))
+            assert p == hilbert_poly_hrr(ci)
             for k in range(ci.m + 1):
                 scaled = scaling_factor(k, ci.m) * math.factorial(k) * p.coefficient(k)
                 assert scaled.denominator == 1, (ci, k)

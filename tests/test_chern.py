@@ -14,17 +14,23 @@ from hilbertpoly.chern import (
     euler_char_twist,
     euler_top,
     generic_ci_ideal,
-    hilbert_poly_characters,
+    hilbert_poly_from_characters,
     hilbert_poly_hrr,
     projective_character,
     todd_class,
 )
 from hilbertpoly.grobner import hilbert_data
 from hilbertpoly.partitions import Partition, enumerate_partitions
-from hilbertpoly.symfun import CoeffSeq, d_coeff, delta_coeff, delta_det, todd_poly
+from hilbertpoly.symfun import d_coeff, delta_coeff, todd_poly
+
+from oracles import ring_delta
 
 
 CI = CompleteIntersection
+
+
+def characters_route(ci):
+    return hilbert_poly_from_characters(ci, character_table(ci))
 
 
 def test_ci_validation():
@@ -110,13 +116,13 @@ def test_character_size_guard():
 
 def test_hilbert_poly_characters_plane_curves():
     for d in range(1, 7):
-        p = hilbert_poly_characters(CI(2, (d,)))
+        p = characters_route(CI(2, (d,)))
         assert p.coefficient(0) == Fraction(d * (3 - d), 2)
         assert p.coefficient(1) == d
 
 
 def test_hilbert_poly_characters_quadric_surface():
-    assert hilbert_poly_characters(CI(3, (2,))) == UniPoly([1, 2, 1])
+    assert characters_route(CI(3, (2,))) == UniPoly([1, 2, 1])
 
 
 def test_curve_p0_from_characters_directly():
@@ -124,9 +130,10 @@ def test_curve_p0_from_characters_directly():
     for ci in (CI(2, (4,)), CI(3, (2, 2)), CI(4, (2, 1, 3))):
         if ci.m != 1:
             continue
-        p0 = hilbert_poly_characters(ci).coefficient(0)
+        p = characters_route(ci)
         expected = ci.degree - Fraction(1, 2) * projective_character(ci, Partition([1]))
-        assert p0 == expected
+        assert p.coefficient(0) == expected
+        assert p == hilbert_poly_hrr(ci)
 
 
 def test_euler_top_examples():
@@ -148,7 +155,7 @@ def test_three_way_agreement_small_grid():
     for ci in ci_grid(4, 2, 3):
         oracle = ci_hilbert_series_oracle(ci)
         assert hilbert_poly_hrr(ci) == oracle
-        assert hilbert_poly_characters(ci) == oracle
+        assert characters_route(ci) == oracle
 
 
 def test_twist_values_match_polynomial_at_all_integers():
@@ -184,11 +191,10 @@ def test_tensor_lemma_numeric_identity():
         values = [TruncSeries.one(K)]
         values += [TruncSeries.monomial(K, i, tangent.coefficient(i))
                    for i in range(1, K)]
-        cseq = CoeffSeq(values, pad=True)
         chars = character_table(ci)
         for size in range(ci.m + 1):
             for lam in enumerate_partitions(size):
-                det = delta_det(lam.conjugate(), cseq)
+                det = ring_delta(lam.conjugate(), values)
                 lhs = det[lam.size] * ci.degree
                 rhs = Fraction(0)
                 for j in range(size + 1):
@@ -213,8 +219,10 @@ def test_grobner_cross_check_one_case():
 
 
 def test_todd_class_matches_symbolic_todd_polynomials():
-    # the scalar Todd class against the symbolic Todd polynomials with
-    # the tangent classes c_j h^j substituted (m <= 8 on this grid)
+    # the Todd class (the determinantal formula at the tangent Chern
+    # numbers) against the Todd polynomials of the multiplicative-
+    # sequence recurrence with the tangent classes c_j h^j substituted
+    # (m <= 8 on this grid)
     for ci in ci_grid(8, 3, 4):
         K = ci.m + 1
         c = chern_tangent(ci)
@@ -237,5 +245,5 @@ def test_projective_character_matches_series_determinant():
             entries = [TruncSeries.one(K)]
             entries += [TruncSeries.monomial(K, i, normal[i]) if i < K
                         else TruncSeries.zero(K) for i in range(1, upto + 1)]
-            det = delta_det(mu, CoeffSeq(entries, pad=True))
+            det = ring_delta(mu, entries)
             assert value == det[mu.size] * ci.degree, (ci, mu)

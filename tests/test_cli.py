@@ -20,6 +20,8 @@ from hilbertpoly.cli import (
     MAX_SERIES_DEGREE,
     main,
 )
+from hilbertpoly.reductions import BRUTEFORCE_MAX_VARS, dimacs_text, parse_dimacs
+from hilbertpoly.symfun import b_sequence
 
 
 def run_cli(*argv):
@@ -221,6 +223,40 @@ def test_trans_with_a_flag_file(tmp_path):
     code, report = run_json("--seed", "7", "trans", str(inst), "1,1,1", "[1]")
     assert code == EXIT_OK
     assert report["flag"]["source"] == "seed" and report["flag"]["file"] is None
+
+
+def test_trans_point_with_a_leading_minus_follows_double_dash(tmp_path, capsys):
+    # argparse takes -1,-1,-1 for an option; after -- it is the point,
+    # and a projective point and its negative give one report
+    inst = tmp_path / "conic.ideal"
+    inst.write_text(CONIC)
+    code, out = run_cli("trans", str(inst), "-1,-1,-1", "[1]")
+    assert code == EXIT_PARSE and out == ""
+    assert json.loads(capsys.readouterr().err)["error"] == "parse"
+    negative = run_cli("trans", str(inst), "--", "-1,-1,-1", "[1]")
+    assert negative[0] == EXIT_OK
+    assert negative == run_cli("trans", str(inst), "1,1,1", "[1]")
+
+
+def test_reduce_sat_without_variables(tmp_path):
+    # the empty formula has one model, the empty assignment; with an
+    # empty clause it has none
+    cnf = tmp_path / "empty.cnf"
+    for text, count in (("p cnf 0 0\n", 1), ("p cnf 0 1\n0\n", 0)):
+        cnf.write_text(text)
+        code, report = run_json("reduce-sat", str(cnf))
+        assert code == EXIT_OK and report["agree"] is True
+        assert report["count_bruteforce"] == report["zero_dim_count"] == count
+
+
+def test_reduce_sat_negative_variable_count_is_parse_error(tmp_path, capsys):
+    cnf = tmp_path / "neg.cnf"
+    cnf.write_text("p cnf -3 0\n")
+    code, out = run_cli("reduce-sat", str(cnf))
+    assert code == EXIT_PARSE and out == ""
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse"
+    assert err["detail"] == "number of variables must be >= 0, got -3"
 
 
 @pytest.mark.parametrize("text, detail", [
@@ -538,15 +574,24 @@ def test_delta_cap_on_m(monkeypatch, capsys):
 
 
 def test_todd_cap_on_m(monkeypatch, capsys):
-    # the symbolic Todd polynomial at the cap takes seconds; a stand-in
-    # shows that the cap lets it through
     cap = MAX_M["todd"]
-    monkeypatch.setattr(cli, "todd_poly", lambda m: cli.parse_poly("c%d" % m, ("c%d" % m,)))
     code, report = run_json("todd", str(cap))
-    assert code == EXIT_OK and report["todd"] == "c%d" % cap
+    assert code == EXIT_OK and report["m"] == cap
+    # at c_1 = t and c_j = 0 for j > 1 (a line bundle) T_m is b_m t^m
+    todd = cli.parse_poly(report["todd"], tuple("c%d" % i for i in range(1, cap + 1)))
+    assert todd.terms[(cap,) + (0,) * (cap - 1)] == b_sequence(cap)[cap]
     monkeypatch.setattr(cli, "todd_poly", _no_work)
     assert "m <= %d" % cap in _refused(capsys, "todd", str(cap + 1))
     _refused(capsys, "todd", str(10 ** 30))
+
+
+def test_reduce_sat_cap_on_variables(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sat_to_ideal", _no_work)
+    cnf = tmp_path / "big.cnf"
+    for num_vars in (BRUTEFORCE_MAX_VARS + 1, 4000, 10 ** 30):
+        cnf.write_text("p cnf %d 0\n" % num_vars)
+        detail = _refused(capsys, "reduce-sat", str(cnf))
+        assert "at most %d variables, got %d" % (BRUTEFORCE_MAX_VARS, num_vars) in detail
 
 
 # -- fuzzing the closed-form commands
@@ -701,3 +746,65 @@ def test_poly_parser_raises_only_value_errors(text, variables):
         return
     # the text format round-trips
     assert parse_poly(poly.to_text(), poly.variables) == poly
+
+
+# -- fuzzing reduce-sat and the DIMACS parser
+
+def _clause_lines(n):
+    """Lines of literals of n variables (0 ends a clause), most of them
+    with the closing 0."""
+    line = st.tuples(st.lists(st.integers(-n, n).map(str), max_size=4),
+                     st.sampled_from([" 0", " 0", "", "0"]))
+    return line.map(lambda t: " ".join(t[0]) + t[1])
+
+
+_JUNK_LINE = st.sampled_from(["x", "1 x 0", "--1 0", "1.0 0", "9" * 5000 + " 0", "\u0663 0",
+                              "+2 0", "5 0", "c comment", "%", "-", "0 0 0"])
+_SIZED_CNF = st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.just("p cnf %d 0" % n),
+    st.lists(st.one_of(_clause_lines(n), _clause_lines(n), _JUNK_LINE), max_size=5)))
+_ODD_CNF = st.tuples(
+    st.sampled_from(["p cnf -3 0", "p cnf -0 0", "p cnf %d 0" % (BRUTEFORCE_MAX_VARS + 1),
+                     "p cnf 4000 0", "p cnf %d 0" % 10 ** 30, "p cnf 10**30 0", "p cnf 3",
+                     "p dnf 3 0", "p cnf x 0", "p cnf 3 2 0", "", "c only"]),
+    st.lists(st.one_of(_clause_lines(3), _JUNK_LINE), max_size=3))
+# DIMACS-shaped texts: a header, then mostly clause lines
+_CNF = st.one_of(_SIZED_CNF, _SIZED_CNF, _ODD_CNF).map(
+    lambda parts: "\n".join([parts[0], *parts[1]]) + "\n")
+
+
+@given(st.one_of(_CNF, st.text(alphabet=" \n0123456789-+pcnf%x", max_size=60)))
+@settings(max_examples=300, deadline=None)
+def test_dimacs_parser_raises_only_value_errors(text):
+    try:
+        phi = parse_dimacs(text)
+    except ValueError:
+        return
+    assert phi.num_vars >= 0
+    assert all(0 < abs(lit) <= phi.num_vars for clause in phi.clauses for lit in clause)
+    # the normalised formula round-trips through the text format
+    assert parse_dimacs(dimacs_text(phi)) == phi
+
+
+@given(_CNF, st.sampled_from([[], ["--output", "text"], ["--max-basis", "3"]]))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_reduce_sat_never_raises(tmp_path_factory, text, options):
+    # every report must agree: a disagreement report (exit 2 with output)
+    # fails below, as exit 2 may only come with the cross-check error
+    path = tmp_path_factory.mktemp("sat") / "f.cnf"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(options + ["reduce-sat", str(path)])
+    event("exit %d" % code)
+    assert code in (EXIT_OK, EXIT_DISAGREE, EXIT_RESOURCE, EXIT_PARSE)
+    if code == EXIT_OK:
+        assert out.getvalue() and err.getvalue() == ""
+        if options[:1] != ["--output"]:
+            assert json.loads(out.getvalue())["agree"] is True
+    else:
+        assert out.getvalue() == ""
+        error = json.loads(err.getvalue())["error"]
+        assert error == {EXIT_DISAGREE: "cross-check", EXIT_RESOURCE: "resource-cap",
+                         EXIT_PARSE: "parse"}[code]

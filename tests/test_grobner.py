@@ -480,6 +480,16 @@ def test_count_positive_dimensional_is_infinite():
     assert count_zero_dim(polys("x y", "x*y")) == INFINITE
 
 
+def test_count_empty_system():
+    # no equations: the point of affine 0-space, or all of a larger space
+    assert count_zero_dim([], nvars=0) == 1
+    assert count_zero_dim([MultiPoly.zero(())]) == 1
+    assert count_zero_dim([MultiPoly.constant((), 1)]) == 0
+    assert count_zero_dim([], nvars=2) == INFINITE
+    assert count_zero_dim([]) == INFINITE
+    assert count_zero_dim([MultiPoly.zero(("x",))], nvars=0) == INFINITE
+
+
 def test_count_product_system():
     assert count_zero_dim(polys("x y", "x^2 - 1", "y^3 - y")) == 6
 

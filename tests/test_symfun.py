@@ -18,12 +18,14 @@ from hilbertpoly.symfun import (
     delta_det,
     delta_table,
     elementary_symmetric_values,
+    power_sums,
     scaling_factor,
     schur_eval,
     todd_poly,
+    todd_terms,
 )
 
-from oracles import b_prefix_by_inversion, todd_direct
+from oracles import b_prefix_by_inversion, formal_chern, ring_delta, todd_direct
 
 
 def C(*values):
@@ -159,6 +161,26 @@ def test_todd_first_three():
 @pytest.mark.parametrize("m", range(7))
 def test_todd_matches_direct_definition(m):
     assert todd_poly(m) == todd_direct(m)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_todd_recurrence_matches_determinant_formula(m):
+    # the determinantal formula sum Delta_{lam'}(b) Delta_lam(c), expanded
+    # over formal c_1..c_m with the division-free oracle determinant
+    c = formal_chern(m)
+    formula = sum((coeff * ring_delta(lam, c) for lam, coeff in todd_terms(m)), c[0] - c[0])
+    assert todd_poly(m) == formula
+
+
+def test_power_sums_at_roots():
+    # substituting c_j = e_j(gamma) gives the power sums of the points gamma
+    rng = random.Random(17)
+    for m in range(7):
+        gamma = rational_seq(rng, m)
+        e = elementary_symmetric_values(gamma, m)
+        values = {"c%d" % j: e[j] for j in range(1, m + 1)}
+        for k, p in enumerate(power_sums(m)):
+            assert p.substitute(values) == sum(g ** k for g in gamma), (m, k)
 
 
 def test_chern_character_first_two():
