@@ -202,25 +202,6 @@ class MultiPoly:
             total += t
         return total
 
-    def substitute(self, mapping):
-        """Substitute every variable by a value from any commutative ring.
-
-        Values must support +, * and ** with Fractions mixed in; the
-        result is whatever ring the values live in (a plain Fraction
-        when the polynomial is constant or zero).
-        """
-        missing = [v for v in self.variables if v not in mapping]
-        if missing:
-            raise ValueError("no substitution value for %r" % missing)
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            t = c
-            for name, e in zip(self.variables, exp):
-                if e:
-                    t = t * mapping[name] ** e
-            total = total + t
-        return total
-
     def set_variable(self, name, value):
         """Fix one variable to a rational value; drops it from the list."""
         i = self.variables.index(name)
@@ -587,18 +568,6 @@ class TruncSeries:
         return TruncSeries(K, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a natural number")
-        result = TruncSeries.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def inverse(self):
         """Multiplicative inverse modulo h^K; needs a nonzero constant term."""

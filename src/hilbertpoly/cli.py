@@ -12,7 +12,8 @@ negative cap) are parse errors, with the JSON error "parse" on stderr;
 exits 2, with the JSON error "cross-check" on stderr and no report.  The
 closed-form commands ci, characters, delta and todd refuse an m above
 MAX_M, ci a series degree above MAX_SERIES_DEGREE, and reduce-sat a
-formula of more than BRUTEFORCE_MAX_VARS variables, before doing any
+formula of more than BRUTEFORCE_MAX_VARS variables or with a clause of
+more than MAX_CLAUSE_POSITIVES positive literals, before doing any
 work: exit 3, with the JSON error "resource-cap".  So does trans for an
 input polynomial of degree above --max-degree; without --m it takes the
 dimension from the Hilbert polynomial, under both Groebner caps.

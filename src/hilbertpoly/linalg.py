@@ -1,11 +1,15 @@
 """Exact linear algebra over Q: rank, determinant, solve, kernel, RREF,
-and an integer check of a claimed inverse.
+products, and an integer check of a claimed inverse.
 
-Matrices are lists of rows whose entries are ints or Fractions.  There
-are two eliminations: rank and det share one fraction-free Bareiss
-elimination over integer rows (each row's denominators cleared first),
-and rref is the one Gauss-Jordan elimination, which solve and inverse
-run on the augmented matrix and kernel on the matrix itself.
+Matrices are lists of rows whose entries are ints or Fractions.  Every
+elimination and product works on integer rows, each row's denominators
+cleared first, and builds each rational it returns with one Fraction.
+There are two eliminations: rank and det share one fraction-free
+Bareiss elimination (Bareiss 1968), and rref is the one Gauss-Jordan
+elimination, also fraction-free, which solve and inverse run on the
+augmented matrix and kernel on the matrix itself.  mat_mul and
+is_inverse take integer dot products of cleared rows and cleared
+columns.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-
-from .arith import frac
 
 
 def _cleared(rows):
@@ -74,9 +76,13 @@ def det(rows):
 
 
 def rref(rows):
-    """Reduced row echelon form by Gauss-Jordan elimination; returns
-    (matrix, pivot column list)."""
-    a = [[frac(x) for x in row] for row in rows]
+    """Reduced row echelon form by fraction-free Gauss-Jordan elimination
+    over the cleared integer rows; returns (matrix, pivot column list).
+
+    Each step replaces row i by p row_i - f row_r (p the pivot, f the
+    entry of row i in the pivot column) and divides it by its content;
+    each pivot row is divided by its pivot once, at the end."""
+    a = _cleared(rows)[0]
     nr, nc = len(a), len(a[0]) if a else 0
     pivots = []
     for col in range(nc):
@@ -87,14 +93,19 @@ def rref(rows):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][col]
-        a[r] = [x * inv for x in a[r]]
+        prow = a[r]
+        p = prow[col]
         for i in range(nr):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][col]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(a[i], prow)]
+                # a row that cancels to zero has content 0
+                g = math.gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
-    return a, pivots
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)]
+    red += [[Fraction(0)] * nc for _ in range(nr - len(pivots))]
+    return red, pivots
 
 
 def kernel(rows, ncols=None):
@@ -152,8 +163,12 @@ def is_inverse(a, b):
 
 
 def mat_mul(a, b):
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
-             for col in zip(*b)] for row in a]
+    """Product of rational matrices in integers: row i of a and column j
+    of b, cleared of denominators d_i and e_j, give the entry
+    (row . column) / (d_i e_j)."""
+    (rows, ds), (cols, es) = _cleared(a), _cleared(zip(*b))
+    return [[Fraction(sum(map(operator.mul, r, c)), d * e) for c, e in zip(cols, es)]
+            for r, d in zip(rows, ds)]
 
 
 def transpose(a):

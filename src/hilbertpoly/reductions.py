@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import ANY_DEGREE, CrossCheckFailed, MultiPoly, UniPoly
-from .grobner import HomIdeal, hilbert_data
+from .grobner import HomIdeal, ResourceCapExceeded, hilbert_data
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,11 @@ def dimacs_text(phi):
     return "\n".join(out) + "\n"
 
 
+# a clause of k positive literals expands to 2^k terms; sat_to_ideal
+# refuses k above this, 4096 terms, before it forms any product
+MAX_CLAUSE_POSITIVES = 12
+
+
 def sat_to_ideal(phi):
     """Homogeneous ideal in x0..xn whose projective zero set is in
     bijection with the satisfying assignments of phi.
@@ -96,7 +101,15 @@ def sat_to_ideal(phi):
     expanded homogenized clause products (x0 - x_i for a positive
     literal, x_i for a negative one).  The Jacobian of the square
     relations makes the rank condition hold with m = 0 at every zero.
+    A clause of more than MAX_CLAUSE_POSITIVES positive literals raises
+    ResourceCapExceeded before anything is built.
     """
+    for clause in phi.clauses:
+        positives = sum(lit > 0 for lit in clause)
+        if positives > MAX_CLAUSE_POSITIVES:
+            raise ResourceCapExceeded(
+                "a clause of %d positive literals expands to 2^%d terms; at most 2^%d"
+                % (positives, positives, MAX_CLAUSE_POSITIVES))
     n = phi.num_vars
     variables = tuple("x%d" % i for i in range(n + 1))
     gens = []

@@ -18,6 +18,10 @@ second derivatives span the image of the Gauss differential;
 transversality holds when they fill the chart directions complementary
 to the cell.
 
+The partials behind J(x) and H_f(x) are polynomials built once per
+InputInstance and cached on it (gradients, hessians), so a second
+report on the same instance, at any point and flag, only evaluates them.
+
 The decision is exposed as separate pieces (smoothness, cell
 membership, the tangency verdict) rather than as one bare implication,
 so callers see which hypothesis failed.
@@ -28,6 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .arith import CrossCheckFailed, frac
@@ -54,11 +59,11 @@ class Flag:
             raise ValueError("inverse is not the inverse of the flag basis")
         if len(self.dual_matrix) != n:
             raise ValueError("dual matrix must have n rows")
-        cols = linalg.transpose(self.basis)
-        for i, row in enumerate(self.dual_matrix):
-            for k in range(n - i):
-                if sum(a * b for a, b in zip(row, cols[k])) != 0:
-                    raise ValueError("dual row %d does not annihilate F_%d" % (i, n - 1 - i))
+        # entry (i, k) of dual . basis is dual row i at l_k, which must
+        # vanish for k < n - i
+        for i, row in enumerate(linalg.mat_mul(self.dual_matrix, self.basis)):
+            if any(row[:n - i]):
+                raise ValueError("dual row %d does not annihilate F_%d" % (i, n - 1 - i))
 
     @property
     def n(self):
@@ -97,7 +102,10 @@ def random_flag(n, seed):
 @dataclass(frozen=True)
 class InputInstance:
     """Homogeneous system f_1..f_r in x0..xn whose m-dimensional locus
-    is the variety under study."""
+    is the variety under study.
+
+    The first and second partials of the f_i are built once per instance,
+    on first use; equality and hashing compare the fields only."""
 
     polys: tuple
     n: int
@@ -120,6 +128,17 @@ class InputInstance:
     @property
     def variables(self):
         return tuple("x%d" % i for i in range(self.n + 1))
+
+    @cached_property
+    def gradients(self):
+        """Row i holds the partials of f_i in x0..xn."""
+        return tuple(tuple(f.partial(v) for v in self.variables) for f in self.polys)
+
+    @cached_property
+    def hessians(self):
+        """Matrix i holds the second partials of f_i."""
+        return tuple(tuple(tuple(g.partial(v) for v in self.variables) for g in row)
+                     for row in self.gradients)
 
 
 @dataclass(frozen=True)
@@ -151,15 +170,13 @@ def is_zero_of(inst, x):
     return all(f.eval_point(x) == 0 for f in inst.polys)
 
 
+def _at(polys, x):
+    """A matrix of polynomials evaluated at x."""
+    return [[g.eval_point(x) for g in row] for row in polys]
+
+
 def jacobian_at(inst, x):
-    return [[f.partial(v).eval_point(x) for v in inst.variables]
-            for f in inst.polys]
-
-
-def hessian_at(f, x):
-    """Matrix of second partials of the polynomial f at x."""
-    grads = [f.partial(v) for v in f.variables]
-    return [[g.partial(v).eval_point(x) for v in f.variables] for g in grads]
+    return _at(inst.gradients, x)
 
 
 def _zero(inst, x):
@@ -341,7 +358,7 @@ def transversality_report(inst, x, flag, mu):
     U = linalg.mat_mul(L, [[int(i == a) for a in range(m + 1)] for i in range(m + 1)] + H1)
     rhs = []
     for s in rows_pick:
-        HU = linalg.mat_mul(hessian_at(inst.polys[s], x), U)
+        HU = linalg.mat_mul(_at(inst.hessians[s], x), U)
         rhs.append([-v for row in linalg.mat_mul(linalg.transpose(U), HU) for v in row])
     second = linalg.mat_mul(J2inv, rhs)
     # the cell's tangent directions are the unit matrices at the free

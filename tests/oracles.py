@@ -7,8 +7,9 @@ elementary symmetric basis, determinants over any commutative ring
 (truncated series, polynomials) from a division-free expansion over
 column subsets, the zero count of a staircase from the box
 under its pure powers, the derivatives of a polynomial in adapted
-coordinates from substituting the change of coordinates symbolically.
-"""
+coordinates from substituting the change of coordinates symbolically,
+and the reduced row echelon form from Gauss-Jordan elimination in
+Fraction arithmetic."""
 
 import itertools
 import math
@@ -233,10 +234,69 @@ def substituted_derivatives(f, L, x):
     lin = {f.variables[i]: sum((L[i][k] * MultiPoly.variable(zvars, zvars[k])
                                 for k in range(n + 1)), MultiPoly.zero(zvars))
            for i in range(n + 1)}
-    fz = f.substitute(lin)
+    fz = substitute(f, lin)
     if not isinstance(fz, MultiPoly):  # a constant f substitutes to a Fraction
         fz = MultiPoly.constant(zvars, fz)
     z = solve(L, list(x))
     grad = [fz.partial(v).eval_point(z) for v in zvars]
     hess = [[fz.partial(v).partial(w).eval_point(z) for w in zvars] for v in zvars]
     return grad, hess
+
+
+def series_pow(s, n):
+    """s^n for a truncated series s and a natural number n, by repeated
+    squaring."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a natural number")
+    result = TruncSeries.one(s.order)
+    base = s
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
+def substitute(f, mapping):
+    """Substitute every variable of the polynomial f by a value from any
+    commutative ring: Fractions, truncated series or polynomials.  The
+    result lives in the ring of the values (a plain Fraction when f is
+    constant or zero)."""
+    missing = [v for v in f.variables if v not in mapping]
+    if missing:
+        raise ValueError("no substitution value for %r" % missing)
+    total = Fraction(0)
+    for exp, c in f.terms.items():
+        t = c
+        for name, e in zip(f.variables, exp):
+            if e:
+                v = mapping[name]
+                t = t * (series_pow(v, e) if isinstance(v, TruncSeries) else v ** e)
+        total = total + t
+    return total
+
+
+def rref_by_fractions(rows):
+    """Reduced row echelon form and pivot columns by Gauss-Jordan
+    elimination in Fraction arithmetic: scale each pivot row to a leading
+    1, then clear its column in every other row."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    nr, nc = len(a), len(a[0]) if a else 0
+    pivots = []
+    for col in range(nc):
+        r = len(pivots)
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][col]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nr):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots

@@ -13,6 +13,7 @@ from hilbertpoly.arith import (
     binom_poly,
     parse_poly,
 )
+from oracles import substitute
 
 XY = ("x", "y")
 
@@ -63,8 +64,11 @@ def test_set_variable_dehomogenizes():
 def test_substitute_into_series_ring():
     f = P("x*y + 2*x")
     s = TruncSeries.from_coeffs(3, [0, 1])  # h
-    val = f.substitute({"x": s, "y": s})
+    val = substitute(f, {"x": s, "y": s})
     assert val == TruncSeries.from_coeffs(3, [0, 2, 1])
+    # powers of a series value: (1 + h)^3 = 1 + 3h + 3h^2 mod h^3
+    one_plus_h = TruncSeries.from_coeffs(3, [1, 1])
+    assert substitute(P("x^3"), {"x": one_plus_h, "y": s}) == TruncSeries(3, [1, 3, 3])
 
 
 small_fraction = st.fractions(

@@ -23,7 +23,7 @@ from hilbertpoly.grobner import hilbert_data
 from hilbertpoly.partitions import Partition, enumerate_partitions
 from hilbertpoly.symfun import d_coeff, delta_coeff, todd_poly
 
-from oracles import ring_delta
+from oracles import ring_delta, substitute
 
 
 CI = CompleteIntersection
@@ -231,7 +231,7 @@ def test_todd_class_matches_symbolic_todd_polynomials():
         for i in range(1, K):
             values = {"c%d" % j: TruncSeries.monomial(K, j, c.coefficient(j))
                       for j in range(1, i + 1)}
-            assert td[i] == todd_poly(i).substitute(values)[i], (ci, i)
+            assert td[i] == substitute(todd_poly(i), values)[i], (ci, i)
 
 
 def test_projective_character_matches_series_determinant():

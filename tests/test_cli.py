@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, event, given, settings
 
 import hilbertpoly
 from hilbertpoly import cli
+from hilbertpoly.arith import MultiPoly
 from hilbertpoly.cli import (
     EXIT_DISAGREE,
     EXIT_OK,
@@ -20,7 +21,12 @@ from hilbertpoly.cli import (
     MAX_SERIES_DEGREE,
     main,
 )
-from hilbertpoly.reductions import BRUTEFORCE_MAX_VARS, dimacs_text, parse_dimacs
+from hilbertpoly.reductions import (
+    BRUTEFORCE_MAX_VARS,
+    MAX_CLAUSE_POSITIVES,
+    dimacs_text,
+    parse_dimacs,
+)
 from hilbertpoly.symfun import b_sequence
 
 
@@ -592,6 +598,19 @@ def test_reduce_sat_cap_on_variables(tmp_path, monkeypatch, capsys):
         cnf.write_text("p cnf %d 0\n" % num_vars)
         detail = _refused(capsys, "reduce-sat", str(cnf))
         assert "at most %d variables, got %d" % (BRUTEFORCE_MAX_VARS, num_vars) in detail
+
+
+def test_reduce_sat_cap_on_clause_expansion(tmp_path, monkeypatch, capsys):
+    # one clause of 16 positive literals would expand to 2^16 terms
+    built = []
+    real = MultiPoly.__init__
+    monkeypatch.setattr(MultiPoly, "__init__",
+                        lambda self, *args: built.append(1) or real(self, *args))
+    cnf = tmp_path / "wide.cnf"
+    cnf.write_text("p cnf 16 1\n%s 0\n" % " ".join(str(i) for i in range(1, 17)))
+    detail = _refused(capsys, "reduce-sat", str(cnf))
+    assert "16 positive literals" in detail and "at most 2^%d" % MAX_CLAUSE_POSITIVES in detail
+    assert built == []
 
 
 # -- fuzzing the closed-form commands

@@ -12,9 +12,11 @@ from hilbertpoly.linalg import (
     kernel,
     mat_mul,
     rank,
+    rref,
     solve,
     transpose,
 )
+from oracles import rref_by_fractions
 
 # small integers make exact dependences (and so singular matrices) common
 entries = st.one_of(st.integers(-2, 2).map(Fraction),
@@ -93,7 +95,31 @@ def test_solve_and_inverse_of_nonsingular(a, rhs):
     b = rhs[:n]
     x = solve(a, b)
     assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
-    assert mat_mul(a, inverse(a)) == identity(n)
+    inv = inverse(a)
+    assert mat_mul(a, inv) == identity(n)
+    assert is_inverse(a, inv)
+
+
+@given(st.one_of(matrices(), singular_squares()))
+@settings(max_examples=100, deadline=None)
+def test_rref_matches_fraction_gauss_jordan(a):
+    # matrices() draws empty shapes too: no rows, and rows of no entries
+    assert rref(a) == rref_by_fractions(a)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_mat_mul_matches_triple_loop(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(st.just(len(a[0]) if a else 0)))
+    # a b without rows has no columns either
+    ncols = len(b[0]) if b else 0
+    naive = [[Fraction(0)] * ncols for _ in a]
+    for i, row in enumerate(a):
+        for j in range(ncols):
+            for k, x in enumerate(row):
+                naive[i][j] += x * b[k][j]
+    assert mat_mul(a, b) == naive
 
 
 @given(squares(), squares())
@@ -125,6 +151,18 @@ def test_singular_matrix_raises(a):
         solve(a, [Fraction(1)] * len(a))
     with pytest.raises(ValueError, match="singular matrix"):
         inverse(a)
+
+
+def test_zero_row_and_rank_deficient_inverse_are_singular():
+    # a row that cancels to zero in the elimination has content 0
+    for a in ([[1, 2], [0, 0]], [[0, 0], [1, 2]], [[1, 2], [2, 4]],
+              [[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 3]]):
+        with pytest.raises(ValueError, match="singular matrix"):
+            inverse(a)
+        with pytest.raises(ValueError, match="singular matrix"):
+            solve(a, [1] * len(a))
+    assert rref([[1, 2], [2, 4], [0, 0]]) == (
+        [[1, 2], [0, 0], [0, 0]], [0])
 
 
 def test_empty_and_degenerate_shapes():

@@ -5,12 +5,14 @@ import pytest
 from hilbertpoly.arith import UniPoly, binom_poly, parse_poly
 from hilbertpoly.grobner import (
     HomIdeal,
+    ResourceCapExceeded,
     count_zero_dim,
     hilbert_data,
     in_ideal,
     membership_via_hilbert as him_decide,
 )
 from hilbertpoly.reductions import (
+    MAX_CLAUSE_POSITIVES,
     CnfFormula,
     GradedMatrix,
     count_sat_bruteforce,
@@ -31,6 +33,17 @@ def test_cnf_normalization():
         CnfFormula(num_vars=2, clauses=((3,),))
     with pytest.raises(ValueError):
         CnfFormula(num_vars=2, clauses=((0,),))
+
+
+def test_clause_expansion_cap():
+    k = MAX_CLAUSE_POSITIVES
+    wide = sat_to_ideal(CnfFormula(k, (tuple(range(1, k + 1)),)))
+    assert len(wide.generators[-1].terms) == 2 ** k
+    with pytest.raises(ResourceCapExceeded, match="%d positive literals" % (k + 1)):
+        sat_to_ideal(CnfFormula(k + 1, (tuple(range(1, k + 2)),)))
+    # negative literals are single variables and do not count
+    mixed = sat_to_ideal(CnfFormula(k + 4, ((*range(1, k + 1), *range(-k - 4, -k)),)))
+    assert len(mixed.generators[-1].terms) == 2 ** k
 
 
 def test_dimacs_roundtrip():

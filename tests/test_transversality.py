@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hilbertpoly import linalg
-from hilbertpoly.arith import TruncSeries, parse_poly
+from hilbertpoly.arith import MultiPoly, TruncSeries, parse_poly
 from hilbertpoly.linalg import det, mat_mul, rank, transpose
 from hilbertpoly.partitions import Partition, enumerate_partitions, jumps
 from hilbertpoly.transversality import (
@@ -14,7 +14,6 @@ from hilbertpoly.transversality import (
     cell_partition_of,
     dimension_jumps,
     gauss_point,
-    hessian_at,
     in_Q_lambda,
     in_cell,
     in_schubert_variety,
@@ -177,10 +176,33 @@ def test_chain_rule_derivatives_match_substitution():
                 if det(L) != 0:
                     break
             JL = mat_mul(jacobian_at(inst, x), L)
-            for f, row in zip(inst.polys, JL):
+            for f, row, hessian in zip(inst.polys, JL, inst.hessians):
                 grad, hess = substituted_derivatives(f, L, x)
                 assert row == grad
-                assert mat_mul(transpose(L), mat_mul(hessian_at(f, x), L)) == hess
+                H = [[h.eval_point(x) for h in r] for r in hessian]
+                assert mat_mul(transpose(L), mat_mul(H, L)) == hess
+
+
+def test_derivatives_are_built_once(monkeypatch):
+    inst = InputInstance(polys=TWISTED_CUBIC.polys, n=3, m=1)
+    assert inst == TWISTED_CUBIC and hash(inst) == hash(TWISTED_CUBIC)
+    for f, grads, hessian in zip(inst.polys, inst.gradients, inst.hessians):
+        assert grads == tuple(f.partial(v) for v in X4)
+        assert hessian == tuple(tuple(f.partial(v).partial(w) for w in X4) for v in X4)
+    fresh = InputInstance(polys=TWISTED_CUBIC.polys, n=3, m=1)
+    # F_1 meets the tangent line at x = (1, 2, 4, 8) in x + (0, 1, 4, 12)
+    flag = flag_from_columns((1, 0, 0, 0), (1, 3, 8, 20), (0, 0, 1, 0), (0, 0, 0, 1))
+    first = transversality_report(fresh, (1, 2, 4, 8), flag, Partition([1]))
+    assert first["on_cell"] and first["transversal"]
+    calls = []
+    real = MultiPoly.partial
+    monkeypatch.setattr(MultiPoly, "partial", lambda f, v: calls.append(v) or real(f, v))
+    again = transversality_report(fresh, (1, 2, 4, 8), flag, Partition([1]))
+    other = transversality_report(fresh, (1, 3, 9, 27), random_flag(3, 5), Partition())
+    assert calls == []
+    assert again == first and other["smooth"]
+    # equality still compares the fields only, cached derivatives or not
+    assert fresh == inst == TWISTED_CUBIC
 
 
 # -- Q_lambda rank tests
