@@ -6,13 +6,15 @@ Modules
 -------
 arith           exact polynomials and truncated power series over Q
 linalg          exact rational linear algebra
-partitions      partitions, containment, jump sequences
-symfun          Delta determinants, Todd/Chern polynomials, delta tables
+partitions      partitions, containment, jump sequences, nested-pair counts
+symfun          Delta determinants, the Todd recurrence over any ring,
+                Chern-character polynomials, delta tables
 grobner         Buchberger bases, Hilbert series/polynomials, zero counting,
                 membership via Hilbert data
-chern           complete-intersection Chern/Todd pipeline and characters
+chern           complete-intersection Chern classes in integers, the
+                Todd class and characters
 transversality  Schubert cells, charts, and the tangency rank tests
-reductions      #SAT encodings, graded matrices, interpolation
+reductions      #SAT encodings and the brute-force model count
 cli             batch command-line front end
 """
 

@@ -569,28 +569,6 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        """Multiplicative inverse modulo h^K; needs a nonzero constant term."""
-        if not self.coeffs[0]:
-            raise ValueError("series with zero constant term is not invertible")
-        K = self.order
-        inv = [Fraction(1) / self.coeffs[0]]
-        for k in range(1, K):
-            s = sum(self.coeffs[j] * inv[k - j] for j in range(1, k + 1))
-            inv.append(-s / self.coeffs[0])
-        return TruncSeries(K, inv)
-
-    def exp(self):
-        """exp of a series with zero constant term."""
-        if self.coeffs[0]:
-            raise ValueError("exp needs a zero constant term")
-        result = TruncSeries.one(self.order)
-        term = TruncSeries.one(self.order)
-        for k in range(1, self.order):
-            term = term * self * Fraction(1, k)
-            result = result + term
-        return result
-
     def __bool__(self):
         return any(self.coeffs)
 

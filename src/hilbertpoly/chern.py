@@ -3,10 +3,14 @@
 Everything lives in the truncated ring Q[h]/(h^(m+1)) where h is the
 hyperplane class; the degree functional reads off the h^m coefficient
 and multiplies by deg V = prod d_i.  Each Chern class is a monomial
-c_i h^i, so a determinant Delta_lam of Chern classes is the scalar one
-of the Chern numbers times h^|lam|; the Todd class and the characters
-are taken over scalars, zero-padded past h^m (no term of weight <= m
-reads there).  Three independent routes come out of this module:
+c_i h^i with an integer Chern number c_i: the classes are products and
+quotients of factors 1 + a h, which the integer recurrences
+c_i = s_i + a s_{i-1} and c_i = s_i - a c_{i-1} take exactly.  So a
+determinant Delta_lam of Chern classes is the scalar one of the Chern
+numbers times h^|lam|, and the Todd class is the multiplicative-sequence
+recurrence of symfun at the Chern numbers; both are taken over scalars,
+zero-padded past h^m (no term of weight <= m reads there).  Three
+independent routes come out of this module:
 
 * hilbert_poly_hrr             - Riemann-Roch coefficients
                                  k! p_k = deg(h^k T_{m-k})
@@ -32,16 +36,17 @@ one build (and one twist cross-check) per complete intersection.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import CrossCheckFailed, MultiPoly, TruncSeries, UniPoly, binom_poly
+from .arith import CrossCheckFailed, MultiPoly, TruncSeries, UniPoly
 from .grobner import HomIdeal, monomials_of_degree
 from .partitions import enumerate_partitions
-from .symfun import CoeffSeq, delta_det, delta_table, scaling_factor, todd_value
+from .symfun import CoeffSeq, delta_det, delta_table, scaling_factor, todd_sequence
 
 
 @dataclass(frozen=True)
@@ -94,6 +99,12 @@ class TruncClass:
     def coefficient(self, i):
         return self.series[i]
 
+    def integers(self):
+        """The coefficients as ints, for a class with integer ones."""
+        if any(c.denominator != 1 for c in self.series.coeffs):
+            raise CrossCheckFailed("class has a non-integral coefficient")
+        return [c.numerator for c in self.series.coeffs]
+
     def _lift(self, other):
         if isinstance(other, TruncClass):
             if other.ci != self.ci:
@@ -121,20 +132,37 @@ def deg_cap(x):
     return x.series[x.ci.m] * x.ci.degree
 
 
+def _times(s, a):
+    """The integer sequence s times 1 + a h, truncated to len(s)."""
+    return [s[0]] + [s[i] + a * s[i - 1] for i in range(1, len(s))]
+
+
+def _over(s, a):
+    """The integer sequence s over 1 + a h, truncated to len(s):
+    c_i = s_i - a c_{i-1}, exact over the integers."""
+    out, prev = [], 0
+    for x in s:
+        prev = x - a * prev
+        out.append(prev)
+    return out
+
+
 @lru_cache(maxsize=None)
 def chern_cone_normal(ci):
     """Total Chern class of the cone normal bundle: prod (1 + (d_i-1) h)."""
-    K = ci.m + 1
-    s = TruncSeries.one(K)
+    s = [1] + [0] * ci.m
     for d in ci.degrees:
-        s = s * TruncSeries.truncated(K, [1, d - 1])
-    return TruncClass(ci, s)
+        s = _times(s, d - 1)
+    return TruncClass(ci, TruncSeries(ci.m + 1, s))
 
 
 def chern_cone_tangent(ci):
     """Total Chern class of the rank-(m+1) cone tangent bundle, the
-    series inverse of the cone normal class."""
-    return TruncClass(ci, chern_cone_normal(ci).series.inverse())
+    inverse 1/prod (1 + (d_i-1) h) of the cone normal class."""
+    s = [1] + [0] * ci.m
+    for d in ci.degrees:
+        s = _over(s, d - 1)
+    return TruncClass(ci, TruncSeries(ci.m + 1, s))
 
 
 @lru_cache(maxsize=None)
@@ -146,37 +174,24 @@ def chern_tangent(ci):
     (1+h)^(m+1-j); a mismatch would mean an internal inconsistency.
     """
     K = ci.m + 1
-    num = TruncSeries(K, [math.comb(ci.n + 1, i) for i in range(K)])
-    den = TruncSeries.one(K)
+    adjunction = [math.comb(ci.n + 1, i) for i in range(K)]
     for d in ci.degrees:
-        den = den * TruncSeries.truncated(K, [1, d])
-    adjunction = num * den.inverse()
+        adjunction = _over(adjunction, d)
 
     # the h^i coefficient of sum_j c_j h^j (1+h)^(K-j)
-    cone = chern_cone_tangent(ci).series
-    twist = TruncSeries(K, [sum(cone[j] * math.comb(K - j, i - j) for j in range(i + 1))
-                            for i in range(K)])
+    cone = chern_cone_tangent(ci).integers()
+    twist = [sum(cone[j] * math.comb(K - j, i - j) for j in range(i + 1))
+             for i in range(K)]
     if adjunction != twist:
         raise CrossCheckFailed("tangent Chern class routes disagree")
-    return TruncClass(ci, adjunction)
+    return TruncClass(ci, TruncSeries(K, adjunction))
 
 
 def todd_class(ci):
     """Todd class 1 + sum_i T_i(c_1..c_i) of the tangent Chern classes,
-    by the determinantal Todd formula at the Chern numbers."""
-    K = ci.m + 1
-    c = CoeffSeq(chern_tangent(ci).series.coeffs, pad=True)
-    return TruncClass(ci, TruncSeries(K, [todd_value(i, c) for i in range(K)]))
-
-
-def euler_char_twist(ci, d):
-    """chi(O_V(d)) = deg((e^{dh} td V)_m cap [V]); always an integer."""
-    K = ci.m + 1
-    expo = TruncSeries.monomial(K, 1, d).exp()
-    value = deg_cap(TruncClass(ci, expo) * todd_class(ci))
-    if value.denominator != 1:
-        raise CrossCheckFailed("non-integral Euler characteristic %s" % value)
-    return int(value)
+    by the multiplicative-sequence recurrence at the Chern numbers."""
+    c = chern_tangent(ci).integers()
+    return TruncClass(ci, TruncSeries(ci.m + 1, todd_sequence(c)))
 
 
 def hilbert_poly_hrr(ci):
@@ -205,7 +220,7 @@ def projective_character(ci, lam):
         raise ValueError("|lambda| must be at most m")
     if lam.part(1) > ci.n - ci.m:
         return 0
-    normal = CoeffSeq(chern_cone_normal(ci).series.coeffs, pad=True)
+    normal = CoeffSeq(chern_cone_normal(ci).integers(), pad=True)
     value = delta_det(lam, normal) * ci.degree
     if value.denominator != 1 or value < 0:
         raise CrossCheckFailed("character %s -> %s is not a nonnegative integer"
@@ -240,16 +255,27 @@ def hilbert_poly_from_characters(ci, chars):
 def ci_hilbert_series_oracle(ci):
     """Hilbert polynomial from the regular-sequence Hilbert series
     prod(1-t^{d_i})/(1-t)^{n+1} = Q(t)/(1-t)^{m+1} with
-    Q = prod(1 + t + ... + t^{d_i-1}); independent of the Chern routes."""
-    q = UniPoly.constant(1)
+    Q = prod(1 + t + ... + t^{d_i-1}); independent of the Chern routes.
+
+    The coefficient q_j of t^j contributes q_j C(T+m-j, m); the
+    numerator m! C(T+m-j, m) = prod_{i<m} (T+m-j-i) is an integer
+    polynomial, so the sum is taken over the integers and divided by m!
+    once."""
+    q = [1]
     for d in ci.degrees:
-        q = q * UniPoly([1] * d)
-    poly = UniPoly()
-    for j in range(q.degree + 1):
-        c = q.coefficient(j)
-        if c:
-            poly = poly + c * binom_poly(ci.m - j, ci.m)
-    return poly
+        # prefix sums: (Q (1 + t + ... + t^{d-1}))_i = q_{i-d+1} + ... + q_i
+        sums = [0] + list(itertools.accumulate(q))
+        q = [sums[min(i + 1, len(q))] - sums[max(i - d + 1, 0)]
+             for i in range(len(q) + d - 1)]
+    m = ci.m
+    num = [0] * (m + 1)
+    for j, c in enumerate(q):
+        f = [c]
+        for i in range(m):
+            a = m - j - i  # f times (T + a)
+            f = [a * f[0]] + [f[e - 1] + a * f[e] for e in range(1, len(f))] + [f[-1]]
+        num = [x + y for x, y in zip(num, f)]
+    return UniPoly([Fraction(x, math.factorial(m)) for x in num])
 
 
 def generic_ci_ideal(ci, seed=0, coeff_bound=5):
@@ -273,7 +299,6 @@ def generic_ci_ideal(ci, seed=0, coeff_bound=5):
 def ci_grid(max_n, max_r, max_degree):
     """Deterministic enumeration of complete intersections with n <= max_n,
     r <= max_r, degrees as multisets from 1..max_degree."""
-    import itertools
     out = []
     for n in range(max_n + 1):
         for r in range(min(max_r, n) + 1):

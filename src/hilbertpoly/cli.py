@@ -11,7 +11,8 @@ negative cap) are parse errors, with the JSON error "parse" on stderr;
 --help exits 0.  A failed internal cross-check (CrossCheckFailed) also
 exits 2, with the JSON error "cross-check" on stderr and no report.  The
 closed-form commands ci, characters, delta and todd refuse an m above
-MAX_M, ci a series degree above MAX_SERIES_DEGREE, and reduce-sat a
+MAX_M, ci and delta more than MAX_DELTA_PAIRS pairs of delta-table
+work, ci a series degree above MAX_SERIES_DEGREE, and reduce-sat a
 formula of more than BRUTEFORCE_MAX_VARS variables or with a clause of
 more than MAX_CLAUSE_POSITIVES positive literals, before doing any
 work: exit 3, with the JSON error "resource-cap".  So does trans for an
@@ -56,7 +57,7 @@ from .reductions import (
     parse_dimacs,
     sat_to_ideal,
 )
-from .symfun import delta_table, todd_poly
+from .symfun import delta_table, delta_table_pairs, todd_poly
 from .transversality import (
     Flag,
     InputInstance,
@@ -74,15 +75,25 @@ EXIT_PARSE = 4
 # The largest m each closed-form command accepts: the dimension n - r
 # for ci and characters, the argument m for delta and todd.  Processor
 # times at the cap, Python 3.11 on one core of a shared 2-core host:
-# `ci n=21 degrees=2` 3.7 s; `delta m=20 k=0 n=21` 1.3 s and n=40
-# 34 s; `characters` with r >= m = 30 6.7 s; `todd 20` 1.0 s, where
+# `ci n=21 degrees=2` 2.4 s; `delta m=20 k=0 n=21` 0.6 s;
+# `characters` with r >= m = 30 3.2 s; `todd 20` 0.5 s, where
 # todd_poly(24) alone takes about 3 s.  ci builds every delta table of
 # its m, so delta shares its cap, and todd takes the same one.
 MAX_M = {"ci": 20, "characters": 30, "delta": 20, "todd": 20}
 
+# The most pairs (lam, mu) of delta-table work that ci (all the tables
+# k = 0..m of its m and n) and delta (one table) take on, counted by
+# delta_table_pairs before any table is built: the cost of ci and delta
+# at a fixed m grows with n - m, which MAX_M leaves open.  The cost of
+# a pair grows with m.  Allowed: `ci n=21 degrees=2` (20 529 pairs)
+# 2.4 s, `delta m=20 k=0 n=22` (19 503) 2.0-2.9 s.  Refused: `ci n=21
+# degrees=2,2` (49 934) took 5.5 s, `delta m=20 k=0 n=40` (156 264)
+# 34 s and `ci` of 20 quadrics in P^40 (433 333) 87 s.
+MAX_DELTA_PAIRS = 25000
+
 # The largest degree sum(d_i - 1) of the numerator prod(1 + t + ... +
 # t^(d_i - 1)) that ci's series route expands densely; a degree 10^30
-# would not fit in a list.  `ci n=21 degrees=1001` takes 6.1 s.
+# would not fit in a list.  `ci n=21 degrees=1001` takes 2.1 s.
 MAX_SERIES_DEGREE = 1000
 
 
@@ -154,6 +165,12 @@ def _check_m(command, m):
         raise ResourceCapExceeded("%s needs m <= %d, got %d" % (command, MAX_M[command], m))
 
 
+def _check_pairs(command, pairs):
+    if pairs > MAX_DELTA_PAIRS:
+        raise ResourceCapExceeded("%s needs at most %d delta-table pairs, got %d"
+                                  % (command, MAX_DELTA_PAIRS, pairs))
+
+
 def _degrees(text):
     text = text.strip()
     if not text:
@@ -203,6 +220,7 @@ def cmd_ci(args, config):
     if series_degree > MAX_SERIES_DEGREE:
         raise ResourceCapExceeded("ci needs sum(d_i - 1) <= %d, got %d"
                                   % (MAX_SERIES_DEGREE, series_degree))
+    _check_pairs("ci", sum(delta_table_pairs(ci.m, k, ci.n) for k in range(ci.m + 1)))
     hrr = hilbert_poly_hrr(ci)
     table = character_table(ci)
     chars = hilbert_poly_from_characters(ci, table)
@@ -236,6 +254,7 @@ def cmd_delta(args, config):
     kv = _parse_kv(args.params, {"m": int, "k": int, "n": int},
                    required=("m", "k", "n"))
     _check_m("delta", kv["m"])
+    _check_pairs("delta", delta_table_pairs(kv["m"], kv["k"], kv["n"]))
     table = delta_table(kv["m"], kv["k"], kv["n"])
     entries = [{"mu": list(mu.parts), "value": _q(value)}
                for mu, value in sorted(table.entries.items(),

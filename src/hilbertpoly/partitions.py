@@ -9,6 +9,7 @@ for Schubert cells in the Grassmannian of m-planes in P^n.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .arith import CrossCheckFailed
 
@@ -106,27 +107,61 @@ def enumerate_partitions(size, max_part=None, max_len=None, containing=None):
     """All partitions of `size` under the given constraints.
 
     Deterministic lexicographic-descending order, e.g. (3) > (2,1) > (1,1,1).
+    With `containing` = mu, part i starts at mu_i and leaves room for
+    the parts of mu below it, so no partition is built to be dropped.
     """
     if max_part is None:
         max_part = size
     if max_len is None:
         max_len = size
+    floor = containing.parts if containing is not None else ()
+    # tail[i] = mu_{i+1} + mu_{i+2} + ..., what parts i+1, ... still owe mu
+    tail = [sum(floor[i:]) for i in range(len(floor) + 1)]
     out = []
 
     def rec(remaining, bound, prefix):
+        i = len(prefix)
         if remaining == 0:
             out.append(Partition(prefix))
             return
-        if len(prefix) >= max_len:
+        if i >= max_len:
             return
-        lo = -(-remaining // (max_len - len(prefix)))  # smallest feasible next part
-        for p in range(min(bound, remaining), max(lo, 1) - 1, -1):
+        lo = -(-remaining // (max_len - i))  # smallest feasible next part
+        if i < len(floor):
+            lo = max(lo, floor[i])
+            hi = min(bound, remaining - tail[i + 1])
+        else:
+            hi = min(bound, remaining)
+        for p in range(hi, max(lo, 1) - 1, -1):
             rec(remaining - p, p, prefix + [p])
 
     if size == 0:
-        out.append(Partition())
-    else:
+        if not floor:
+            out.append(Partition())
+    elif tail[0] <= size:
         rec(size, max_part, [])
-    if containing is not None:
-        out = [lam for lam in out if lam.contains(containing)]
     return out
+
+
+@lru_cache(maxsize=None)
+def _nested(size, a, b):
+    """Pairs (lam, mu), mu inside lam, with |lam| = size, lam_1 <= a and
+    mu_1 <= b."""
+    if size == 0:
+        return 1
+    if a == 0:
+        return 0
+    # either lam_1 < a, or lam_1 = a above a first row mu_1 = q <= min(a, b)
+    total = _nested(size, a - 1, b)
+    if a <= size:
+        total += sum(_nested(size - a, a, q) for q in range(min(a, b) + 1))
+    return total
+
+
+def count_nested_pairs(size, width):
+    """The number of pairs (lam, mu) of partitions with |lam| = size,
+    mu inside lam and mu_1 <= width, by a recursion on the first rows
+    that lists no partition."""
+    if size < 0 or width < 0:
+        return 0
+    return _nested(size, size, min(width, size))

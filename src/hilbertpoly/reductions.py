@@ -1,8 +1,7 @@
 """Executable counting reductions: #SAT instances as homogeneous ideals
-whose Hilbert polynomial is the model count, graded matrices for
-sheaf-style Euler characteristics (1-row case), and exact interpolation.
-Ideal membership via Hilbert-polynomial comparison is
-grobner.membership_via_hilbert.
+whose Hilbert polynomial is the model count, and the brute-force count
+they are checked against.  Ideal membership via Hilbert-polynomial
+comparison is grobner.membership_via_hilbert.
 
 DIMACS normalization: duplicate literals inside a clause are collapsed
 and tautological clauses are dropped on ingestion.
@@ -11,10 +10,9 @@ and tautological clauses are dropped on ingestion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .arith import ANY_DEGREE, CrossCheckFailed, MultiPoly, UniPoly
-from .grobner import HomIdeal, ResourceCapExceeded, hilbert_data
+from .arith import MultiPoly
+from .grobner import HomIdeal, ResourceCapExceeded
 
 
 @dataclass(frozen=True)
@@ -136,95 +134,3 @@ def count_sat_bruteforce(phi, guard=BRUTEFORCE_MAX_VARS):
     if phi.num_vars > guard:
         raise ValueError("instance too large for exhaustive counting")
     return sum(1 for mask in range(1 << phi.num_vars) if phi.satisfied_by(mask))
-
-
-@dataclass(frozen=True)
-class GradedMatrix:
-    """Matrix of homogeneous polynomials presenting a graded morphism
-    (+)_j S(e_j) -> (+)_i S(d_i); deg p_ij = d_i - e_j when p_ij != 0."""
-
-    entries: tuple        # rows of MultiPoly
-    row_degrees: tuple    # d_i
-    col_degrees: tuple    # e_j
-
-    def __post_init__(self):
-        if len(self.entries) != len(self.row_degrees):
-            raise ValueError("row count mismatch")
-        for i, row in enumerate(self.entries):
-            if len(row) != len(self.col_degrees):
-                raise ValueError("column count mismatch")
-            for j, p in enumerate(row):
-                if not p:
-                    continue
-                d = p.is_homogeneous()
-                if d is None or d is ANY_DEGREE:
-                    raise ValueError("entry (%d,%d) not homogeneous" % (i, j))
-                if d != self.row_degrees[i] - self.col_degrees[j]:
-                    raise ValueError("entry (%d,%d) has degree %d, expected %d"
-                                     % (i, j, d, self.row_degrees[i] - self.col_degrees[j]))
-
-
-def ideal_to_graded_matrix(gens):
-    """1-row presentation of S/I for I = (f_1..f_r): column degrees -deg f_j."""
-    col_degrees = []
-    for g in gens:
-        d = g.is_homogeneous()
-        if d is None or d is ANY_DEGREE:
-            raise ValueError("generators must be non-zero homogeneous")
-        col_degrees.append(-d)
-    return GradedMatrix(entries=(tuple(gens),), row_degrees=(0,),
-                        col_degrees=tuple(col_degrees))
-
-
-def euler_quotient(gm, d, variables=None, **caps):
-    """chi of the d-th twist of the cokernel sheaf, for 1-row matrices:
-    equals the Hilbert polynomial of S/(entries) evaluated at d.
-
-    A presentation with no columns is the full ring; it needs an
-    explicit variable list since none can be read off the entries.
-    """
-    if len(gm.entries) != 1:
-        raise ValueError("only 1-row graded matrices are supported")
-    gens = [p for p in gm.entries[0] if p]
-    if gens:
-        variables = gens[0].variables
-    elif variables is None:
-        raise ValueError("empty presentation needs an explicit variable list")
-    ideal = HomIdeal.from_polys(variables, gens)
-    value = hilbert_data(ideal, **caps).hilbert_polynomial(d)
-    if value.denominator != 1:
-        raise CrossCheckFailed("Euler characteristic %s of twist %d is not an "
-                               "integer" % (value, d))
-    return int(value)
-
-
-def interpolate(points, degree_bound):
-    """Unique polynomial of degree <= degree_bound through the points.
-
-    Needs at least degree_bound+1 distinct nodes; extra points must be
-    consistent with the interpolant or a ValueError is raised.
-    """
-    seen = {}
-    for x, y in points:
-        x, y = Fraction(x), Fraction(y)
-        if x in seen and seen[x] != y:
-            raise ValueError("conflicting values at node %s" % x)
-        seen[x] = y
-    if len(seen) < degree_bound + 1:
-        raise ValueError("need %d distinct nodes, got %d"
-                         % (degree_bound + 1, len(seen)))
-    nodes = sorted(seen)[:degree_bound + 1]
-    poly = UniPoly()
-    for xi in nodes:
-        basis = UniPoly.constant(1)
-        denom = Fraction(1)
-        for xj in nodes:
-            if xj == xi:
-                continue
-            basis = basis * UniPoly([-xj, 1])
-            denom *= xi - xj
-        poly = poly + basis * (seen[xi] / denom)
-    for x, y in seen.items():
-        if poly(x) != y:
-            raise ValueError("points are not on a degree-%d polynomial" % degree_bound)
-    return poly

@@ -1,10 +1,12 @@
 """Symmetric-function engine: Jacobi-Trudi-shaped determinants of
-rational sequences, the Bernoulli-derived b-sequence, the determinantal
-Todd formula at Chern numbers, the symbolic Todd polynomials by
-Hirzebruch's multiplicative-sequence recurrence, power sums and
-Chern-character polynomials, Schur evaluation, integer
+rational sequences, the Bernoulli-derived b-sequence, power sums by
+Newton's identities and the Todd class by Hirzebruch's
+multiplicative-sequence recurrence, each written once over any ring
+(the tangent Chern numbers of a variety, or formal Chern classes for
+the symbolic Todd and Chern-character polynomials), integer
 binomial-determinant shift coefficients, and the delta tables that
-assemble Hilbert coefficients from projective characters.
+assemble Hilbert coefficients from projective characters, with a
+count of their work.
 
 Sign convention: bernoulli(n) returns the all-positive values
 B_1 = 1/6, B_2 = 1/30, B_3 = 1/42, ...  (the alternating signs live in
@@ -14,10 +16,10 @@ sign to the Bernoulli number; conversions must keep that in mind.
 
 Memoised for the life of the process, since none of them depends on a
 variety and each value is immutable: delta_b (Delta_lam(b) by lam),
-todd_terms (the nonzero terms of the Todd formula for each m),
-power_sums, todd_poly and chern_character_poly (MultiPoly values),
-delta_coeff (delta^{m,k}_mu, a Fraction) and delta_table (a DeltaTable
-whose entries are a read-only mapping, checked for integrality once per
+the coefficients k a_k of the Todd recurrence for each m, power_sums,
+todd_poly and chern_character_poly (MultiPoly values), delta_coeff
+(delta^{m,k}_mu, a Fraction) and delta_table (a DeltaTable whose
+entries are a read-only mapping, checked for integrality once per
 table).
 """
 
@@ -30,8 +32,8 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import linalg
-from .arith import CrossCheckFailed, MultiPoly, frac
-from .partitions import enumerate_partitions
+from .arith import CrossCheckFailed, MultiPoly
+from .partitions import count_nested_pairs, enumerate_partitions
 
 
 class CoeffSeq:
@@ -124,67 +126,77 @@ def delta_b(lam):
     return delta_det(lam, b_sequence(max(lam.size, 1)))
 
 
-@lru_cache(maxsize=None)
-def todd_terms(m):
-    """The pairs (lam, Delta_{lam'}(b)) over |lam| = m whose coefficient
-    Delta_{lam'}(b) is nonzero, in enumerate_partitions order."""
-    terms = ((lam, delta_b(lam.conjugate())) for lam in enumerate_partitions(m))
-    return tuple((lam, coeff) for lam, coeff in terms if coeff)
-
-
-def todd_value(m, c):
-    """T_m(c_1..c_m) at the rational CoeffSeq c, by the determinantal
-    formula T_m = sum over |lam| = m of Delta_{lam'}(b) Delta_lam(c)."""
-    if m == 0:
-        return c.one
-    total = c.zero
-    for lam, coeff in todd_terms(m):
-        total = total + coeff * delta_det(lam, c)
-    return total
-
-
-@lru_cache(maxsize=None)
-def power_sums(m):
-    """The power sums p_0 = m, p_1, ..., p_m of m Chern roots as
-    polynomials in formal c_1..c_m, by Newton's identities
+def newton_power_sums(c):
+    """The power sums p_0 = m, p_1, ..., p_m of the m roots whose
+    elementary symmetric functions are c = [1, c_1, ..., c_m], over the
+    ring of the c_j, by Newton's identities
     p_k = (-1)^(k-1) k c_k + sum_{j<k} (-1)^(j-1) c_j p_{k-j}."""
-    names = tuple("c%d" % i for i in range(1, m + 1))
-    c = [MultiPoly.constant(names, 1)] + [MultiPoly.variable(names, x) for x in names]
-    p = [MultiPoly.constant(names, m)]
+    m = len(c) - 1
+    p = [c[0] * m]
     for k in range(1, m + 1):
         acc = c[k] * ((-1) ** (k - 1) * k)
         for j in range(1, k):
             acc = acc + (-1) ** (j - 1) * (c[j] * p[k - j])
         p.append(acc)
-    return tuple(p)
+    return p
+
+
+def _formal_chern(m):
+    """[1, c_1, ..., c_m] as polynomials in the variables c1..cm."""
+    names = tuple("c%d" % i for i in range(1, m + 1))
+    return [MultiPoly.constant(names, 1)] + [MultiPoly.variable(names, x) for x in names]
 
 
 @lru_cache(maxsize=None)
-def todd_poly(m):
-    """m-th Todd polynomial in formal c_1..c_m.
+def power_sums(m):
+    """The power sums p_0 = m, p_1, ..., p_m of m Chern roots as
+    polynomials in formal c_1..c_m."""
+    return tuple(newton_power_sums(_formal_chern(m)))
+
+
+@lru_cache(maxsize=None)
+def _todd_log_coeffs(m):
+    """k a_k for k = 0..m, where log(t/(1 - e^{-t})) = sum a_k t^k.
+    Differentiating the logarithm gives k a_k = k b_k - sum_{j<k} j a_j b_{k-j}."""
+    b = b_sequence(m)
+    ka = [Fraction(0)]
+    for n in range(1, m + 1):
+        ka.append(n * b[n] - sum(ka[j] * b[n - j] for j in range(1, n)))
+    return tuple(ka)
+
+
+def todd_sequence(c):
+    """T_0, T_1, ..., T_m at c = [1, c_1, ..., c_m] over any commutative
+    ring that holds the rationals: the tangent Chern numbers of a
+    variety, or formal Chern classes as polynomials.
 
     The Todd class is the multiplicative sequence of
     Q(t) = t/(1 - e^{-t}) = sum b_k t^k (Hirzebruch, Topological Methods
     in Algebraic Geometry, section 1): with log Q = sum a_k t^k it is
     exp(sum_k a_k p_k), whose graded parts satisfy
-    n T_n = sum_{k<=n} k a_k p_k T_{n-k}.  Differentiating log Q gives
-    k a_k = k b_k - sum_{j<k} j a_j b_{k-j}.
-
-    T_1 = c1/2, T_2 = (c1^2 + c2)/12, T_3 = c1*c2/24, ...
+    n T_n = sum_{k<=n} k a_k p_k T_{n-k}.
     """
-    p = power_sums(m)
-    b = b_sequence(m)
-    variables = p[0].variables
-    ka = [Fraction(0)]  # ka[k] = k a_k
-    todd = [MultiPoly.constant(variables, 1)]
+    m = len(c) - 1
+    p = newton_power_sums(c)
+    ka = _todd_log_coeffs(m)
+    zero = c[0] - c[0]
+    todd = [c[0]]
     for n in range(1, m + 1):
-        ka.append(n * b[n] - sum(ka[j] * b[n - j] for j in range(1, n)))
-        acc = MultiPoly.zero(variables)
+        acc = zero
         for k in range(1, n + 1):
             if ka[k]:  # a_k = 0 for odd k > 1
                 acc = acc + p[k] * ka[k] * todd[n - k]
         todd.append(acc * Fraction(1, n))
-    return todd[m]
+    return todd
+
+
+@lru_cache(maxsize=None)
+def todd_poly(m):
+    """m-th Todd polynomial in formal c_1..c_m, by todd_sequence.
+
+    T_1 = c1/2, T_2 = (c1^2 + c2)/12, T_3 = c1*c2/24, ...
+    """
+    return todd_sequence(_formal_chern(m))[m]
 
 
 @lru_cache(maxsize=None)
@@ -194,46 +206,6 @@ def chern_character_poly(i):
     if i < 1:
         raise ValueError("defined for i >= 1")
     return power_sums(i)[i] * Fraction(1, math.factorial(i))
-
-
-def complete_homogeneous_values(gamma, upto):
-    """h_0..h_upto evaluated at the points gamma, via the product rule
-    H_j(k) = H_{j-1}(k) + gamma_j H_j(k-1)."""
-    h = [Fraction(1)] + [Fraction(0)] * upto
-    for g in gamma:
-        for k in range(1, upto + 1):
-            h[k] += g * h[k - 1]
-    return h
-
-
-def elementary_symmetric_values(gamma, upto):
-    """e_0..e_upto evaluated at the points gamma (zero past len(gamma))."""
-    e = [Fraction(1)] + [Fraction(0)] * upto
-    for g in gamma:
-        for k in range(min(upto, len(gamma)), 0, -1):
-            e[k] += g * e[k - 1]
-    return e
-
-
-def schur_eval(lam, gamma):
-    """Value of the Schur polynomial s_lam at rational points gamma.
-
-    Uses the bialternant quotient when the points are pairwise
-    distinct, otherwise Jacobi-Trudi on complete homogeneous values.
-    The standard extension to any lam of length <= len(gamma) is used.
-    """
-    gamma = [frac(g) for g in gamma]
-    m = len(gamma)
-    if lam.length > m:
-        raise ValueError("partition longer than the number of points")
-    if len(set(gamma)) == m:
-        num = [[gamma[i] ** (lam.part(j + 1) + m - 1 - j) for j in range(m)]
-               for i in range(m)]
-        den = [[gamma[i] ** (m - 1 - j) for j in range(m)] for i in range(m)]
-        return linalg.det(num) / linalg.det(den)
-    upto = lam.part(1) + lam.length
-    h = CoeffSeq(complete_homogeneous_values(gamma, max(upto, 1)))
-    return delta_det(lam, h)
 
 
 def d_coeff(lam, mu, m):
@@ -301,6 +273,15 @@ class DeltaTable:
                 raise ValueError("entry %s too large for (m,k)" % mu)
             if (N * value).denominator != 1:
                 raise CrossCheckFailed("scaled entry %s -> %s not integral" % (mu, value))
+
+
+def delta_table_pairs(m, k, n):
+    """The work of a cold delta_table(m, k, n), counted without doing it:
+    the pairs (lam, mu) whose d_coeff it takes, lam of size m-k
+    containing mu and mu_1 <= n-m."""
+    if not 0 <= k <= m <= n:
+        raise ValueError("need 0 <= k <= m <= n")
+    return count_nested_pairs(m - k, n - m)
 
 
 @lru_cache(maxsize=None)

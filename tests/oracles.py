@@ -3,26 +3,40 @@
 These deliberately avoid the code paths they check: the b-sequence
 comes from long division of power series, the Todd polynomials from
 the graded parts of a product of one-variable series rewritten in the
-elementary symmetric basis, determinants over any commutative ring
-(truncated series, polynomials) from a division-free expansion over
-column subsets, the zero count of a staircase from the box
-under its pure powers, the derivatives of a polynomial in adapted
-coordinates from substituting the change of coordinates symbolically,
-and the reduced row echelon form from Gauss-Jordan elimination in
-Fraction arithmetic."""
+elementary symmetric basis, and the Todd class at given Chern numbers
+from the determinantal formula sum Delta_{lam'}(b) Delta_lam(c);
+determinants over any commutative ring (truncated series, polynomials)
+come from a division-free expansion over column subsets, the Chern
+classes of a complete intersection from Fraction series products and
+series inverses, the Euler characteristics of its twists from
+exp(d h) td V, the delta coefficients from one Cauchy-Binet
+determinant over truncated series, Schur values from bialternants,
+the zero count of a staircase from the box under its pure powers, the
+derivatives of a polynomial in adapted coordinates from substituting
+the change of coordinates symbolically, the reduced row echelon form
+from Gauss-Jordan elimination in Fraction arithmetic, the Euler
+characteristics of a one-row graded presentation from its Hilbert
+polynomial, and a polynomial through given points by Lagrange
+interpolation."""
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from hilbertpoly.arith import MultiPoly, TruncSeries
-from hilbertpoly.grobner import INFINITE
+from hilbertpoly import linalg
+from hilbertpoly.arith import ANY_DEGREE, CrossCheckFailed, MultiPoly, TruncSeries, UniPoly
+from hilbertpoly.chern import TruncClass, deg_cap, todd_class
+from hilbertpoly.grobner import INFINITE, HomIdeal, hilbert_data
+from hilbertpoly.partitions import enumerate_partitions
+from hilbertpoly.symfun import CoeffSeq, delta_b, delta_det
 
 
 def b_prefix_by_inversion(K):
     """b_0..b_{K-1} from inverting (1 - e^{-t})/t = sum (-1)^i t^i/(i+1)!."""
     g = TruncSeries(K, [Fraction((-1) ** i, math.factorial(i + 1)) for i in range(K)])
-    return list(g.inverse().coeffs)
+    return list(series_inverse(g).coeffs)
 
 
 def _mul_trunc(f, g, maxdeg):
@@ -243,6 +257,31 @@ def substituted_derivatives(f, L, x):
     return grad, hess
 
 
+def series_inverse(s):
+    """Multiplicative inverse of a truncated series modulo h^K; needs a
+    nonzero constant term."""
+    if not s.coeffs[0]:
+        raise ValueError("series with zero constant term is not invertible")
+    K = s.order
+    inv = [Fraction(1) / s.coeffs[0]]
+    for k in range(1, K):
+        acc = sum(s.coeffs[j] * inv[k - j] for j in range(1, k + 1))
+        inv.append(-acc / s.coeffs[0])
+    return TruncSeries(K, inv)
+
+
+def series_exp(s):
+    """exp of a truncated series with zero constant term."""
+    if s.coeffs[0]:
+        raise ValueError("exp needs a zero constant term")
+    result = TruncSeries.one(s.order)
+    term = TruncSeries.one(s.order)
+    for k in range(1, s.order):
+        term = term * s * Fraction(1, k)
+        result = result + term
+    return result
+
+
 def series_pow(s, n):
     """s^n for a truncated series s and a natural number n, by repeated
     squaring."""
@@ -300,3 +339,195 @@ def rref_by_fractions(rows):
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(col)
     return a, pivots
+
+
+@lru_cache(maxsize=None)
+def todd_terms(m):
+    """The pairs (lam, Delta_{lam'}(b)) over |lam| = m whose coefficient
+    Delta_{lam'}(b) is nonzero, in enumerate_partitions order."""
+    terms = ((lam, delta_b(lam.conjugate())) for lam in enumerate_partitions(m))
+    return tuple((lam, coeff) for lam, coeff in terms if coeff)
+
+
+def todd_value(m, c):
+    """T_m(c_1..c_m) at the rational CoeffSeq c, by the determinantal
+    formula T_m = sum over |lam| = m of Delta_{lam'}(b) Delta_lam(c)."""
+    if m == 0:
+        return c.one
+    total = c.zero
+    for lam, coeff in todd_terms(m):
+        total = total + coeff * delta_det(lam, c)
+    return total
+
+
+def chern_classes_by_series(ci):
+    """The total Chern classes (cone normal, cone tangent, tangent) of a
+    complete intersection as truncated series, by Fraction series
+    products and series inverses: prod (1 + (d_i-1) h), its inverse, and
+    the adjunction (1+h)^(n+1) / prod (1 + d_i h)."""
+    K = ci.m + 1
+    normal = TruncSeries.one(K)
+    den = TruncSeries.one(K)
+    for d in ci.degrees:
+        normal = normal * TruncSeries.truncated(K, [1, d - 1])
+        den = den * TruncSeries.truncated(K, [1, d])
+    num = TruncSeries(K, [math.comb(ci.n + 1, i) for i in range(K)])
+    return normal, series_inverse(normal), num * series_inverse(den)
+
+
+def euler_char_twist(ci, d):
+    """chi(O_V(d)) = deg((e^{dh} td V)_m cap [V]); always an integer."""
+    K = ci.m + 1
+    expo = series_exp(TruncSeries.monomial(K, 1, d))
+    value = deg_cap(TruncClass(ci, expo) * todd_class(ci))
+    if value.denominator != 1:
+        raise CrossCheckFailed("non-integral Euler characteristic %s" % value)
+    return int(value)
+
+
+def delta_coeffs_by_cauchy_binet(m, mu):
+    """delta^{m,k}_mu for k = 0..m-|mu|, all from one determinant over
+    Q[[q]]/(q^(m+1)): (-1)^|mu| [q^(m-k)] det A_mu(q), where
+    A_mu(q)_{j,c} = sum_u b_u C(u+m-j+1, mu_c+m-c+1) q^u for j, c = 1..m
+    (Cauchy-Binet on the sum over lam of Delta_lam(b) d^m_{lam,mu}).
+    The b_u come from series inversion."""
+    K = m + 1
+    b = b_prefix_by_inversion(K)
+    rows = [[TruncSeries(K, [b[u] * math.comb(u + m - j + 1, mu.part(c) + m - c + 1)
+                             for u in range(K)])
+             for c in range(1, m + 1)]
+            for j in range(1, m + 1)]
+    det = ring_det(rows, TruncSeries.one(K))
+    return [(-1) ** mu.size * det[m - k] for k in range(m - mu.size + 1)]
+
+
+def complete_homogeneous_values(gamma, upto):
+    """h_0..h_upto evaluated at the points gamma, via the product rule
+    H_j(k) = H_{j-1}(k) + gamma_j H_j(k-1)."""
+    h = [Fraction(1)] + [Fraction(0)] * upto
+    for g in gamma:
+        for k in range(1, upto + 1):
+            h[k] += g * h[k - 1]
+    return h
+
+
+def elementary_symmetric_values(gamma, upto):
+    """e_0..e_upto evaluated at the points gamma (zero past len(gamma))."""
+    e = [Fraction(1)] + [Fraction(0)] * upto
+    for g in gamma:
+        for k in range(min(upto, len(gamma)), 0, -1):
+            e[k] += g * e[k - 1]
+    return e
+
+
+def schur_eval(lam, gamma):
+    """Value of the Schur polynomial s_lam at rational points gamma.
+
+    Uses the bialternant quotient when the points are pairwise
+    distinct, otherwise Jacobi-Trudi on complete homogeneous values.
+    The standard extension to any lam of length <= len(gamma) is used.
+    """
+    gamma = [Fraction(g) for g in gamma]
+    m = len(gamma)
+    if lam.length > m:
+        raise ValueError("partition longer than the number of points")
+    if len(set(gamma)) == m:
+        num = [[gamma[i] ** (lam.part(j + 1) + m - 1 - j) for j in range(m)]
+               for i in range(m)]
+        den = [[gamma[i] ** (m - 1 - j) for j in range(m)] for i in range(m)]
+        return linalg.det(num) / linalg.det(den)
+    upto = lam.part(1) + lam.length
+    h = CoeffSeq(complete_homogeneous_values(gamma, max(upto, 1)))
+    return delta_det(lam, h)
+
+
+@dataclass(frozen=True)
+class GradedMatrix:
+    """Matrix of homogeneous polynomials presenting a graded morphism
+    (+)_j S(e_j) -> (+)_i S(d_i); deg p_ij = d_i - e_j when p_ij != 0."""
+
+    entries: tuple        # rows of MultiPoly
+    row_degrees: tuple    # d_i
+    col_degrees: tuple    # e_j
+
+    def __post_init__(self):
+        if len(self.entries) != len(self.row_degrees):
+            raise ValueError("row count mismatch")
+        for i, row in enumerate(self.entries):
+            if len(row) != len(self.col_degrees):
+                raise ValueError("column count mismatch")
+            for j, p in enumerate(row):
+                if not p:
+                    continue
+                d = p.is_homogeneous()
+                if d is None or d is ANY_DEGREE:
+                    raise ValueError("entry (%d,%d) not homogeneous" % (i, j))
+                if d != self.row_degrees[i] - self.col_degrees[j]:
+                    raise ValueError("entry (%d,%d) has degree %d, expected %d"
+                                     % (i, j, d, self.row_degrees[i] - self.col_degrees[j]))
+
+
+def ideal_to_graded_matrix(gens):
+    """1-row presentation of S/I for I = (f_1..f_r): column degrees -deg f_j."""
+    col_degrees = []
+    for g in gens:
+        d = g.is_homogeneous()
+        if d is None or d is ANY_DEGREE:
+            raise ValueError("generators must be non-zero homogeneous")
+        col_degrees.append(-d)
+    return GradedMatrix(entries=(tuple(gens),), row_degrees=(0,),
+                        col_degrees=tuple(col_degrees))
+
+
+def euler_quotient(gm, d, variables=None, **caps):
+    """chi of the d-th twist of the cokernel sheaf, for 1-row matrices:
+    equals the Hilbert polynomial of S/(entries) evaluated at d.
+
+    A presentation with no columns is the full ring; it needs an
+    explicit variable list since none can be read off the entries.
+    """
+    if len(gm.entries) != 1:
+        raise ValueError("only 1-row graded matrices are supported")
+    gens = [p for p in gm.entries[0] if p]
+    if gens:
+        variables = gens[0].variables
+    elif variables is None:
+        raise ValueError("empty presentation needs an explicit variable list")
+    ideal = HomIdeal.from_polys(variables, gens)
+    value = hilbert_data(ideal, **caps).hilbert_polynomial(d)
+    if value.denominator != 1:
+        raise CrossCheckFailed("Euler characteristic %s of twist %d is not an "
+                               "integer" % (value, d))
+    return int(value)
+
+
+def interpolate(points, degree_bound):
+    """Unique polynomial of degree <= degree_bound through the points.
+
+    Needs at least degree_bound+1 distinct nodes; extra points must be
+    consistent with the interpolant or a ValueError is raised.
+    """
+    seen = {}
+    for x, y in points:
+        x, y = Fraction(x), Fraction(y)
+        if x in seen and seen[x] != y:
+            raise ValueError("conflicting values at node %s" % x)
+        seen[x] = y
+    if len(seen) < degree_bound + 1:
+        raise ValueError("need %d distinct nodes, got %d"
+                         % (degree_bound + 1, len(seen)))
+    nodes = sorted(seen)[:degree_bound + 1]
+    poly = UniPoly()
+    for xi in nodes:
+        basis = UniPoly.constant(1)
+        denom = Fraction(1)
+        for xj in nodes:
+            if xj == xi:
+                continue
+            basis = basis * UniPoly([-xj, 1])
+            denom *= xi - xj
+        poly = poly + basis * (seen[xi] / denom)
+    for x, y in seen.items():
+        if poly(x) != y:
+            raise ValueError("points are not on a degree-%d polynomial" % degree_bound)
+    return poly

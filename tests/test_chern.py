@@ -11,7 +11,6 @@ from hilbertpoly.chern import (
     character_table,
     ci_grid,
     ci_hilbert_series_oracle,
-    euler_char_twist,
     euler_top,
     generic_ci_ideal,
     hilbert_poly_from_characters,
@@ -21,9 +20,15 @@ from hilbertpoly.chern import (
 )
 from hilbertpoly.grobner import hilbert_data
 from hilbertpoly.partitions import Partition, enumerate_partitions
-from hilbertpoly.symfun import d_coeff, delta_coeff, todd_poly
+from hilbertpoly.symfun import CoeffSeq, d_coeff, delta_coeff
 
-from oracles import ring_delta, substitute
+from oracles import (
+    chern_classes_by_series,
+    euler_char_twist,
+    interpolate,
+    ring_delta,
+    todd_value,
+)
 
 
 CI = CompleteIntersection
@@ -206,7 +211,6 @@ def test_tensor_lemma_numeric_identity():
 
 
 def test_interpolation_of_twists_matches_hrr():
-    from hilbertpoly.reductions import interpolate
     for ci in ci_grid(4, 2, 3):
         pts = [(d, euler_char_twist(ci, d)) for d in range(ci.m + 1)]
         assert interpolate(pts, ci.m) == hilbert_poly_hrr(ci)
@@ -219,19 +223,28 @@ def test_grobner_cross_check_one_case():
 
 
 def test_todd_class_matches_symbolic_todd_polynomials():
-    # the Todd class (the determinantal formula at the tangent Chern
-    # numbers) against the Todd polynomials of the multiplicative-
-    # sequence recurrence with the tangent classes c_j h^j substituted
+    # the Todd class (the multiplicative-sequence recurrence at the
+    # tangent Chern numbers) against the determinantal formula
+    # sum Delta_{lam'}(b) Delta_lam(c) of the oracle at the same numbers
     # (m <= 8 on this grid)
     for ci in ci_grid(8, 3, 4):
-        K = ci.m + 1
-        c = chern_tangent(ci)
+        c = CoeffSeq(chern_tangent(ci).series.coeffs, pad=True)
         td = todd_class(ci).series
         assert td[0] == 1
-        for i in range(1, K):
-            values = {"c%d" % j: TruncSeries.monomial(K, j, c.coefficient(j))
-                      for j in range(1, i + 1)}
-            assert td[i] == substitute(todd_poly(i), values)[i], (ci, i)
+        for i in range(1, ci.m + 1):
+            assert td[i] == todd_value(i, c), (ci, i)
+
+
+def test_integer_chern_classes_match_series_inverses():
+    # the integer recurrences against Fraction series products and
+    # inverses, and the classes hold integers
+    for ci in ci_grid(10, 3, 4):
+        normal, cone_tangent, tangent = chern_classes_by_series(ci)
+        assert chern_cone_normal(ci).series == normal, ci
+        assert chern_cone_tangent(ci).series == cone_tangent, ci
+        assert chern_tangent(ci).series == tangent, ci
+        for cls in (chern_cone_normal(ci), chern_cone_tangent(ci), chern_tangent(ci)):
+            assert cls.integers() == list(cls.series.coeffs), ci
 
 
 def test_projective_character_matches_series_determinant():

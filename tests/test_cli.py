@@ -17,6 +17,7 @@ from hilbertpoly.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_RESOURCE,
+    MAX_DELTA_PAIRS,
     MAX_M,
     MAX_SERIES_DEGREE,
     main,
@@ -443,11 +444,11 @@ def test_parser_carries_no_state_between_calls():
 def test_ci_grid_reports_independent_of_order():
     # the process-wide caches behind `ci` must not make a report depend
     # on which reports ran before it
-    from hilbertpoly.arith import binom_poly
     from hilbertpoly.chern import chern_cone_normal, chern_tangent, ci_grid
-    from hilbertpoly.symfun import delta_b, delta_coeff, delta_table, todd_terms
+    from hilbertpoly.partitions import _nested
+    from hilbertpoly.symfun import _todd_log_coeffs, delta_b, delta_coeff, delta_table
 
-    for cache in (binom_poly, delta_b, todd_terms, delta_coeff, delta_table,
+    for cache in (delta_b, _todd_log_coeffs, delta_coeff, delta_table, _nested,
                   chern_tangent, chern_cone_normal):
         cache.cache_clear()
     argvs = [["ci", "n=%d" % ci.n, "degrees=" + ",".join(map(str, ci.degrees))]
@@ -577,6 +578,29 @@ def test_delta_cap_on_m(monkeypatch, capsys):
     assert code == EXIT_OK and report["entries"] == [{"mu": [], "value": "1"}]
     monkeypatch.setattr(cli, "delta_table", _no_work)
     _refused(capsys, "delta", "m=%d" % (cap + 1), "k=%d" % (cap + 1), "n=%d" % (cap + 1))
+
+
+def test_ci_cap_on_delta_table_pairs(monkeypatch, capsys):
+    # the pairs counted for all the tables of one m: 20 529 at
+    # `ci n=21 degrees=2` (m = 20), 49 934 with a second quadric (m = 19)
+    code, report = run_json("ci", "n=21", "degrees=2")
+    assert code == EXIT_OK and report["agreement"] is True
+    monkeypatch.setattr(cli, "hilbert_poly_hrr", _no_work)
+    monkeypatch.setattr(cli, "character_table", _no_work)
+    monkeypatch.setattr(cli, "delta_table", _no_work)
+    for degrees, pairs in (("2,2", 49934), ("2,2,2", 70890)):
+        detail = _refused(capsys, "ci", "n=21", "degrees=" + degrees)
+        assert "at most %d delta-table pairs, got %d" % (MAX_DELTA_PAIRS, pairs) in detail
+
+
+def test_delta_cap_on_delta_table_pairs(monkeypatch, capsys):
+    code, report = run_json("delta", "m=20", "k=0", "n=21")
+    assert code == EXIT_OK and len(report["entries"]) == 21
+    monkeypatch.setattr(cli, "delta_table", _no_work)
+    detail = _refused(capsys, "delta", "m=20", "k=0", "n=40")
+    assert "at most %d delta-table pairs" % MAX_DELTA_PAIRS in detail
+    # a table past the cap only by its width n - m: 41 748 pairs at m = 17
+    assert "got 41748" in _refused(capsys, "delta", "m=17", "k=0", "n=%d" % 10 ** 30)
 
 
 def test_todd_cap_on_m(monkeypatch, capsys):

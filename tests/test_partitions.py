@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 
 from hilbertpoly.partitions import (
     Partition,
+    count_nested_pairs,
     enumerate_partitions,
     is_admissible,
     jumps,
@@ -78,6 +79,30 @@ def test_enumeration_examples():
     assert enumerate_partitions(2, 2, 2) == [Partition([2]), Partition([1, 1])]
     assert enumerate_partitions(2, containing=Partition([1, 1])) == [Partition([1, 1])]
     assert enumerate_partitions(3, max_part=1) == [Partition([1, 1, 1])]
+
+
+def test_enumeration_containing_matches_filtered_enumeration():
+    # part i starts at mu_i: the same list, in the same order, as
+    # enumerating everything and dropping what does not contain mu
+    pool = [mu for k in range(12) for mu in enumerate_partitions(k)]
+    for size in range(11):
+        for max_part, max_len in ((None, None), (2, None), (None, 3), (3, 4)):
+            everything = enumerate_partitions(size, max_part=max_part, max_len=max_len)
+            for mu in pool:
+                assert enumerate_partitions(size, max_part=max_part, max_len=max_len,
+                                            containing=mu) == \
+                    [lam for lam in everything if lam.contains(mu)], (size, mu)
+
+
+def test_count_nested_pairs_matches_brute_count():
+    for size in range(10):
+        for width in range(size + 2):
+            brute = sum(1 for lam in enumerate_partitions(size)
+                        for j in range(size + 1)
+                        for mu in enumerate_partitions(j, max_part=width)
+                        if lam.contains(mu))
+            assert count_nested_pairs(size, width) == brute, (size, width)
+    assert count_nested_pairs(-1, 3) == count_nested_pairs(3, -1) == 0
 
 
 def test_enumeration_matches_counting_oracle():

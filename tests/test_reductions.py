@@ -14,16 +14,14 @@ from hilbertpoly.grobner import (
 from hilbertpoly.reductions import (
     MAX_CLAUSE_POSITIVES,
     CnfFormula,
-    GradedMatrix,
     count_sat_bruteforce,
     dimacs_text,
-    euler_quotient,
-    ideal_to_graded_matrix,
-    interpolate,
     parse_dimacs,
     sat_to_ideal,
 )
 from hilbertpoly.transversality import InputInstance, input_condition_at
+
+from oracles import GradedMatrix, euler_quotient, ideal_to_graded_matrix, interpolate
 
 
 def test_cnf_normalization():

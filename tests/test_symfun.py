@@ -12,20 +12,29 @@ from hilbertpoly.symfun import (
     b_sequence,
     bernoulli,
     chern_character_poly,
-    complete_homogeneous_values,
     d_coeff,
     delta_coeff,
     delta_det,
     delta_table,
-    elementary_symmetric_values,
+    delta_table_pairs,
     power_sums,
     scaling_factor,
-    schur_eval,
     todd_poly,
-    todd_terms,
 )
 
-from oracles import b_prefix_by_inversion, formal_chern, ring_delta, substitute, todd_direct
+from oracles import (
+    b_prefix_by_inversion,
+    complete_homogeneous_values,
+    delta_coeffs_by_cauchy_binet,
+    elementary_symmetric_values,
+    formal_chern,
+    ring_delta,
+    schur_eval,
+    series_inverse,
+    substitute,
+    todd_direct,
+    todd_terms,
+)
 
 
 def C(*values):
@@ -78,7 +87,7 @@ def test_delta_inverse_identity():
     for _ in range(20):
         vals = [Fraction(1)] + rational_seq(rng, K - 1)
         c = CoeffSeq(vals)
-        cinv = CoeffSeq(list(TruncSeries(K, vals).inverse().coeffs))
+        cinv = CoeffSeq(list(series_inverse(TruncSeries(K, vals)).coeffs))
         for k in range(7):
             for lam in enumerate_partitions(k):
                 assert delta_det(lam, cinv) == delta_det(lam.conjugate(), c.dual())
@@ -331,6 +340,28 @@ def test_delta_table_filters_memoised_coefficients(ns):
         assert set(entries) == expected
         for mu, value in entries.items():
             assert value == delta_coeff.__wrapped__(m, k, mu)
+
+
+def test_delta_coeff_matches_cauchy_binet_oracle():
+    # one determinant over truncated series gives delta^{m,k}_mu for
+    # every k; each delta_coeff sums over the lam containing mu instead
+    for m in range(7):
+        for size in range(m + 1):
+            for mu in enumerate_partitions(size):
+                oracle = delta_coeffs_by_cauchy_binet(m, mu)
+                assert oracle == [delta_coeff(m, k, mu) for k in range(m - size + 1)], (m, mu)
+
+
+def test_delta_table_pairs_counts_the_pairs_of_the_table():
+    for m in range(8):
+        for k in range(m + 1):
+            for n in range(m, m + 4):
+                pairs = sum(len(enumerate_partitions(m - k, max_len=max(m, 1), containing=mu))
+                            for mu in delta_table(m, k, n).entries)
+                assert delta_table_pairs(m, k, n) == pairs, (m, k, n)
+    for mkn in [(2, 3, 3), (2, -1, 3), (-1, 0, 0), (3, 0, 2)]:
+        with pytest.raises(ValueError):
+            delta_table_pairs(*mkn)
 
 
 def test_delta_table_entries_are_read_only():

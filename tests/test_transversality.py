@@ -24,7 +24,7 @@ from hilbertpoly.transversality import (
     transversal_at,
     transversality_report,
 )
-from oracles import substituted_derivatives
+from oracles import series_inverse, substituted_derivatives
 
 X3 = ("x0", "x1", "x2")
 X4 = ("x0", "x1", "x2", "x3")
@@ -319,13 +319,13 @@ def jet_chart(rows, flag, mu, n, m):
     if m == 1:
         a, b, c, d = Bsig[0][0], Bsig[0][1], Bsig[1][0], Bsig[1][1]
         detj = a * d - b * c
-        inv = [[d * detj.inverse(), -b * detj.inverse()],
-               [-c * detj.inverse(), a * detj.inverse()]]
+        inv = [[d * series_inverse(detj), -b * series_inverse(detj)],
+               [-c * series_inverse(detj), a * series_inverse(detj)]]
     elif m == 2:
         detj = (Bsig[0][0] * (Bsig[1][1] * Bsig[2][2] - Bsig[1][2] * Bsig[2][1])
                 - Bsig[0][1] * (Bsig[1][0] * Bsig[2][2] - Bsig[1][2] * Bsig[2][0])
                 + Bsig[0][2] * (Bsig[1][0] * Bsig[2][1] - Bsig[1][1] * Bsig[2][0]))
-        dinv = detj.inverse()
+        dinv = series_inverse(detj)
         cof = [[(Bsig[(i + 1) % 3][(j + 1) % 3] * Bsig[(i + 2) % 3][(j + 2) % 3]
                  - Bsig[(i + 1) % 3][(j + 2) % 3] * Bsig[(i + 2) % 3][(j + 1) % 3])
                 for i in range(3)] for j in range(3)]
