@@ -418,18 +418,6 @@ class UniPoly:
     def __repr__(self):
         return "UniPoly(%r)" % (self.to_text(),)
 
-    def divide_by_one_minus_t(self):
-        """Exact division by (1 - t); requires self(1) == 0."""
-        if self(1) != 0:
-            raise ValueError("not divisible by 1-t")
-        # p = (1-t) q  =>  q_k = sum_{j<=k} p_j
-        out = []
-        acc = Fraction(0)
-        for c in self.coeffs[:-1] if self.coeffs else []:
-            acc += c
-            out.append(acc)
-        return UniPoly(out)
-
     def to_text(self, var="T"):
         if not self.coeffs:
             return "0"

@@ -422,10 +422,13 @@ def build_parser():
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("trans", help="transversality verdict at a point")
+    # argparse reads an argument that starts with a minus sign as an
+    # option unless it looks like a negative number; trans has no option
+    # that starts with a minus and a digit, so a point such as -1,-1,-1
+    # is a positional argument, with or without a -- before it
+    p._negative_number_matcher = re.compile(r"^-[0-9]")
     p.add_argument("instance")
-    p.add_argument("point", help="comma-separated rational coordinates; "
-                                 "put -- before a point that starts with a "
-                                 "minus sign, as in: trans FILE -- -1,-1,-1 [1]")
+    p.add_argument("point", help="comma-separated rational coordinates")
     p.add_argument("partition", help="partition like [1]")
     p.add_argument("--m", type=int, default=None,
                    help="dimension of the variety (default: the degree of "

@@ -5,7 +5,17 @@ zero-dimensional solution counting, and ideal membership.
 Conventions
 -----------
 * Default order is grevlex (smaller bases in practice); lex is
-  available for elimination-style work.
+  available for elimination-style work.  hilbert_data without an order
+  picks one from its generators (_revlex_order): grevlex with x_j
+  ranked last when, for every other variable x_k, some generator
+  restricted to x_j = 0 is c * x_k^d (c != 0, d >= 1), which proves
+  that the hyperplane x_j = 0 holds no zero of I; plain grevlex when no
+  variable has such a proof.  The caps count the run under the order
+  it picked.
+* hilbert_data and count_zero_dim need only the leading-term ideal:
+  they read its minimal generators off Buchberger's run
+  (minimal_leads) and reduce no tail.  buchberger and GrobnerBasis
+  return the reduced basis.
 * For a possibly non-radical input ideal I the Hilbert data computed is
   that of S/I as given, not of the vanishing ideal of its zero set.
 * count_zero_dim counts points with multiplicity (vector-space
@@ -383,10 +393,34 @@ def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
     generators = [g for g in generators if g]
     if not generators:
         return []
-    return _packed(order, generators, _buchberger, generators, max_basis, max_degree)
+    return _packed(order, generators, _reduced_basis, generators, max_basis, max_degree)
+
+
+def _reduced_basis(pk, generators, max_basis, max_degree):
+    return _autoreduce(*_buchberger(pk, generators, max_basis, max_degree),
+                       pk, generators[0].variables)
+
+
+def minimal_leads(generators, order=GREVLEX, max_basis=None, max_degree=None):
+    """Exponent vectors of the minimal generators of the leading-term
+    ideal in(I), ascending in the order: the leads of the reduced
+    Groebner basis, read off buchberger's run without reducing any tail.
+    The caps are buchberger's."""
+    generators = [g for g in generators if g]
+    if not generators:
+        return []
+    return _packed(order, generators, _minimal_leads, generators, max_basis, max_degree)
+
+
+def _minimal_leads(pk, generators, max_basis, max_degree):
+    _, lts, _, active = _buchberger(pk, generators, max_basis, max_degree)
+    return [pk.unpack(lts[k]) for k in _minimal_active(lts, active, pk.guard)]
 
 
 def _buchberger(pk, generators, max_basis, max_degree):
+    """A Groebner basis (G, lts, reducers, active): primitive integer term
+    dicts, their leading exponents, the matching list of _reducer, and
+    the elements whose lead no later lead divides."""
     G, lts = map(list, zip(*(_primitive_form(g, pk) for g in generators)))
     reducers = [_reducer(g, lt, pk) for g, lt in zip(G, lts)]
     guard, lcm = pk.guard, pk.lcm
@@ -453,22 +487,27 @@ def _buchberger(pk, generators, max_basis, max_degree):
         reducers.append(_reducer(G[t], lts[t], pk))
         check_caps(G[t])
         update(t)
-    return _autoreduce(G, lts, reducers, active, pk, generators[0].variables)
+    return G, lts, reducers, active
+
+
+def _minimal_active(lts, active, guard):
+    """The active elements that hold the minimal leads, one per lead,
+    sorted by lead.
+
+    Every minimal lead is held by an active element, and no two active
+    leads are equal (a newcomer retires an equal lead), so dropping the
+    active elements whose lead another active lead divides leaves
+    exactly one element per minimal lead."""
+    return sorted((i for i in active
+                   if all(j == i or (lts[i] - lts[j]) & guard for j in active)),
+                  key=lts.__getitem__)
 
 
 def _autoreduce(G, lts, reducers, active, pk, variables):
     """Reduced monic basis over Q, sorted by lead, each element's terms
-    largest first, from a Groebner basis G of primitive integer term
-    dicts with leading exponents lts, the matching list of _reducer and
-    buchberger's active elements."""
-    # every minimal lead is held by an active element, and no two active
-    # leads are equal (a newcomer retires an equal lead), so dropping the
-    # active elements whose lead another active lead divides leaves
-    # exactly one element per minimal lead
+    largest first, from _buchberger's Groebner basis."""
     guard = pk.guard
-    keep = sorted((i for i in active
-                   if all(j == i or (lts[i] - lts[j]) & guard for j in active)),
-                  key=lts.__getitem__)
+    keep = _minimal_active(lts, active, guard)
     reducers = [reducers[i] for i in keep]
     # fully reduce each survivor against the others; its lead survives
     out = []
@@ -497,10 +536,6 @@ class GrobnerBasis:
                  if isinstance(ideal_or_polys, HomIdeal) else tuple(ideal_or_polys))
         basis = buchberger(polys, order, max_basis=max_basis, max_degree=max_degree)
         return cls(order=order, elements=tuple(basis))
-
-    def leading_exponents(self):
-        # buchberger lists each element's terms largest first
-        return [next(iter(g.terms)) for g in self.elements]
 
     def normal_form(self, f):
         return normal_form(f, self.elements, self.order)
@@ -593,7 +628,7 @@ class HilbertData:
         """dim of the degree-k graded piece, read off the series."""
         if k < 0:
             return 0
-        value = _expand_series(self.series_numerator, self.nvars, k)[k]
+        value = _expand_series(self.series_numerator.coeffs, self.nvars, k)[k]
         if value.denominator != 1 or value < 0:
             raise CrossCheckFailed("Hilbert function value %s in degree %d "
                                    "is not a natural number" % (value, k))
@@ -601,13 +636,17 @@ class HilbertData:
 
 
 def _cancel_one_minus_t(q):
-    """(qbar, k) with q = (1-t)^k * qbar and qbar(1) != 0, or (0, 0)
-    for q = 0."""
+    """(qbar, k) with q = (1-t)^k * qbar and qbar(1) != 0, or ([], 0)
+    for q = 0, for a numerator q with integer coefficients; qbar is
+    their integer list.  A zero sum is q(1) = 0, one more factor 1 - t,
+    and the quotient's coefficients are the prefix sums of q but the
+    last, which is q(1)."""
+    qbar = [c.numerator for c in q.coeffs]
     k = 0
-    while q and q(1) == 0:
-        q = q.divide_by_one_minus_t()
+    while qbar and not sum(qbar):
+        qbar = list(itertools.accumulate(qbar))[:-1]
         k += 1
-    return q, k
+    return qbar, k
 
 
 def _hilbert_data_from_numerator(q, nvars):
@@ -617,36 +656,66 @@ def _hilbert_data_from_numerator(q, nvars):
     D = nvars - cancelled
     poly = UniPoly()
     if D > 0:
-        for j, c in enumerate(qbar.coeffs):
+        for j, c in enumerate(qbar):
             if c:
                 poly = poly + c * binom_poly(D - 1 - j, D - 1)
 
     # function and polynomial agree for all k > deg(qbar); scan downwards
-    reg = qbar.degree + 1
-    hvals = _expand_series(qbar, D, qbar.degree + 1)
+    reg = len(qbar)
+    hvals = _expand_series(qbar, D, reg)
     while reg > 0 and hvals[reg - 1] == poly(reg - 1):
         reg -= 1
     return HilbertData(nvars, q, poly, reg)
 
 
-def _expand_series(qbar, D, upto):
-    """First upto+1 coefficients of qbar(t)/(1-t)^D."""
-    coeffs = [qbar.coefficient(j) for j in range(upto + 1)]
+def _expand_series(q, D, upto):
+    """First upto+1 coefficients of q(t)/(1-t)^D, q a coefficient list."""
+    coeffs = list(q[:upto + 1]) + [0] * (upto + 1 - len(q))
     for _ in range(D):
-        acc = Fraction(0)
-        for k in range(upto + 1):
-            acc += coeffs[k]
-            coeffs[k] = acc
+        coeffs = list(itertools.accumulate(coeffs))
     return coeffs
 
 
-def hilbert_data(ideal, order=GREVLEX, max_basis=None, max_degree=None):
+def _revlex_order(ideal):
+    """Grevlex with x_j ranked last, for the first j whose hyperplane
+    x_j = 0 the generators prove free of zeros of I; GREVLEX, which
+    ranks the last variable last, when no variable has a proof.
+
+    The proof: for every other variable x_k, some generator restricted
+    to x_j = 0 is c * x_k^d with c != 0 and d >= 1, so I + (x_j) holds
+    x_j and a power of every variable.  Then I : x_j^oo is the
+    saturation of I, and with x_j last in revlex in(I : x_j^oo) =
+    in(I) : x_j^oo (Bayer & Stillman, Duke Math. J. 1987): the leads of
+    I, stripped of x_j, are those of the saturation, which in practice
+    keeps Buchberger's run small.  The Hilbert data are the same under
+    any order; only the work changes."""
+    nvars = len(ideal.variables)
+    for j in range(nvars):
+        powers = set()
+        for g in ideal.generators:
+            rest = [e for e in g.terms if not e[j]]
+            if len(rest) == 1:
+                support = [k for k, a in enumerate(rest[0]) if a]
+                if len(support) == 1:
+                    powers.add(support[0])
+        if len(powers) == nvars - 1:
+            if j == nvars - 1:
+                return GREVLEX
+            return MonomialOrder("grevlex", tuple(k for k in range(nvars) if k != j) + (j,))
+    return GREVLEX
+
+
+def hilbert_data(ideal, order=None, max_basis=None, max_degree=None):
     """Hilbert data of S/I for a homogeneous ideal I, via the standard
-    reduction to the leading-term ideal of a Groebner basis."""
+    reduction to the leading-term ideal of a Groebner basis: only its
+    minimal leads are computed.  Without an order, _revlex_order picks
+    one from the generators."""
     if not ideal.homogeneous:
         raise ValueError("hilbert_data needs a homogeneous ideal")
-    gb = GrobnerBasis.of(ideal, order, max_basis=max_basis, max_degree=max_degree)
-    q = hilbert_series_monomial(gb.leading_exponents(), len(ideal.variables))
+    if order is None:
+        order = _revlex_order(ideal)
+    leads = minimal_leads(ideal.generators, order, max_basis=max_basis, max_degree=max_degree)
+    q = hilbert_series_monomial(leads, len(ideal.variables))
     return _hilbert_data_from_numerator(q, len(ideal.variables))
 
 
@@ -699,14 +768,13 @@ def count_zero_dim(gens, order=GREVLEX, max_basis=None, max_degree=None, nvars=N
     gens = [g for g in gens if g]
     if not gens:
         return 1 if nvars == 0 else INFINITE
-    gb = GrobnerBasis.of(gens, order, max_basis=max_basis, max_degree=max_degree)
-    qbar, cancelled = _cancel_one_minus_t(
-        hilbert_series_monomial(gb.leading_exponents(), nvars))
+    leads = minimal_leads(gens, order, max_basis=max_basis, max_degree=max_degree)
+    qbar, cancelled = _cancel_one_minus_t(hilbert_series_monomial(leads, nvars))
     if not qbar:
         return 0
     if cancelled < nvars:
         return INFINITE
-    return int(qbar(1))
+    return sum(qbar)
 
 
 def fresh_variable(variables):

@@ -9,6 +9,7 @@ and tautological clauses are dropped on ingestion.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .arith import MultiPoly
@@ -115,13 +116,25 @@ def sat_to_ideal(phi):
         sq = tuple(2 if j == i else 0 for j in range(n + 1))
         mixed = tuple(1 if j in (0, i) else 0 for j in range(n + 1))
         gens.append(MultiPoly(variables, {sq: 1, mixed: -1}))
-    x0 = MultiPoly.variable(variables, "x0")
     for clause in phi.clauses:
-        f = MultiPoly.constant(variables, 1)
+        # the product of x0 - x_i over the p positive literals, expanded
+        # by the subset S of them that gives -x_i: the term
+        # (-1)^|S| x0^(p - |S|) prod_S x_i, times the negative literals'
+        # x_i; a variable occurs once in a clause, so no terms combine
+        positives = [lit for lit in clause if lit > 0]
+        base = [0] * (n + 1)
         for lit in clause:
-            xi = MultiPoly.variable(variables, "x%d" % abs(lit))
-            f = f * ((x0 - xi) if lit > 0 else xi)
-        gens.append(f)
+            if lit < 0:
+                base[-lit] = 1
+        terms = {}
+        for size in range(len(positives) + 1):
+            for chosen in itertools.combinations(positives, size):
+                exp = base[:]
+                exp[0] = len(positives) - size
+                for i in chosen:
+                    exp[i] = 1
+                terms[tuple(exp)] = -1 if size % 2 else 1
+        gens.append(MultiPoly(variables, terms))
     return HomIdeal.from_polys(variables, gens)
 
 

@@ -12,8 +12,10 @@ series inverses, the Euler characteristics of its twists from
 exp(d h) td V, the delta coefficients from one Cauchy-Binet
 determinant over truncated series, Schur values from bialternants,
 the zero count of a staircase from the box under its pure powers, the
-derivatives of a polynomial in adapted coordinates from substituting
-the change of coordinates symbolically, the reduced row echelon form
+leads of a Groebner basis by a scan of each element's terms, division
+by 1 - t in Fraction arithmetic, the derivatives of a polynomial in
+adapted coordinates from substituting the change of coordinates
+symbolically, the reduced row echelon form
 from Gauss-Jordan elimination in Fraction arithmetic, the Euler
 characteristics of a one-row graded presentation from its Hilbert
 polynomial, and a polynomial through given points by Lagrange
@@ -221,6 +223,26 @@ def _interreduce(basis, order):
             basis = others + ([r] if r else [])
             i = 0
     return [g * (1 / g.terms[max(g.terms, key=order.key)]) for g in basis]
+
+
+def leading_exponents(gb):
+    """Leading exponent of each element of a GrobnerBasis, the largest
+    term under its order.key."""
+    return [max(g.terms, key=gb.order.key) for g in gb.elements]
+
+
+def divide_by_one_minus_t(p):
+    """Exact division of a UniPoly by (1 - t), in Fraction arithmetic;
+    requires p(1) == 0."""
+    if p(1) != 0:
+        raise ValueError("not divisible by 1-t")
+    # p = (1-t) q  =>  q_k = sum_{j<=k} p_j
+    out = []
+    acc = Fraction(0)
+    for c in p.coeffs[:-1]:
+        acc += c
+        out.append(acc)
+    return UniPoly(out)
 
 
 def standard_monomial_count(lts, nvars):

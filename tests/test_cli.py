@@ -232,17 +232,27 @@ def test_trans_with_a_flag_file(tmp_path):
     assert report["flag"]["source"] == "seed" and report["flag"]["file"] is None
 
 
-def test_trans_point_with_a_leading_minus_follows_double_dash(tmp_path, capsys):
-    # argparse takes -1,-1,-1 for an option; after -- it is the point,
-    # and a projective point and its negative give one report
+def test_trans_point_with_a_leading_minus_follows_double_dash(tmp_path):
+    # after -- the point is positional; a projective point and its
+    # negative give one report
     inst = tmp_path / "conic.ideal"
     inst.write_text(CONIC)
-    code, out = run_cli("trans", str(inst), "-1,-1,-1", "[1]")
-    assert code == EXIT_PARSE and out == ""
-    assert json.loads(capsys.readouterr().err)["error"] == "parse"
     negative = run_cli("trans", str(inst), "--", "-1,-1,-1", "[1]")
     assert negative[0] == EXIT_OK
     assert negative == run_cli("trans", str(inst), "1,1,1", "[1]")
+
+
+def test_trans_point_with_a_leading_minus_without_double_dash(tmp_path, capsys):
+    inst = tmp_path / "conic.ideal"
+    inst.write_text(CONIC)
+    report = run_cli("trans", str(inst), "1,1,1", "[1]")
+    assert run_cli("trans", str(inst), "-1,-1,-1", "[1]") == report
+    assert run_cli("trans", str(inst), "-1/2,-1/2,-1/2", "[1]", "--m", "1") == report
+    assert run_cli("--seed", "0", "trans", "--m", "1", str(inst), "-4,2,-1", "[1]")[0] == EXIT_OK
+    # an unknown option is still a usage error, not a point
+    code, out = run_cli("trans", str(inst), "-x", "[1]")
+    assert code == EXIT_PARSE and out == ""
+    assert json.loads(capsys.readouterr().err)["error"] == "parse"
 
 
 def test_reduce_sat_without_variables(tmp_path):
@@ -661,23 +671,33 @@ _ARGV = st.one_of(
 ).map(lambda parts: parts[0] + parts[1])
 
 
-@given(_ARGV, st.sampled_from([[], ["--output", "text"], ["--seed", "-2"]]))
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_closed_form_commands_never_raise(argv, options):
+def _documented_outcome(argv):
+    """main(argv) with stdout and stderr captured.  It must exit 0 with
+    a report on stdout and nothing on stderr, or exit 2, 3 or 4 with
+    nothing on stdout and the JSON error of its code on stderr; exit 2
+    with a disagreement report fails.  Returns the code and stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(options + argv)
+        code = main(argv)
+    event("exit %d" % code)
     assert code in (EXIT_OK, EXIT_DISAGREE, EXIT_RESOURCE, EXIT_PARSE)
     if code == EXIT_OK:
         assert out.getvalue() and err.getvalue() == ""
-        if not options:
-            json.loads(out.getvalue())
     else:
         assert out.getvalue() == ""
         error = json.loads(err.getvalue())["error"]
         assert error == {EXIT_DISAGREE: "cross-check", EXIT_RESOURCE: "resource-cap",
                          EXIT_PARSE: "parse"}[code]
+    return code, out.getvalue()
+
+
+@given(_ARGV, st.sampled_from([[], ["--output", "text"], ["--seed", "-2"]]))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_closed_form_commands_never_raise(argv, options):
+    code, out = _documented_outcome(options + argv)
+    if code == EXIT_OK and not options:
+        json.loads(out)
 
 
 # -- fuzzing trans and the polynomial parsers
@@ -745,20 +765,9 @@ def test_trans_never_raises(tmp_path_factory, case, options):
     if flag is not None:
         (folder / "f.flag").write_text(flag)
         argv += ["--flag", str(folder / "f.flag")]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    event("exit %d" % code)
-    assert code in (EXIT_OK, EXIT_DISAGREE, EXIT_RESOURCE, EXIT_PARSE)
-    if code == EXIT_OK:
-        assert out.getvalue() and err.getvalue() == ""
-        if not options or options[0] != "--output":
-            json.loads(out.getvalue())
-    else:
-        assert out.getvalue() == ""
-        error = json.loads(err.getvalue())["error"]
-        assert error == {EXIT_DISAGREE: "cross-check", EXIT_RESOURCE: "resource-cap",
-                         EXIT_PARSE: "parse"}[code]
+    code, out = _documented_outcome(argv)
+    if code == EXIT_OK and (not options or options[0] != "--output"):
+        json.loads(out)
 
 
 _POLY_ALPHABET = " xy0123^*/+-"
@@ -834,20 +843,63 @@ def test_dimacs_parser_raises_only_value_errors(text):
           suppress_health_check=[HealthCheck.too_slow])
 def test_reduce_sat_never_raises(tmp_path_factory, text, options):
     # every report must agree: a disagreement report (exit 2 with output)
-    # fails below, as exit 2 may only come with the cross-check error
+    # fails in _documented_outcome, as exit 2 may only come with the
+    # cross-check error
     path = tmp_path_factory.mktemp("sat") / "f.cnf"
     path.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(options + ["reduce-sat", str(path)])
-    event("exit %d" % code)
-    assert code in (EXIT_OK, EXIT_DISAGREE, EXIT_RESOURCE, EXIT_PARSE)
-    if code == EXIT_OK:
-        assert out.getvalue() and err.getvalue() == ""
-        if options[:1] != ["--output"]:
-            assert json.loads(out.getvalue())["agree"] is True
-    else:
-        assert out.getvalue() == ""
-        error = json.loads(err.getvalue())["error"]
-        assert error == {EXIT_DISAGREE: "cross-check", EXIT_RESOURCE: "resource-cap",
-                         EXIT_PARSE: "parse"}[code]
+    code, out = _documented_outcome(options + ["reduce-sat", str(path)])
+    if code == EXIT_OK and options[:1] != ["--output"]:
+        assert json.loads(out)["agree"] is True
+
+
+# -- fuzzing hilbert, membership and count
+
+_SAT_IDEAL = ("vars: x0 x1 x2 x3\nx1^2 - x0*x1\nx2^2 - x0*x2\nx3^2 - x0*x3\n"
+              "x0^2*x3 - x0*x2*x3 - x0*x1*x3 + x1*x2*x3\nx1*x2\n")
+_GROBNER_IDEAL_TEXTS = st.one_of(
+    _IDEAL_TEXTS,
+    st.sampled_from([_SAT_IDEAL, "vars: x y\nx^2 - 1\ny^3 - y\n", "vars: x y\nx*y\n",
+                     "vars: x y\nx\nx + 1\n", "vars: x0 x1 x2\nx0^3 + x1^3 + x2^3\n",
+                     "vars: x0 x1 x2\nx0^2 + x1*x2\nx1^3 - x0*x2^2\nx2^4 - x0*x1^3\n",
+                     "vars: x0 x1\n1\n", "vars: x0 x1\nx0 - 1\n"]),
+    st.lists(st.text(alphabet="x012^*+- ", min_size=1, max_size=12), min_size=1, max_size=3)
+    .map(lambda lines: "vars: x0 x1 x2\n" + "\n".join(lines) + "\n"))
+_MEMBERS = st.one_of(
+    st.sampled_from(["x0^2*x2 - x0*x1^2", "x0*x1", "x1^2 - x0*x1", "0", "1", "x0 + 1",
+                     "-x0", "x9", "", "x0^", "x^2 - 1", "x0^200", "1/0*x0"]),
+    st.text(alphabet="x012^*+- ", max_size=12))
+
+
+@given(st.one_of(
+    st.tuples(st.just("hilbert"), _GROBNER_IDEAL_TEXTS, st.just([])),
+    st.tuples(st.just("count"), _GROBNER_IDEAL_TEXTS, st.just([])),
+    st.tuples(st.just("membership"), _GROBNER_IDEAL_TEXTS, _MEMBERS.map(lambda p: [p]))),
+    st.sampled_from([[], ["--output", "text"], ["--seed", "5"], ["--max-basis", "3"]]))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_grobner_commands_never_raise(tmp_path_factory, case, options):
+    command, text, rest = case
+    path = tmp_path_factory.mktemp(command) / "f.ideal"
+    path.write_text(text)
+    code, out = _documented_outcome(["--max-basis", "40", "--max-degree", "12", *options,
+                                     command, str(path), *rest])
+    if code == EXIT_OK and options[:1] != ["--output"]:
+        report = json.loads(out)
+        if command == "membership":
+            assert report["agreement"] is True
+
+
+def test_hilbert_caps_on_a_sat_ideal_file(tmp_path, capsys):
+    # hilbert picks grevlex with x0 last for a SAT ideal; --max-basis
+    # and --max-degree bound the run under that order
+    cnf, ideal = tmp_path / "f.cnf", tmp_path / "f.ideal"
+    cnf.write_text("p cnf 4 3\n1 -2 3 0\n-1 2 4 0\n2 -3 -4 0\n")
+    code, report = run_json("reduce-sat", str(cnf), "--out", str(ideal))
+    assert code == EXIT_OK and report["agree"] is True
+    code, hilbert = run_json("hilbert", str(ideal))
+    assert code == EXIT_OK
+    assert hilbert["hilbert_polynomial"]["text"] == str(report["count_bruteforce"])
+    for cap in (["--max-basis", "3"], ["--max-degree", "2"]):
+        code, out = run_cli(*cap, "hilbert", str(ideal))
+        assert code == EXIT_RESOURCE and out == ""
+        assert json.loads(capsys.readouterr().err)["error"] == "resource-cap"

@@ -29,13 +29,23 @@ from hilbertpoly.grobner import (
     ideal_file_text,
     in_ideal,
     membership_via_hilbert,
+    minimal_leads,
     monomials_of_degree,
     normal_form,
     parse_ideal_file,
     _FieldOverflow,
     _Packing,
+    _cancel_one_minus_t,
+    _revlex_order,
 )
-from oracles import normal_form_by_scan, reduced_basis_by_scan, spoly, standard_monomial_count
+from oracles import (
+    divide_by_one_minus_t,
+    leading_exponents,
+    normal_form_by_scan,
+    reduced_basis_by_scan,
+    spoly,
+    standard_monomial_count,
+)
 
 
 def ideal(var_text, *polys):
@@ -580,14 +590,14 @@ def test_variable_ranking_permutes_priority():
 
 
 def test_leading_exponents_are_the_largest_terms():
-    # leading_exponents reads each lead off buchberger's term order; here
-    # every lead is found again by a scan under order.key
+    # buchberger lists each element's terms largest first; here every
+    # lead is found again by a scan under order.key
     from hilbertpoly.grobner import GrobnerBasis
     gens = polys("x y z", "x^2 - y^2 + z", "x*y*z - z^3 + x", "y^4 - x*z^3 + 2*y")
     for order in (GREVLEX, LEX, MonomialOrder("grevlex", ranking=(2, 0, 1)),
                   MonomialOrder("lex", ranking=(1, 2, 0))):
         gb = GrobnerBasis.of(gens, order)
-        assert gb.leading_exponents() == [max(g.terms, key=order.key) for g in gb.elements]
+        assert [next(iter(g.terms)) for g in gb.elements] == leading_exponents(gb)
 
 
 def test_every_spoly_reduces_to_zero():
@@ -605,7 +615,7 @@ def test_reduced_basis_leads_are_incomparable():
     from hilbertpoly.grobner import GrobnerBasis
     gens = polys("x y z", "x^2 - y^2", "x*y*z - z^3", "y^4 - x*z^3")
     gb = GrobnerBasis.of(gens)
-    lts = gb.leading_exponents()
+    lts = leading_exponents(gb)
     for i, a in enumerate(lts):
         for j, b in enumerate(lts):
             if i != j:
@@ -660,3 +670,157 @@ def test_regularity_agreement_on_wider_corpus():
         if data.index_of_regularity > 0:
             k = data.index_of_regularity - 1
             assert data.hilbert_polynomial(k) != data.hilbert_function(k)
+
+
+# -- the default order of hilbert_data, leads only, integer cancellation
+
+
+def _sat_corpus():
+    from hilbertpoly.reductions import CnfFormula, sat_to_ideal
+    rng = random.Random(18)
+    out = []
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(3):
+            clauses = [tuple(v if rng.random() < 0.5 else -v
+                             for v in rng.sample(range(1, n + 1), min(3, n)))
+                       for _ in range(2 * n)]
+            out.append(sat_to_ideal(CnfFormula(n, clauses)))
+    return out
+
+
+def _generic_ci_corpus():
+    from hilbertpoly.chern import CompleteIntersection, generic_ci_ideal
+    return [generic_ci_ideal(CompleteIntersection(n, degrees), seed=s)
+            for n, degrees in ((2, (2,)), (3, (2, 2)), (3, (3,)), (4, (2, 2)), (4, (2, 3)))
+            for s in range(2)]
+
+
+def _hilbert_data_routes_agree(I):
+    """Under the order hilbert_data picks, minimal_leads gives the leads
+    of GrobnerBasis.of(I); hilbert_data gives the numerator of those
+    leads, and the same data as under GREVLEX."""
+    from hilbertpoly.grobner import GrobnerBasis
+    order = _revlex_order(I)
+    leads = leading_exponents(GrobnerBasis.of(I, order))
+    assert minimal_leads(I.generators, order) == leads
+    data = hilbert_data(I)
+    assert data.series_numerator == hilbert_series_monomial(leads, len(I.variables))
+    assert data == hilbert_data(I, order=GREVLEX)
+    return data
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """Homogeneous ideals in 2-4 variables: random forms of degree 1-3,
+    and, for a drawn variable x_j, forms c*x_k^d + x_j*m for some or all
+    other x_k, so that the order rule of hilbert_data fires on some."""
+    n = draw(st.integers(2, 4))
+    variables = tuple("x%d" % i for i in range(n))
+    coeff = st.integers(-3, 3).filter(bool)
+    gens = []
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.integers(1, 3))
+        monos = monomials_of_degree(n, d)
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        gens.append(MultiPoly(variables, {e: draw(coeff) for e in chosen}))
+    j = draw(st.integers(0, n - 1))
+    for k in range(n):
+        if k == j or not draw(st.integers(0, 4)):
+            continue
+        d = draw(st.integers(1, 3))
+        terms = {tuple(d if i == k else 0 for i in range(n)): draw(coeff)}
+        other = list(draw(st.sampled_from(monomials_of_degree(n, d - 1))))
+        other[j] += 1
+        terms[tuple(other)] = draw(st.integers(-3, 3))
+        gens.append(MultiPoly(variables, terms))
+    return HomIdeal.from_polys(variables, gens)
+
+
+@given(homogeneous_ideals())
+@settings(max_examples=100, deadline=None)
+def test_hilbert_data_same_under_the_chosen_order(I):
+    data = _hilbert_data_routes_agree(I)
+    for k in range(data.index_of_regularity + 2):
+        assert data.hilbert_function(k) == hilbert_function_direct(I, k)
+
+
+@given(st.one_of(small_system(), sat_shaped_system().map(lambda case: case[0])),
+       st.sampled_from([GREVLEX, LEX, MonomialOrder("grevlex", ranking=(2, 0, 1))]))
+@settings(max_examples=60, deadline=None)
+def test_minimal_leads_are_the_reduced_basis_leads(gens, order):
+    from hilbertpoly.grobner import GrobnerBasis
+    caps = dict(max_basis=30, max_degree=10)
+    try:
+        gb = GrobnerBasis.of(gens, order, **caps)
+    except ResourceCapExceeded as exc:
+        with pytest.raises(ResourceCapExceeded, match=str(exc)):
+            minimal_leads(gens, order, **caps)
+        return
+    assert minimal_leads(gens, order, **caps) == leading_exponents(gb)
+
+
+def test_chosen_order_and_minimal_leads_on_the_corpora():
+    from hilbertpoly.grobner import GrobnerBasis
+    for I in _sat_corpus() + _generic_ci_corpus():
+        _hilbert_data_routes_agree(I)
+        affine = [g.set_variable("x0", 1) for g in I.generators]
+        assert minimal_leads(affine) == leading_exponents(GrobnerBasis.of(affine))
+
+
+def test_order_rule():
+    from hilbertpoly.chern import CompleteIntersection, generic_ci_ideal
+    from hilbertpoly.reductions import CnfFormula, sat_to_ideal
+    for I in _sat_corpus():
+        n = len(I.variables)
+        assert _revlex_order(I) == MonomialOrder("grevlex", tuple(range(1, n)) + (0,))
+    assert _revlex_order(sat_to_ideal(CnfFormula(0, ()))) == GREVLEX
+    for I in _generic_ci_corpus():
+        assert _revlex_order(I) == GREVLEX
+    for s in range(10):
+        I = generic_ci_ideal(CompleteIntersection(5, (2, 2, 2)), seed=s)
+        assert _revlex_order(I) == GREVLEX
+    # x2 has no power on x0 = 0, and no other hyperplane has a proof
+    assert _revlex_order(ideal("x0 x1 x2", "x1^2 - x0*x1", "x1*x2 - x0^2")) == GREVLEX
+    assert _revlex_order(ideal("x0 x1 x2", "x1^2 - x0*x1", "x2^2 - x0*x2")) == \
+        MonomialOrder("grevlex", (1, 2, 0))
+    # a proof for the last variable is GREVLEX itself
+    assert _revlex_order(ideal("x0 x1 x2", "x0^2 - x0*x2", "x1^3 + x1*x2^2")) == GREVLEX
+    # the rule asks for c*x_k^d with d >= 1; a unit ideal gets GREVLEX
+    unit = ideal("x0 x1 x2", "1", "x1^2")
+    assert _revlex_order(unit) == GREVLEX
+    assert hilbert_data(unit).series_numerator == UniPoly()
+    # a restriction to x_j = 0 with two terms proves nothing
+    assert _revlex_order(ideal("x0 x1 x2", "x1^2 + x2^2 - x0*x1", "x2^2 - x0*x2")) == GREVLEX
+
+
+def test_explicit_order_is_respected(monkeypatch):
+    I = _sat_corpus()[3]
+    expected = hilbert_data(I)
+    monkeypatch.setattr(hilbertpoly.grobner, "_revlex_order",
+                        lambda ideal: pytest.fail("order chosen despite an explicit one"))
+    for order in (GREVLEX, LEX, MonomialOrder("grevlex", ranking=(2, 1, 0, 3))):
+        assert hilbert_data(I, order=order) == expected
+
+
+def _oracle_cancel(q):
+    k = 0
+    while q and q(1) == 0:
+        q = divide_by_one_minus_t(q)
+        k += 1
+    return q, k
+
+
+@given(st.lists(st.integers(-5, 5), max_size=6), st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_integer_cancellation_matches_division_oracle(coeffs, k):
+    q = UniPoly(coeffs)
+    for _ in range(k):
+        q = q * UniPoly([1, -1])
+    qbar, cancelled = _cancel_one_minus_t(q)
+    assert all(type(c) is int for c in qbar)
+    expected, expected_k = _oracle_cancel(q)
+    assert (qbar, cancelled) == (list(expected.coeffs), expected_k)
+    if q:
+        assert sum(qbar) != 0 and cancelled >= k
+    else:
+        assert (qbar, cancelled) == ([], 0)

@@ -1,8 +1,10 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from hilbertpoly.arith import UniPoly, binom_poly, parse_poly
+from hilbertpoly.arith import MultiPoly, UniPoly, binom_poly, parse_poly
 from hilbertpoly.grobner import (
     HomIdeal,
     ResourceCapExceeded,
@@ -64,6 +66,28 @@ def test_sat_to_ideal_single_clause():
     ]
     assert list(ideal.generators) == expected
     assert ideal.homogeneous
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(-n, n).filter(bool), max_size=5), max_size=6)
+    if n else st.lists(st.just([]), max_size=2))))
+@settings(max_examples=150, deadline=None)
+def test_clause_expansion_matches_product_of_factors(case):
+    # each clause generator against the product of its factors, x0 - x_i
+    # for a positive literal and x_i for a negative one, in MultiPoly
+    # arithmetic
+    n, clauses = case
+    phi = CnfFormula(n, tuple(map(tuple, clauses)))
+    ideal = sat_to_ideal(phi)
+    x = [MultiPoly.variable(ideal.variables, v) for v in ideal.variables]
+    products = []
+    for clause in phi.clauses:
+        f = MultiPoly.constant(ideal.variables, 1)
+        for lit in clause:
+            f = f * (x[0] - x[lit] if lit > 0 else x[-lit])
+        products.append(f)
+    assert list(ideal.generators[n:]) == products
 
 
 def test_sat_empty_clause_kills_everything():
