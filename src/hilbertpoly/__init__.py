@@ -4,26 +4,25 @@ and counting-reduction machinery around them.
 
 Modules
 -------
-arith           exact polynomials and truncated power series over Q
+arith           exact multivariate and univariate polynomials over Q
 linalg          exact rational linear algebra
 partitions      partitions, containment, jump sequences, nested-pair counts
 symfun          Delta determinants, the Todd recurrence over any ring,
-                Chern-character polynomials, delta tables
+                delta tables
 grobner         Buchberger bases, Hilbert series/polynomials, zero counting,
                 membership via Hilbert data
-chern           complete-intersection Chern classes in integers, the
-                Todd class and characters
+chern           complete-intersection Chern classes as integer tuples,
+                the Todd class and characters
 transversality  Schubert cells, charts, and the tangency rank tests
 reductions      #SAT encodings and the brute-force model count
 cli             batch command-line front end
 """
 
-from .arith import MultiPoly, TruncSeries, UniPoly, binom_poly, parse_poly
+from .arith import MultiPoly, UniPoly, binom_poly, parse_poly
 from .partitions import Partition, parse_partition
 
 __all__ = [
     "MultiPoly",
-    "TruncSeries",
     "UniPoly",
     "binom_poly",
     "parse_poly",

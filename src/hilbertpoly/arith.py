@@ -1,5 +1,5 @@
-"""Exact arithmetic substrate: sparse multivariate polynomials, dense
-univariate polynomials, and truncated power series, all over Q.
+"""Exact arithmetic substrate: sparse multivariate polynomials and dense
+univariate polynomials, both over Q.
 
 Values are immutable after construction; every operation is a pure
 function, so they are safe to share between threads.
@@ -453,119 +453,3 @@ def binom_poly(shift, n):
         p = p * (t + (shift - k))
     return p * Fraction(1, math.factorial(n))
 
-
-# ---------------------------------------------------------------------------
-# Truncated power series
-
-
-class TruncSeries:
-    """Univariate power series truncated modulo h^K (order K, K coefficients).
-
-    Mixing different orders in one operation is an error; truncation is
-    never silent.
-    """
-
-    def __init__(self, order, coeffs):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        coeffs = [frac(c) for c in coeffs]
-        if len(coeffs) != order:
-            raise ValueError("need exactly %d coefficients, got %d" % (order, len(coeffs)))
-        self.order = order
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def from_coeffs(cls, order, coeffs):
-        """Build from at most `order` leading coefficients, zero-padded."""
-        coeffs = list(coeffs)
-        if len(coeffs) > order:
-            raise ValueError("coefficient list longer than order; truncate explicitly")
-        coeffs += [Fraction(0)] * (order - len(coeffs))
-        return cls(order, coeffs)
-
-    @classmethod
-    def truncated(cls, order, coeffs):
-        """Build by explicitly discarding coefficients past the order."""
-        return cls.from_coeffs(order, list(coeffs)[:order])
-
-    @classmethod
-    def zero(cls, order):
-        return cls(order, [Fraction(0)] * order)
-
-    @classmethod
-    def one(cls, order):
-        return cls.monomial(order, 0)
-
-    @classmethod
-    def monomial(cls, order, i, c=1):
-        """The series c * h^i (zero when i >= order)."""
-        coeffs = [Fraction(0)] * order
-        if i < order:
-            coeffs[i] = frac(c)
-        return cls(order, coeffs)
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
-    def _coerce(self, other):
-        if isinstance(other, TruncSeries):
-            if other.order != self.order:
-                raise ValueError("truncation order mismatch: %d vs %d"
-                                 % (self.order, other.order))
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TruncSeries.monomial(self.order, 0, other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return TruncSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries(self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = frac(other)
-            return TruncSeries(self.order, [c * v for v in self.coeffs])
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        K = self.order
-        out = [Fraction(0)] * K
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(K - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncSeries(K, out)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncSeries)
-                and self.order == other.order and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self):
-        return "TruncSeries(%d, %r)" % (self.order, [str(c) for c in self.coeffs])

@@ -28,10 +28,11 @@ of weights d_i - 1 (via the gradient maps) is the one derivation made
 here that is pinned by tests rather than quoted: it reproduces the
 classical count d(d-1) of tangents through a point for plane curves.
 
-chern_tangent and chern_cone_normal are memoised for the life of the
-process: each class depends only on the frozen CompleteIntersection,
-and TruncClass and TruncSeries are immutable, so every caller shares
-one build (and one twist cross-check) per complete intersection.
+Each total Chern class is the tuple (c_0, ..., c_m) of its Chern
+numbers, Python ints.  chern_tangent and chern_cone_normal are
+memoised for the life of the process: each class depends only on the
+frozen CompleteIntersection and a tuple is immutable, so every caller
+shares one build (and one twist cross-check) per complete intersection.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import CrossCheckFailed, MultiPoly, TruncSeries, UniPoly
+from .arith import CrossCheckFailed, MultiPoly, UniPoly
 from .grobner import HomIdeal, monomials_of_degree
 from .partitions import enumerate_partitions
 from .symfun import CoeffSeq, delta_det, delta_table, scaling_factor, todd_sequence
@@ -84,54 +85,6 @@ class CompleteIntersection:
         return "CI(n=%d, degrees=%s)" % (self.n, list(self.degrees))
 
 
-@dataclass(frozen=True)
-class TruncClass:
-    """Cohomology class of a complete intersection, as a polynomial in
-    the hyperplane class truncated modulo h^(m+1)."""
-
-    ci: CompleteIntersection
-    series: TruncSeries
-
-    def __post_init__(self):
-        if self.series.order != self.ci.m + 1:
-            raise ValueError("class must be truncated at order m+1")
-
-    def coefficient(self, i):
-        return self.series[i]
-
-    def integers(self):
-        """The coefficients as ints, for a class with integer ones."""
-        if any(c.denominator != 1 for c in self.series.coeffs):
-            raise CrossCheckFailed("class has a non-integral coefficient")
-        return [c.numerator for c in self.series.coeffs]
-
-    def _lift(self, other):
-        if isinstance(other, TruncClass):
-            if other.ci != self.ci:
-                raise ValueError("classes on different varieties")
-            return other.series
-        return other
-
-    def __add__(self, other):
-        return TruncClass(self.ci, self.series + self._lift(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return TruncClass(self.ci, self.series * self._lift(other))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return TruncClass(self.ci, self.series - self._lift(other))
-
-
-def deg_cap(x):
-    """Degree of the zero-cycle obtained by capping with the fundamental
-    class: (coefficient of h^m) * deg V."""
-    return x.series[x.ci.m] * x.ci.degree
-
-
 def _times(s, a):
     """The integer sequence s times 1 + a h, truncated to len(s)."""
     return [s[0]] + [s[i] + a * s[i - 1] for i in range(1, len(s))]
@@ -153,7 +106,7 @@ def chern_cone_normal(ci):
     s = [1] + [0] * ci.m
     for d in ci.degrees:
         s = _times(s, d - 1)
-    return TruncClass(ci, TruncSeries(ci.m + 1, s))
+    return tuple(s)
 
 
 def chern_cone_tangent(ci):
@@ -162,7 +115,7 @@ def chern_cone_tangent(ci):
     s = [1] + [0] * ci.m
     for d in ci.degrees:
         s = _over(s, d - 1)
-    return TruncClass(ci, TruncSeries(ci.m + 1, s))
+    return tuple(s)
 
 
 @lru_cache(maxsize=None)
@@ -179,36 +132,30 @@ def chern_tangent(ci):
         adjunction = _over(adjunction, d)
 
     # the h^i coefficient of sum_j c_j h^j (1+h)^(K-j)
-    cone = chern_cone_tangent(ci).integers()
+    cone = chern_cone_tangent(ci)
     twist = [sum(cone[j] * math.comb(K - j, i - j) for j in range(i + 1))
              for i in range(K)]
     if adjunction != twist:
         raise CrossCheckFailed("tangent Chern class routes disagree")
-    return TruncClass(ci, TruncSeries(K, adjunction))
+    return tuple(adjunction)
 
 
 def todd_class(ci):
     """Todd class 1 + sum_i T_i(c_1..c_i) of the tangent Chern classes,
     by the multiplicative-sequence recurrence at the Chern numbers."""
-    c = chern_tangent(ci).integers()
-    return TruncClass(ci, TruncSeries(ci.m + 1, todd_sequence(c)))
+    return todd_sequence(chern_tangent(ci))
 
 
 def hilbert_poly_hrr(ci):
     """Hilbert polynomial with coefficients p_k = deg(h^k T_{m-k})/k!."""
     td = todd_class(ci)
-    coeffs = []
-    for k in range(ci.m + 1):
-        coeffs.append(td.coefficient(ci.m - k) * ci.degree / math.factorial(k))
-    return UniPoly(coeffs)
+    return UniPoly([Fraction(td[ci.m - k] * ci.degree, math.factorial(k))
+                    for k in range(ci.m + 1)])
 
 
 def euler_top(ci):
     """Topological Euler characteristic deg(c_m(TV) cap [V])."""
-    value = deg_cap(chern_tangent(ci))
-    if value.denominator != 1:
-        raise CrossCheckFailed("non-integral topological Euler characteristic %s" % value)
-    return int(value)
+    return chern_tangent(ci)[ci.m] * ci.degree
 
 
 def projective_character(ci, lam):
@@ -220,7 +167,7 @@ def projective_character(ci, lam):
         raise ValueError("|lambda| must be at most m")
     if lam.part(1) > ci.n - ci.m:
         return 0
-    normal = CoeffSeq(chern_cone_normal(ci).integers(), pad=True)
+    normal = CoeffSeq(chern_cone_normal(ci), pad=True)
     value = delta_det(lam, normal) * ci.degree
     if value.denominator != 1 or value < 0:
         raise CrossCheckFailed("character %s -> %s is not a nonnegative integer"

@@ -375,6 +375,17 @@ def cmd_trans(args, config):
     return EXIT_OK
 
 
+def _minus_is_positional(p):
+    """Let the subparser p read an argument with one leading minus, such
+    as the polynomial -x0^2 or the point -1,-1,-1, as positional, with or
+    without a -- before it.  argparse reads an argument that starts with
+    a minus sign as an option unless it looks like a negative number;
+    every option of p but -h, which argparse matches exactly first,
+    starts with --."""
+    p._negative_number_matcher = re.compile(r"^-[^-]")
+    return p
+
+
 def build_parser():
     parser = _ArgumentParser(
         prog="hilbertpoly",
@@ -412,7 +423,8 @@ def build_parser():
     p.add_argument("--out", default=None, help="write the ideal file here")
     p.set_defaults(func=cmd_reduce_sat)
 
-    p = sub.add_parser("membership", help="dual-oracle ideal membership")
+    p = _minus_is_positional(
+        sub.add_parser("membership", help="dual-oracle ideal membership"))
     p.add_argument("ideal")
     p.add_argument("poly")
     p.set_defaults(func=cmd_membership)
@@ -421,12 +433,8 @@ def build_parser():
     p.add_argument("ideal")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("trans", help="transversality verdict at a point")
-    # argparse reads an argument that starts with a minus sign as an
-    # option unless it looks like a negative number; trans has no option
-    # that starts with a minus and a digit, so a point such as -1,-1,-1
-    # is a positional argument, with or without a -- before it
-    p._negative_number_matcher = re.compile(r"^-[0-9]")
+    p = _minus_is_positional(
+        sub.add_parser("trans", help="transversality verdict at a point"))
     p.add_argument("instance")
     p.add_argument("point", help="comma-separated rational coordinates")
     p.add_argument("partition", help="partition like [1]")

@@ -3,10 +3,9 @@ rational sequences, the Bernoulli-derived b-sequence, power sums by
 Newton's identities and the Todd class by Hirzebruch's
 multiplicative-sequence recurrence, each written once over any ring
 (the tangent Chern numbers of a variety, or formal Chern classes for
-the symbolic Todd and Chern-character polynomials), integer
-binomial-determinant shift coefficients, and the delta tables that
-assemble Hilbert coefficients from projective characters, with a
-count of their work.
+the symbolic Todd polynomials), integer binomial-determinant shift
+coefficients, and the delta tables that assemble Hilbert coefficients
+from projective characters, with a count of their work.
 
 Sign convention: bernoulli(n) returns the all-positive values
 B_1 = 1/6, B_2 = 1/30, B_3 = 1/42, ...  (the alternating signs live in
@@ -16,11 +15,10 @@ sign to the Bernoulli number; conversions must keep that in mind.
 
 Memoised for the life of the process, since none of them depends on a
 variety and each value is immutable: delta_b (Delta_lam(b) by lam),
-the coefficients k a_k of the Todd recurrence for each m, power_sums,
-todd_poly and chern_character_poly (MultiPoly values), delta_coeff
-(delta^{m,k}_mu, a Fraction) and delta_table (a DeltaTable whose
-entries are a read-only mapping, checked for integrality once per
-table).
+the coefficients k a_k of the Todd recurrence for each m, todd_poly
+(a MultiPoly), delta_coeff (delta^{m,k}_mu, a Fraction) and
+delta_table (a DeltaTable whose entries are a read-only mapping,
+checked for integrality once per table).
 """
 
 from __future__ import annotations
@@ -148,13 +146,6 @@ def _formal_chern(m):
 
 
 @lru_cache(maxsize=None)
-def power_sums(m):
-    """The power sums p_0 = m, p_1, ..., p_m of m Chern roots as
-    polynomials in formal c_1..c_m."""
-    return tuple(newton_power_sums(_formal_chern(m)))
-
-
-@lru_cache(maxsize=None)
 def _todd_log_coeffs(m):
     """k a_k for k = 0..m, where log(t/(1 - e^{-t})) = sum a_k t^k.
     Differentiating the logarithm gives k a_k = k b_k - sum_{j<k} j a_j b_{k-j}."""
@@ -187,7 +178,7 @@ def todd_sequence(c):
             if ka[k]:  # a_k = 0 for odd k > 1
                 acc = acc + p[k] * ka[k] * todd[n - k]
         todd.append(acc * Fraction(1, n))
-    return todd
+    return tuple(todd)
 
 
 @lru_cache(maxsize=None)
@@ -197,15 +188,6 @@ def todd_poly(m):
     T_1 = c1/2, T_2 = (c1^2 + c2)/12, T_3 = c1*c2/24, ...
     """
     return todd_sequence(_formal_chern(m))[m]
-
-
-@lru_cache(maxsize=None)
-def chern_character_poly(i):
-    """K_i = p_i/i!, the i-th power sum of the Chern roots over i!, in
-    c_1..c_i."""
-    if i < 1:
-        raise ValueError("defined for i >= 1")
-    return power_sums(i)[i] * Fraction(1, math.factorial(i))
 
 
 def d_coeff(lam, mu, m):

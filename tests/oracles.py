@@ -6,11 +6,13 @@ the graded parts of a product of one-variable series rewritten in the
 elementary symmetric basis, and the Todd class at given Chern numbers
 from the determinantal formula sum Delta_{lam'}(b) Delta_lam(c);
 determinants over any commutative ring (truncated series, polynomials)
-come from a division-free expansion over column subsets, the Chern
-classes of a complete intersection from Fraction series products and
-series inverses, the Euler characteristics of its twists from
-exp(d h) td V, the delta coefficients from one Cauchy-Binet
-determinant over truncated series, Schur values from bialternants,
+come from a division-free expansion over column subsets, truncated
+power series over Q (TruncSeries, with their inverse, exp and powers)
+from Fraction convolution, the Chern classes of a complete
+intersection from Fraction series products and series inverses, the
+Euler characteristics of its twists from exp(d h) td V, the delta
+coefficients from one Cauchy-Binet determinant over truncated series,
+Schur values from bialternants,
 the zero count of a staircase from the box under its pure powers, the
 leads of a Groebner basis by a scan of each element's terms, division
 by 1 - t in Fraction arithmetic, the derivatives of a polynomial in
@@ -28,8 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from hilbertpoly import linalg
-from hilbertpoly.arith import ANY_DEGREE, CrossCheckFailed, MultiPoly, TruncSeries, UniPoly
-from hilbertpoly.chern import TruncClass, deg_cap, todd_class
+from hilbertpoly.arith import ANY_DEGREE, CrossCheckFailed, MultiPoly, UniPoly
+from hilbertpoly.chern import todd_class
 from hilbertpoly.grobner import INFINITE, HomIdeal, hilbert_data
 from hilbertpoly.partitions import enumerate_partitions
 from hilbertpoly.symfun import CoeffSeq, delta_b, delta_det
@@ -279,6 +281,101 @@ def substituted_derivatives(f, L, x):
     return grad, hess
 
 
+class TruncSeries:
+    """Univariate power series over Q truncated modulo h^K (order K, K
+    coefficients).  Mixing different orders in one operation is an
+    error; truncation is never silent."""
+
+    def __init__(self, order, coeffs):
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if len(coeffs) != order:
+            raise ValueError("need exactly %d coefficients, got %d" % (order, len(coeffs)))
+        self.order = order
+        self.coeffs = coeffs
+
+    @classmethod
+    def from_coeffs(cls, order, coeffs):
+        """Build from at most `order` leading coefficients, zero-padded."""
+        coeffs = list(coeffs)
+        if len(coeffs) > order:
+            raise ValueError("coefficient list longer than order; truncate explicitly")
+        return cls(order, coeffs + [0] * (order - len(coeffs)))
+
+    @classmethod
+    def truncated(cls, order, coeffs):
+        """Build by explicitly discarding coefficients past the order."""
+        return cls.from_coeffs(order, list(coeffs)[:order])
+
+    @classmethod
+    def zero(cls, order):
+        return cls(order, [0] * order)
+
+    @classmethod
+    def one(cls, order):
+        return cls.monomial(order, 0)
+
+    @classmethod
+    def monomial(cls, order, i, c=1):
+        """The series c * h^i (zero when i >= order)."""
+        coeffs = [0] * order
+        if i < order:
+            coeffs[i] = c
+        return cls(order, coeffs)
+
+    def __getitem__(self, i):
+        return self.coeffs[i]
+
+    def _coerce(self, other):
+        if isinstance(other, TruncSeries):
+            if other.order != self.order:
+                raise ValueError("truncation order mismatch: %d vs %d"
+                                 % (self.order, other.order))
+            return other
+        if isinstance(other, (int, Fraction)):
+            return TruncSeries.monomial(self.order, 0, other)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return TruncSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TruncSeries(self.order, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        K = self.order
+        out = [Fraction(0)] * K
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j in range(K - i):
+                    out[i + j] += a * other.coeffs[j]
+        return TruncSeries(K, out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (isinstance(other, TruncSeries)
+                and self.order == other.order and self.coeffs == other.coeffs)
+
+    def __repr__(self):
+        return "TruncSeries(%d, %r)" % (self.order, [str(c) for c in self.coeffs])
+
+
 def series_inverse(s):
     """Multiplicative inverse of a truncated series modulo h^K; needs a
     nonzero constant term."""
@@ -401,7 +498,7 @@ def euler_char_twist(ci, d):
     """chi(O_V(d)) = deg((e^{dh} td V)_m cap [V]); always an integer."""
     K = ci.m + 1
     expo = series_exp(TruncSeries.monomial(K, 1, d))
-    value = deg_cap(TruncClass(ci, expo) * todd_class(ci))
+    value = (expo * TruncSeries(K, todd_class(ci)))[ci.m] * ci.degree
     if value.denominator != 1:
         raise CrossCheckFailed("non-integral Euler characteristic %s" % value)
     return int(value)

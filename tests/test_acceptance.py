@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hilbertpoly.arith import MultiPoly, TruncSeries, UniPoly, parse_poly
+from hilbertpoly.arith import MultiPoly, UniPoly, parse_poly
 from hilbertpoly.chern import (
     CompleteIntersection,
     ci_grid,
@@ -54,6 +54,7 @@ from hilbertpoly.transversality import (
 )
 
 from oracles import (
+    TruncSeries,
     b_prefix_by_inversion,
     elementary_symmetric_values,
     formal_chern,

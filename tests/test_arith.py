@@ -8,12 +8,17 @@ from hilbertpoly.arith import (
     ANY_DEGREE,
     MultiPoly,
     PolyParseError,
-    TruncSeries,
     UniPoly,
     binom_poly,
     parse_poly,
 )
-from oracles import divide_by_one_minus_t, series_exp, series_inverse, substitute
+from oracles import (
+    TruncSeries,
+    divide_by_one_minus_t,
+    series_exp,
+    series_inverse,
+    substitute,
+)
 
 XY = ("x", "y")
 

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from hilbertpoly.arith import TruncSeries, UniPoly, binom_poly
+from hilbertpoly.arith import UniPoly, binom_poly
 from hilbertpoly.chern import (
     CompleteIntersection,
     chern_cone_normal,
@@ -23,6 +24,7 @@ from hilbertpoly.partitions import Partition, enumerate_partitions
 from hilbertpoly.symfun import CoeffSeq, d_coeff, delta_coeff
 
 from oracles import (
+    TruncSeries,
     chern_classes_by_series,
     euler_char_twist,
     interpolate,
@@ -48,31 +50,28 @@ def test_ci_validation():
 
 
 def test_chern_tangent_examples():
-    curve = chern_tangent(CI(2, (4,)))
-    assert curve.series == TruncSeries(2, [1, -1])  # 1 + (3-d) h, d=4
-    proj = chern_tangent(CI(3, ()))
-    assert proj.series == TruncSeries(4, [1, 4, 6, 4])  # (1+h)^4 truncated
-    quadric = chern_tangent(CI(3, (2,)))
-    assert quadric.series == TruncSeries(3, [1, 2, 2])
+    assert chern_tangent(CI(2, (4,))) == (1, -1)  # 1 + (3-d) h, d=4
+    assert chern_tangent(CI(3, ())) == (1, 4, 6, 4)  # (1+h)^4 truncated
+    assert chern_tangent(CI(3, (2,))) == (1, 2, 2)
 
 
 def test_cone_bundle_classes():
     curve = CI(2, (5,))
-    assert chern_cone_normal(curve).series == TruncSeries(2, [1, 4])
+    assert chern_cone_normal(curve) == (1, 4)
     linear = CI(4, (1, 1))
-    assert chern_cone_normal(linear).series == TruncSeries.one(3)
-    assert chern_cone_tangent(linear).series == TruncSeries.one(3)
+    assert chern_cone_normal(linear) == (1, 0, 0)
+    assert chern_cone_tangent(linear) == (1, 0, 0)
     hyp = CI(4, (3,))
-    assert chern_cone_tangent(hyp).series == TruncSeries(4, [1, -2, 4, -8])
+    assert chern_cone_tangent(hyp) == (1, -2, 4, -8)
 
 
 def test_todd_class_examples():
-    line = todd_class(CI(1, ()))
-    assert line.series == TruncSeries(2, [1, 1])
-    cubic = todd_class(CI(2, (3,)))
-    assert cubic.series == TruncSeries(2, [1, 0])
+    assert todd_class(CI(1, ())) == (1, 1)
+    assert todd_class(CI(2, (3,))) == (1, 0)
     for ci in (CI(3, (2,)), CI(4, (2, 2)), CI(5, ())):
-        assert todd_class(ci).series[0] == 1
+        td = todd_class(ci)
+        assert len(td) == ci.m + 1
+        assert td[0] == 1
 
 
 def test_euler_char_twist_examples():
@@ -176,8 +175,7 @@ def test_twist_values_match_polynomial_at_all_integers():
 
 def test_todd_class_plane_curve_values():
     for d in (1, 2, 5):
-        td = todd_class(CI(2, (d,)))
-        assert td.series == TruncSeries(2, [1, Fraction(3 - d, 2)])
+        assert todd_class(CI(2, (d,))) == (1, Fraction(3 - d, 2))
 
 
 def test_rational_normal_curve_formula_identity():
@@ -194,7 +192,7 @@ def test_tensor_lemma_numeric_identity():
         tangent = chern_tangent(ci)
         K = ci.m + 1
         values = [TruncSeries.one(K)]
-        values += [TruncSeries.monomial(K, i, tangent.coefficient(i))
+        values += [TruncSeries.monomial(K, i, tangent[i])
                    for i in range(1, K)]
         chars = character_table(ci)
         for size in range(ci.m + 1):
@@ -228,8 +226,8 @@ def test_todd_class_matches_symbolic_todd_polynomials():
     # sum Delta_{lam'}(b) Delta_lam(c) of the oracle at the same numbers
     # (m <= 8 on this grid)
     for ci in ci_grid(8, 3, 4):
-        c = CoeffSeq(chern_tangent(ci).series.coeffs, pad=True)
-        td = todd_class(ci).series
+        c = CoeffSeq(chern_tangent(ci), pad=True)
+        td = todd_class(ci)
         assert td[0] == 1
         for i in range(1, ci.m + 1):
             assert td[i] == todd_value(i, c), (ci, i)
@@ -237,14 +235,25 @@ def test_todd_class_matches_symbolic_todd_polynomials():
 
 def test_integer_chern_classes_match_series_inverses():
     # the integer recurrences against Fraction series products and
-    # inverses, and the classes hold integers
+    # inverses, and the classes are tuples of c_0..c_m as ints
     for ci in ci_grid(10, 3, 4):
-        normal, cone_tangent, tangent = chern_classes_by_series(ci)
-        assert chern_cone_normal(ci).series == normal, ci
-        assert chern_cone_tangent(ci).series == cone_tangent, ci
-        assert chern_tangent(ci).series == tangent, ci
-        for cls in (chern_cone_normal(ci), chern_cone_tangent(ci), chern_tangent(ci)):
-            assert cls.integers() == list(cls.series.coeffs), ci
+        classes = (chern_cone_normal(ci), chern_cone_tangent(ci), chern_tangent(ci))
+        for cls, series in zip(classes, chern_classes_by_series(ci)):
+            assert type(cls) is tuple and len(cls) == ci.m + 1, ci
+            assert all(type(c) is int for c in cls), ci
+            assert TruncSeries(ci.m + 1, cls) == series, ci
+
+
+def test_hrr_coefficients_are_fractions():
+    # k! p_k = T_{m-k} deg V exactly: T_0 is the int 1, and a true
+    # division there gives a float, which UniPoly would turn into the
+    # Fraction of its binary expansion
+    for ci in ci_grid(8, 3, 4):
+        p = hilbert_poly_hrr(ci)
+        td = todd_class(ci)
+        assert all(type(c) is Fraction for c in p.coeffs), ci
+        for k in range(ci.m + 1):
+            assert p.coefficient(k) * math.factorial(k) == td[ci.m - k] * ci.degree, (ci, k)
 
 
 def test_projective_character_matches_series_determinant():
@@ -252,7 +261,7 @@ def test_projective_character_matches_series_determinant():
     # with entries c_i h^i of the cone normal class
     for ci in ci_grid(8, 3, 4):
         K = ci.m + 1
-        normal = chern_cone_normal(ci).series
+        normal = chern_cone_normal(ci)
         for mu, value in character_table(ci).items():
             upto = mu.part(1) + mu.length
             entries = [TruncSeries.one(K)]

@@ -154,6 +154,27 @@ def test_membership_command(tmp_path):
     assert report["in_ideal"] is False and report["him_decide"] is False
 
 
+def test_membership_poly_with_a_leading_minus(tmp_path):
+    # a polynomial that starts with a minus sign is positional, with or
+    # without -- before it
+    ideal = tmp_path / "conic.ideal"
+    ideal.write_text(CONIC)
+    for poly in ("-x0^2", "-x0*x2+x1^2"):
+        code, out = run_cli("membership", str(ideal), poly)
+        assert code == EXIT_OK
+        assert (code, out) == run_cli("membership", str(ideal), "--", poly)
+    assert json.loads(out)["in_ideal"] is True
+
+
+def test_help_exits_zero_where_a_minus_is_positional(tmp_path):
+    ideal = tmp_path / "conic.ideal"
+    ideal.write_text(CONIC)
+    for argv in (("membership", str(ideal), "-h"), ("trans", "-h")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 0
+
+
 def test_count_command(tmp_path):
     ideal = tmp_path / "pts.ideal"
     ideal.write_text("vars: x y\nx^2 - 1\ny^3 - y\n")
@@ -249,7 +270,8 @@ def test_trans_point_with_a_leading_minus_without_double_dash(tmp_path, capsys):
     assert run_cli("trans", str(inst), "-1,-1,-1", "[1]") == report
     assert run_cli("trans", str(inst), "-1/2,-1/2,-1/2", "[1]", "--m", "1") == report
     assert run_cli("--seed", "0", "trans", "--m", "1", str(inst), "-4,2,-1", "[1]")[0] == EXIT_OK
-    # an unknown option is still a usage error, not a point
+    # a word with a leading minus that is no rational point is still a
+    # parse error
     code, out = run_cli("trans", str(inst), "-x", "[1]")
     assert code == EXIT_PARSE and out == ""
     assert json.loads(capsys.readouterr().err)["error"] == "parse"
@@ -519,13 +541,12 @@ def test_repeated_variable_is_parse_error(tmp_path, capsys):
 
 def test_tangent_chern_disagreement_exit_code(monkeypatch, capsys):
     import hilbertpoly.chern as chern
-    from hilbertpoly.arith import TruncSeries
 
     real = chern.chern_cone_tangent
 
     def off_by_one(ci):
         # add 1 to every Chern class of the cone tangent bundle
-        return real(ci) + TruncSeries.truncated(ci.m + 1, [1] * (ci.m + 1))
+        return tuple(c + 1 for c in real(ci))
 
     # chern_tangent is memoised: a class cached by an earlier test would
     # never reach the patched route

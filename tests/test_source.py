@@ -2,6 +2,10 @@
 
 import ast
 import os
+import subprocess
+import sys
+
+import pytest
 
 import hilbertpoly
 
@@ -21,3 +25,34 @@ def test_no_assert_statements_in_package():
         found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+INPUTS = {
+    "conic.ideal": "vars: x0 x1 x2\nx0*x2 - x1^2\n",
+    "points.ideal": "vars: x y\nx^2 - 1\ny^3 - y\n",
+    "small.cnf": "p cnf 3 2\n1 -2 0\n2 3 0\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["ci", "n=4", "degrees=2"],
+    ["ci", "n=2", "degrees=3,3,3"],
+    ["hilbert", "conic.ideal"],
+    ["reduce-sat", "small.cnf"],
+    ["count", "points.ideal"],
+    ["membership", "conic.ideal", "-x0*x2+x1^2"],
+    ["trans", "conic.ideal", "1,1,1", "[1]"],
+], ids=lambda argv: " ".join(argv))
+def test_same_output_under_python_O(tmp_path, argv):
+    # python -O strips assert statements and sets __debug__ to False;
+    # no command may answer differently for it
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE), PYTHONHASHSEED="0")
+    runs = [subprocess.run([sys.executable] + flags + ["-m", "hilbertpoly"] + argv,
+                           cwd=tmp_path, env=env, capture_output=True, text=True,
+                           timeout=120)
+            for flags in ([], ["-O"])]
+    plain, optimised = [(r.returncode, r.stdout, r.stderr) for r in runs]
+    assert plain[1] or plain[2], plain  # a report or a JSON error
+    assert optimised == plain

@@ -5,24 +5,24 @@ from fractions import Fraction
 import pytest
 
 from hilbertpoly import linalg
-from hilbertpoly.arith import TruncSeries, parse_poly
+from hilbertpoly.arith import parse_poly
 from hilbertpoly.partitions import Partition, enumerate_partitions
 from hilbertpoly.symfun import (
     CoeffSeq,
     b_sequence,
     bernoulli,
-    chern_character_poly,
     d_coeff,
     delta_coeff,
     delta_det,
     delta_table,
     delta_table_pairs,
-    power_sums,
+    newton_power_sums,
     scaling_factor,
     todd_poly,
 )
 
 from oracles import (
+    TruncSeries,
     b_prefix_by_inversion,
     complete_homogeneous_values,
     delta_coeffs_by_cauchy_binet,
@@ -31,7 +31,6 @@ from oracles import (
     ring_delta,
     schur_eval,
     series_inverse,
-    substitute,
     todd_direct,
     todd_terms,
 )
@@ -182,27 +181,14 @@ def test_todd_recurrence_matches_determinant_formula(m):
 
 
 def test_power_sums_at_roots():
-    # substituting c_j = e_j(gamma) gives the power sums of the points gamma
+    # Newton's identities at c_j = e_j(gamma) give the power sums of the
+    # points gamma, as todd_class reads them at its Chern numbers
     rng = random.Random(17)
     for m in range(7):
         gamma = rational_seq(rng, m)
         e = elementary_symmetric_values(gamma, m)
-        values = {"c%d" % j: e[j] for j in range(1, m + 1)}
-        for k, p in enumerate(power_sums(m)):
-            assert substitute(p, values) == sum(g ** k for g in gamma), (m, k)
-
-
-def test_chern_character_first_two():
-    assert chern_character_poly(1) == parse_poly("c1", ("c1",))
-    assert chern_character_poly(2) == parse_poly("1/2*c1^2 - c2", ("c1", "c2"))
-
-
-def test_chern_character_line_bundle():
-    # substituting c1 = x, higher c = 0 must give the exponential series
-    for i in range(1, 8):
-        vals = {"c1": Fraction(3, 2)}
-        vals.update({"c%d" % j: Fraction(0) for j in range(2, i + 1)})
-        assert substitute(chern_character_poly(i), vals) == Fraction(3, 2) ** i / math.factorial(i)
+        for k, p in enumerate(newton_power_sums([1] + e[1:])):
+            assert p == sum(g ** k for g in gamma), (m, k)
 
 
 # -- Schur evaluation

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hilbertpoly import linalg
-from hilbertpoly.arith import MultiPoly, TruncSeries, parse_poly
+from hilbertpoly.arith import MultiPoly, parse_poly
 from hilbertpoly.linalg import det, mat_mul, rank, transpose
 from hilbertpoly.partitions import Partition, enumerate_partitions, jumps
 from hilbertpoly.transversality import (
@@ -24,7 +24,7 @@ from hilbertpoly.transversality import (
     transversal_at,
     transversality_report,
 )
-from oracles import series_inverse, substituted_derivatives
+from oracles import TruncSeries, series_inverse, substituted_derivatives
 
 X3 = ("x0", "x1", "x2")
 X4 = ("x0", "x1", "x2", "x3")
