@@ -27,7 +27,14 @@ class CrossCheckFailed(ArithmeticError):
 
 
 def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """An int or a Fraction as a Fraction.  Anything else, a float
+    above all, raises TypeError: a float's binary expansion is not the
+    exact value it stands for."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError("expected an int or a Fraction, got %r" % (x,))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -95,17 +94,6 @@ MAX_DELTA_PAIRS = 25000
 # t^(d_i - 1)) that ci's series route expands densely; a degree 10^30
 # would not fit in a list.  `ci n=21 degrees=1001` takes 2.1 s.
 MAX_SERIES_DEGREE = 1000
-
-
-@dataclass
-class Config:
-    seed: int = 0
-    max_basis: int = 5000
-    max_degree: int = 120
-    output: str = "json"
-
-    def caps(self):
-        return {"max_basis": self.max_basis, "max_degree": self.max_degree}
 
 
 class CliParseError(ValueError):
@@ -178,9 +166,14 @@ def _degrees(text):
     return tuple(int(d) for d in text.split(","))
 
 
-def _emit(report, config):
-    report = {"schema": SCHEMA, "seed": config.seed, **report}
-    if config.output == "json":
+def _caps(args):
+    """The Groebner caps of the command line, as keyword arguments."""
+    return {"max_basis": args.max_basis, "max_degree": args.max_degree}
+
+
+def _emit(report, args):
+    report = {"schema": SCHEMA, "seed": args.seed, **report}
+    if args.output == "json":
         print(json.dumps(report, sort_keys=True))
     else:
         for key in sorted(report):
@@ -188,11 +181,11 @@ def _emit(report, config):
     return report
 
 
-def cmd_hilbert(args, config):
+def cmd_hilbert(args):
     ideal = parse_ideal_file(open(args.ideal).read())
     if not ideal.homogeneous:
         raise CliParseError("ideal file contains inhomogeneous polynomials")
-    data = hilbert_data(ideal, **config.caps())
+    data = hilbert_data(ideal, **_caps(args))
     p = data.hilbert_polynomial
     m = p.degree
     report = {
@@ -203,7 +196,7 @@ def cmd_hilbert(args, config):
     if m >= 0:
         report["geometric_degree"] = _q(math.factorial(m) * p.coefficient(m))
         report["arithmetic_genus"] = _q((-1) ** m * (p.coefficient(0) - 1))
-    _emit(report, config)
+    _emit(report, args)
     return EXIT_OK
 
 
@@ -212,7 +205,7 @@ def _character_map(table):
         table.items(), key=lambda kv: (kv[0].size, kv[0].parts))}
 
 
-def cmd_ci(args, config):
+def cmd_ci(args):
     kv = _parse_kv(args.params, {"n": int, "degrees": _degrees}, required=("n",))
     ci = CompleteIntersection(kv["n"], kv.get("degrees", ()))
     _check_m("ci", ci.m)
@@ -237,20 +230,20 @@ def cmd_ci(args, config):
         "euler_top": euler_top(ci),
         "agreement": agree,
     }
-    _emit(report, config)
+    _emit(report, args)
     return EXIT_OK if agree else EXIT_DISAGREE
 
 
-def cmd_characters(args, config):
+def cmd_characters(args):
     kv = _parse_kv(args.params, {"n": int, "degrees": _degrees}, required=("n",))
     ci = CompleteIntersection(kv["n"], kv.get("degrees", ()))
     _check_m("characters", ci.m)
     _emit({"n": ci.n, "degrees": list(ci.degrees),
-           "characters": _character_map(character_table(ci))}, config)
+           "characters": _character_map(character_table(ci))}, args)
     return EXIT_OK
 
 
-def cmd_delta(args, config):
+def cmd_delta(args):
     kv = _parse_kv(args.params, {"m": int, "k": int, "n": int},
                    required=("m", "k", "n"))
     _check_m("delta", kv["m"])
@@ -259,30 +252,30 @@ def cmd_delta(args, config):
     entries = [{"mu": list(mu.parts), "value": _q(value)}
                for mu, value in sorted(table.entries.items(),
                                        key=lambda kv2: (kv2[0].size, kv2[0].parts))]
-    _emit({"m": table.m, "k": table.k, "n": table.n, "entries": entries}, config)
+    _emit({"m": table.m, "k": table.k, "n": table.n, "entries": entries}, args)
     return EXIT_OK
 
 
-def cmd_todd(args, config):
+def cmd_todd(args):
     if args.m < 0:
         raise CliParseError("todd needs m >= 0, got %d" % args.m)
     _check_m("todd", args.m)
-    _emit({"m": args.m, "todd": todd_poly(args.m).to_text()}, config)
+    _emit({"m": args.m, "todd": todd_poly(args.m).to_text()}, args)
     return EXIT_OK
 
 
-def cmd_reduce_sat(args, config):
+def cmd_reduce_sat(args):
     phi = parse_dimacs(open(args.cnf).read())
     if phi.num_vars > BRUTEFORCE_MAX_VARS:
         raise ResourceCapExceeded("reduce-sat needs at most %d variables, got %d"
                                   % (BRUTEFORCE_MAX_VARS, phi.num_vars))
     ideal = sat_to_ideal(phi)
     brute = count_sat_bruteforce(phi)
-    data = hilbert_data(ideal, **config.caps())
+    data = hilbert_data(ideal, **_caps(args))
     constant = data.hilbert_polynomial.coefficient(0)
     hilbert_count = int(constant) if constant.denominator == 1 else None
     affine = [g.set_variable("x0", 1) for g in ideal.generators]
-    zero_dim = count_zero_dim(affine, nvars=phi.num_vars, **config.caps())
+    zero_dim = count_zero_dim(affine, nvars=phi.num_vars, **_caps(args))
     agree = (data.hilbert_polynomial.degree <= 0
              and hilbert_count == brute and zero_dim == brute)
     if args.out:
@@ -297,25 +290,25 @@ def cmd_reduce_sat(args, config):
         "agree": agree,
         "ideal_file": args.out,
     }
-    _emit(report, config)
+    _emit(report, args)
     return EXIT_OK if agree else EXIT_DISAGREE
 
 
-def cmd_membership(args, config):
+def cmd_membership(args):
     ideal = parse_ideal_file(open(args.ideal).read())
     g = parse_poly(args.poly, ideal.variables)
-    direct = in_ideal(g, ideal, **config.caps())
-    via_hilbert = membership_via_hilbert(ideal, g, **config.caps())
+    direct = in_ideal(g, ideal, **_caps(args))
+    via_hilbert = membership_via_hilbert(ideal, g, **_caps(args))
     agree = direct == via_hilbert
     _emit({"poly": g.to_text(), "in_ideal": direct,
-           "him_decide": via_hilbert, "agreement": agree}, config)
+           "him_decide": via_hilbert, "agreement": agree}, args)
     return EXIT_OK if agree else EXIT_DISAGREE
 
 
-def cmd_count(args, config):
+def cmd_count(args):
     ideal = parse_ideal_file(open(args.ideal).read())
-    count = count_zero_dim(list(ideal.generators), **config.caps())
-    _emit({"count": count if count != INFINITE else "INFINITE"}, config)
+    count = count_zero_dim(list(ideal.generators), **_caps(args))
+    _emit({"count": count if count != INFINITE else "INFINITE"}, args)
     return EXIT_OK
 
 
@@ -341,21 +334,21 @@ def _read_flag(path, n):
     return Flag.from_basis(rows)
 
 
-def cmd_trans(args, config):
+def cmd_trans(args):
     ideal = parse_ideal_file(open(args.instance).read())
     n = len(ideal.variables) - 1
     degree = max((sum(e) for g in ideal.generators for e in g.terms), default=0)
-    if degree > config.max_degree:
-        raise ResourceCapExceeded("input degree %d exceeds %d" % (degree, config.max_degree))
+    if degree > args.max_degree:
+        raise ResourceCapExceeded("input degree %d exceeds %d" % (degree, args.max_degree))
     x = tuple(_rational(tok) for tok in args.point.split(","))
     if len(x) != n + 1:
         raise CliParseError("point has %d coordinates, expected %d" % (len(x), n + 1))
     mu = parse_partition(args.partition)
-    flag = _read_flag(args.flag, n) if args.flag else random_flag(n, config.seed)
+    flag = _read_flag(args.flag, n) if args.flag else random_flag(n, args.seed)
     # the dimension of the variety: n - rank J(x) is that of the tangent
     # space at x, which is larger at a singular point
     m = args.m if args.m is not None else hilbert_data(
-        ideal, **config.caps()).hilbert_polynomial.degree
+        ideal, **_caps(args)).hilbert_polynomial.degree
     inst = InputInstance(polys=ideal.generators, n=n, m=m)
     report = transversality_report(inst, x, flag, mu)
     out = {
@@ -371,7 +364,7 @@ def cmd_trans(args, config):
         "needed": report["needed"],
         "transversal": report["transversal"],
     }
-    _emit(out, config)
+    _emit(out, args)
     return EXIT_OK
 
 
@@ -459,9 +452,7 @@ def _parser():
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
-        config = Config(seed=args.seed, max_basis=args.max_basis,
-                        max_degree=args.max_degree, output=args.output)
-        return args.func(args, config)
+        return args.func(args)
     except ResourceCapExceeded as exc:
         print(json.dumps({"schema": SCHEMA, "error": "resource-cap",
                           "detail": str(exc)}), file=sys.stderr)

@@ -1,15 +1,15 @@
-"""Exact linear algebra over Q: rank, determinant, solve, kernel, RREF,
-products, and an integer check of a claimed inverse.
+"""Exact linear algebra over Q: rank, determinant, solve, inverse,
+kernel, RREF and products.
 
 Matrices are lists of rows whose entries are ints or Fractions.  Every
 elimination and product works on integer rows, each row's denominators
 cleared first, and builds each rational it returns with one Fraction.
 There are two eliminations: rank and det share one fraction-free
 Bareiss elimination (Bareiss 1968), and rref is the one Gauss-Jordan
-elimination, also fraction-free, which solve and inverse run on the
-augmented matrix and kernel on the matrix itself.  mat_mul and
-is_inverse take integer dot products of cleared rows and cleared
-columns.
+elimination, also fraction-free, which solve runs on the augmented
+matrix [a | b] of a matrix right-hand side b, inverse as solve(a, I),
+and kernel on the matrix itself.  mat_mul takes integer dot products of
+cleared rows and cleared columns.
 """
 
 from __future__ import annotations
@@ -128,9 +128,9 @@ def kernel(rows, ncols=None):
     return basis
 
 
-def _solve_columns(a, b):
-    """x with a x = b for a square nonsingular a and a matrix b, from the
-    rref of [a | b]."""
+def solve(a, b):
+    """x with a x = b for a square nonsingular a and a matrix b (one
+    column per right-hand side), from the rref of [a | b]."""
     n = len(a)
     red, pivots = rref([list(row) + list(rhs) for row, rhs in zip(a, b)])
     if pivots[:n] != list(range(n)):
@@ -138,28 +138,10 @@ def _solve_columns(a, b):
     return [row[n:] for row in red]
 
 
-def solve(a, b):
-    """Solve a square nonsingular system a x = b exactly."""
-    return [row[0] for row in _solve_columns(a, [[v] for v in b])]
-
-
 def inverse(a):
     """Exact inverse of a square nonsingular rational matrix."""
     n = len(a)
-    return _solve_columns(a, [[int(i == j) for j in range(n)] for i in range(n)])
-
-
-def is_inverse(a, b):
-    """a b == I for square rational matrices a and b of one size, in
-    integers: row i of a and column j of b, cleared of denominators d_i
-    and e_j, have product d_i e_j when i == j and 0 otherwise."""
-    k = len(a)
-    if len(b) != k or any(len(row) != k for row in (*a, *b)):
-        return False
-    (rows, ds), (cols, es) = _cleared(a), _cleared(zip(*b))
-    return all(sum(map(operator.mul, r, c)) == (d * e if i == j else 0)
-               for i, (r, d) in enumerate(zip(rows, ds))
-               for j, (c, e) in enumerate(zip(cols, es)))
+    return solve(a, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def mat_mul(a, b):

@@ -1,11 +1,10 @@
 """Rank-based degeneracy tests and the Schubert-chart transversality
 decision at exact rational points.
 
-The flag is carried in two consistent forms: a nonsingular basis matrix
-(columns span the flag steps) and a dual matrix of linear forms whose
-leading rows cut the steps out.  All rank decisions run in exact
-rational arithmetic; projective points are normalized to leading
-coordinate 1.
+A flag is its nonsingular basis matrix (columns span the flag steps);
+the rows of its inverse, computed once, are the linear forms that cut
+the steps out.  All rank decisions run in exact rational arithmetic;
+projective points are normalized to leading coordinate 1.
 
 The tangency test at a point x with Gauss image on the cell e_mu works
 in coordinates x = L z adapted to the chart (L: the flag basis, pivot
@@ -41,51 +40,39 @@ from .partitions import is_admissible, jumps, partition_from_jumps
 
 @dataclass(frozen=True)
 class Flag:
-    """Complete flag in P^n: basis columns span, dual rows cut out.
+    """Complete flag in P^n given by its basis matrix: columns l_0..l_j
+    span the cone over F_j.
 
-    inverse is the inverse of the basis matrix: from_basis passes the
-    one it derives the dual rows from, and a flag built without it
-    computes it once."""
+    The basis is checked square and nonsingular and inverted once, on
+    construction; row n - i of the inverse is the linear form dual row
+    i, which vanishes on F_0..F_{n-1-i}."""
 
-    basis: tuple        # (n+1) x (n+1), columns l_0..l_n
-    dual_matrix: tuple  # n x (n+1) rows of linear forms
-    inverse: tuple = field(default=None, compare=False, repr=False)
+    basis: tuple  # (n+1) x (n+1), columns l_0..l_n
+    inverse: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.basis) - 1
-        if self.inverse is None:
-            object.__setattr__(self, "inverse", _basis_inverse(self.basis))
-        elif not linalg.is_inverse(self.basis, self.inverse):
-            raise ValueError("inverse is not the inverse of the flag basis")
-        if len(self.dual_matrix) != n:
-            raise ValueError("dual matrix must have n rows")
-        # entry (i, k) of dual . basis is dual row i at l_k, which must
-        # vanish for k < n - i
-        for i, row in enumerate(linalg.mat_mul(self.dual_matrix, self.basis)):
-            if any(row[:n - i]):
-                raise ValueError("dual row %d does not annihilate F_%d" % (i, n - 1 - i))
+        basis = tuple(tuple(frac(x) for x in row) for row in self.basis)
+        if any(len(row) != len(basis) for row in basis):
+            raise ValueError("flag basis is not square")
+        try:
+            inverse = linalg.inverse(basis)
+        except ValueError:
+            raise ValueError("flag basis is singular") from None
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "inverse", tuple(map(tuple, inverse)))
 
     @property
     def n(self):
         return len(self.basis) - 1
 
+    @property
+    def dual_matrix(self):
+        """n x (n+1): dual row i is row n - i of the inverse."""
+        return tuple(self.inverse[self.n - i] for i in range(self.n))
+
     @classmethod
     def from_basis(cls, basis):
-        """Derive the dual rows from the inverse of the basis matrix."""
-        basis = tuple(tuple(frac(x) for x in row) for row in basis)
-        inv = _basis_inverse(basis)
-        n = len(basis) - 1
-        dual = tuple(inv[n - i] for i in range(n))
-        return cls(basis=basis, dual_matrix=dual, inverse=inv)
-
-
-def _basis_inverse(basis):
-    if any(len(row) != len(basis) for row in basis):
-        raise ValueError("flag basis is not square")
-    try:
-        return tuple(map(tuple, linalg.inverse(basis)))
-    except ValueError:
-        raise ValueError("flag basis is singular") from None
+        return cls(basis)
 
 
 def random_flag(n, seed):
@@ -95,8 +82,10 @@ def random_flag(n, seed):
     while True:
         basis = [[Fraction(rng.randint(-9, 9)) for _ in range(n + 1)]
                  for _ in range(n + 1)]
-        if linalg.det(basis) != 0:
-            return Flag.from_basis(basis)
+        try:
+            return Flag(basis)
+        except ValueError:  # the basis is singular
+            pass
 
 
 @dataclass(frozen=True)
@@ -194,11 +183,12 @@ def input_condition_at(inst, x):
 
 
 def _gauss_point(inst, jac):
-    """Kernel of the Jacobian jac at a zero, or None when its rank is
-    not n-m (x is not a smooth point of an m-dimensional variety)."""
-    if linalg.rank(jac) != inst.n - inst.m:
-        return None
+    """Kernel of the Jacobian jac at a zero, or None when it is not
+    (m+1)-dimensional, that is when the rank of jac is not n-m (x is not
+    a smooth point of an m-dimensional variety)."""
     basis = linalg.kernel(jac, ncols=inst.n + 1)
+    if len(basis) != inst.m + 1:
+        return None
     return GrassPoint(tuple(tuple(v) for v in basis))
 
 
@@ -241,7 +231,7 @@ def schubert_cell_coords(A, flag, mu):
     B = linalg.mat_mul([list(r) for r in A.span_matrix], linalg.transpose(flag.inverse))
     Bsig = [[row[s] for s in sigma] for row in B]
     try:
-        E = linalg.mat_mul(linalg.inverse(Bsig), B)
+        E = linalg.solve(Bsig, B)
     except ValueError:  # Bsig is singular
         return None
     rest = [j for j in range(n + 1) if j not in sigma]
@@ -346,9 +336,8 @@ def transversality_report(inst, x, flag, mu):
     Jsel = [jac[s] for s in rows_pick]
     J2 = [row[m + 1:] for row in Jsel]
     J1 = [row[:m + 1] for row in Jsel]
-    J2inv = linalg.inverse(J2)
-    # first derivatives of the implicit graph map: H1 = -J2^{-1} J1
-    H1 = [[-v for v in row] for row in linalg.mat_mul(J2inv, J1)]
+    # first derivatives of the implicit graph map: J2 H1 = -J1
+    H1 = [[-v for v in row] for row in linalg.solve(J2, J1)]
     if tuple(tuple(r) for r in H1) != chart:
         raise CrossCheckFailed("implicit chart disagrees with echelon chart")
 
@@ -360,7 +349,7 @@ def transversality_report(inst, x, flag, mu):
     for s in rows_pick:
         HU = linalg.mat_mul(_at(inst.hessians[s], x), U)
         rhs.append([-v for row in linalg.mat_mul(linalg.transpose(U), HU) for v in row])
-    second = linalg.mat_mul(J2inv, rhs)
+    second = linalg.solve(J2, rhs)
     # the cell's tangent directions are the unit matrices at the free
     # chart slots (t, a), t < sigma_a - a: each adds one to the rank of
     # the matrices (h_ab)_{t,a}, b <= m, at the other slots

@@ -80,7 +80,8 @@ def symmetric_to_elementary(g, tvars, cvars):
     while work:
         lead = max(work.terms)  # tuple comparison = lex with t1 > t2 > ...
         coeff = work.terms[lead]
-        assert all(lead[i] >= lead[i + 1] for i in range(m - 1)), lead
+        if any(lead[i] < lead[i + 1] for i in range(m - 1)):
+            raise ValueError("not symmetric: lex lead %r is not decreasing" % (lead,))
         cexp = [0] * len(cvars)
         eprod = MultiPoly.constant(tvars, 1)
         for i in range(m):
@@ -275,7 +276,7 @@ def substituted_derivatives(f, L, x):
     fz = substitute(f, lin)
     if not isinstance(fz, MultiPoly):  # a constant f substitutes to a Fraction
         fz = MultiPoly.constant(zvars, fz)
-    z = solve(L, list(x))
+    z = [row[0] for row in solve(L, [[v] for v in x])]
     grad = [fz.partial(v).eval_point(z) for v in zvars]
     hess = [[fz.partial(v).partial(w).eval_point(z) for w in zvars] for v in zvars]
     return grad, hess

@@ -224,3 +224,12 @@ def test_unipoly_divide_by_one_minus_t():
 def test_unipoly_text():
     p = UniPoly([1, Fraction(3, 2), Fraction(1, 2)])
     assert p.to_text() == "1/2*T^2 + 3/2*T + 1"
+
+
+def test_floats_are_refused():
+    # a float's binary expansion is not the exact value it stands for
+    for build in (lambda: UniPoly([0.5]), lambda: UniPoly([1])(0.5),
+                  lambda: MultiPoly(("x",), {(1,): 0.5}),
+                  lambda: MultiPoly.constant(("x",), 0.5)):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            build()

@@ -246,8 +246,7 @@ def test_integer_chern_classes_match_series_inverses():
 
 def test_hrr_coefficients_are_fractions():
     # k! p_k = T_{m-k} deg V exactly: T_0 is the int 1, and a true
-    # division there gives a float, which UniPoly would turn into the
-    # Fraction of its binary expansion
+    # division there gives a float, which UniPoly refuses
     for ci in ci_grid(8, 3, 4):
         p = hilbert_poly_hrr(ci)
         td = todd_class(ci)

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 import hilbertpoly
 
 PACKAGE = os.path.dirname(os.path.abspath(hilbertpoly.__file__))
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def test_no_assert_statements_in_package():
@@ -56,3 +58,18 @@ def test_same_output_under_python_O(tmp_path, argv):
     plain, optimised = [(r.returncode, r.stdout, r.stderr) for r in runs]
     assert plain[1] or plain[2], plain  # a report or a JSON error
     assert optimised == plain
+
+
+def test_acceptance_suite_under_python_O():
+    # pytest keeps the asserts of test modules under -O, but not those of
+    # the modules they import (the package, tests/oracles.py): every
+    # acceptance criterion must hold without them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.dirname(PACKAGE), TESTS]))
+    passed = []
+    for flags in ([], ["-O"]):
+        run = subprocess.run([sys.executable] + flags + [
+            "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_acceptance.py"],
+            cwd=os.path.dirname(TESTS), env=env, capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stdout[-3000:]
+        passed.append(re.search(r"(\d+) passed", run.stdout).group(1))
+    assert passed[0] == passed[1]

@@ -53,8 +53,15 @@ QUADRIC_FLAG = flag_from_columns((1, 3, 3, 9), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0
 
 
 def test_flag_consistency_check():
-    with pytest.raises(ValueError):
-        Flag(basis=((1, 0), (0, 1)), dual_matrix=((1, 0),))
+    # dual row i is the linear form that vanishes on l_0..l_{n-1-i}, the
+    # columns spanning F_{n-1-i}, and takes 1 at l_{n-i}
+    for n in range(5):
+        for seed in range(10):
+            flag = random_flag(n, seed)
+            rows = mat_mul(flag.dual_matrix, flag.basis)
+            assert len(rows) == n
+            for i, row in enumerate(rows):
+                assert not any(row[:n - i]) and row[n - i] == 1
     f = Flag.from_basis(((1, 0), (0, 1)))
     assert f.dual_matrix == ((0, 1),)
 
@@ -65,25 +72,17 @@ def test_flag_basis_inverted_once(monkeypatch):
     monkeypatch.setattr(linalg, "inverse", lambda a: calls.append(len(a)) or real(a))
     flag = flag_from_columns((1, 2, 3), (0, 1, 0), (0, 0, 1))
     assert calls == [3]
-    # a directly built flag computes its inverse; it equals from_basis's
-    direct = Flag(basis=flag.basis, dual_matrix=flag.dual_matrix)
+    direct = Flag(flag.basis)
     assert calls == [3, 3]
-    assert direct.inverse == flag.inverse == tuple(map(tuple, real(flag.basis)))
-    # the chart inverts only its (m+1) x (m+1) block, not the basis again
+    assert direct == flag and direct.inverse == flag.inverse == tuple(map(tuple, real(flag.basis)))
+    # the chart and the report solve their systems; they invert nothing
     schubert_cell_coords(GrassPoint(((1, 2, 3), (0, 1, 0))), flag, Partition([1]))
-    assert calls == [3, 3, 2]
-
-
-def test_flag_rejects_a_wrong_inverse():
-    flag = flag_from_columns((1, 2, 3), (0, 1, 0), (0, 0, 1))
-    Flag(basis=flag.basis, dual_matrix=flag.dual_matrix, inverse=flag.inverse)
-    off = [list(row) for row in flag.inverse]
-    off[2][0] += Fraction(1, 7)
-    for wrong in (off, flag.basis, flag.inverse[:2], [row[:2] for row in flag.inverse],
-                  list(flag.inverse) + [(0, 0, 0)]):
-        with pytest.raises(ValueError, match="not the inverse"):
-            Flag(basis=flag.basis, dual_matrix=flag.dual_matrix,
-                 inverse=tuple(map(tuple, wrong)))
+    rep = transversality_report(CONIC, (1, 1, 1), flag, Partition([1]))
+    assert rep["on_cell"] and rep["transversal"]
+    assert calls == [3, 3]
+    # the inverse is computed, never passed in
+    with pytest.raises(TypeError):
+        Flag(basis=flag.basis, inverse=flag.inverse)
 
 
 def test_singular_flag_basis_is_refused():
@@ -91,9 +90,10 @@ def test_singular_flag_basis_is_refused():
     with pytest.raises(ValueError, match="flag basis is singular"):
         Flag.from_basis(singular)
     with pytest.raises(ValueError, match="flag basis is singular"):
-        Flag(basis=singular, dual_matrix=((0, 0, 1), (0, 1, 0)))
-    with pytest.raises(ValueError, match="not square"):
-        Flag.from_basis(((1, 0, 0), (0, 1, 0)))
+        Flag(singular)
+    for not_square in (((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (0, 0))):
+        with pytest.raises(ValueError, match="not square"):
+            Flag.from_basis(not_square)
 
 
 def test_random_flag_deterministic_and_nonsingular():
