@@ -37,14 +37,17 @@ Conventions
   positive leading coefficient) and reduces fraction-free; only the
   bases and remainders it returns are rational, and Groebner bases are
   returned reduced and monic.
-* Buchberger selects critical pairs by the Gebauer-Moeller update:
-  criterion B prunes the old pairs when an element arrives, criteria M
-  and F keep one new pair per minimal lcm, and no pair is formed with
-  an element whose lead a later lead divides.
+* Buchberger is signature-based (the RB algorithm of Eder & Faugere's
+  survey, JSC 2017, with the F5 rewrite order of Faugere, ISSAC 2002):
+  the generators enter one at a time, J-pairs are reduced in increasing
+  position-over-term signature by regular top-reductions, and the
+  Koszul, syzygy, rewrite and singular criteria drop the J-pairs that
+  need no reduction.  On a regular sequence nothing reduces to zero.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -265,43 +268,26 @@ def _primitive_form(f, pk):
     return _primitive(terms, lt), lt
 
 
-def _reducer(terms, lt, pk):
-    """Integer term dict with leading exponent lt, as _normal_form and
-    _spoly take it: lt, its coefficient, the other terms and the
-    packing."""
-    return lt, terms[lt], [(e, c) for e, c in terms.items() if e != lt], pk
+def _reducer(terms, lt, sig=0):
+    """Integer term dict with leading exponent lt, as _normal_form takes
+    it: lt, its coefficient, the other terms and the signature (unused
+    by full reduction)."""
+    return lt, terms[lt], [(e, c) for e, c in terms.items() if e != lt], sig
 
 
-def _spoly(ri, rj):
-    """S-polynomial of two _reducer, fraction-free: the term dict of
-    (l/lc_i)*u_i*f_i - (l/lc_j)*u_j*f_j with l = lcm(lc_i, lc_j) and u_i,
-    u_j the cofactors of the leads in their lcm.  The leads cancel and
-    are left out."""
-    lti, lci, taili, pk = ri
-    ltj, lcj, tailj, _ = rj
-    u = pk.lcm(lti, ltj)
-    l = math.lcm(lci, lcj)
-    a, shift = l // lci, u - lti
-    terms = {shift + e: a * c for e, c in taili}
-    b, shift = l // lcj, u - ltj
-    for e, c in tailj:
-        e += shift
-        v = terms.get(e, 0) - b * c
-        if v:
-            terms[e] = v
-        else:
-            del terms[e]
-    guard = pk.guard
-    if any(e & guard for e in terms):
-        raise _FieldOverflow
-    return terms
+def _normal_form(fterms, reducers, guard, sig=None):
+    """Fraction-free reduction of an integer term dict against a list of
+    _reducer.  Returns (remainder, scale): the remainder is an integer
+    term dict, its lead first (all its terms largest first under full
+    reduction), equal to scale > 0 times the exact rational remainder
+    of the same division.
 
-
-def _normal_form(fterms, reducers, guard):
-    """Fraction-free full reduction of an integer term dict against a
-    list of _reducer.  Returns (remainder, scale): the remainder is an
-    integer term dict, its terms largest first, equal to scale > 0 times
-    the exact rational remainder of the same division.
+    Without sig the reduction is full.  With sig, the signature of the
+    element being reduced, it is the regular top-reduction of
+    signature-based Buchberger: a reducer is used only when its multiple
+    has a smaller signature (shift + its sig < sig), and the reduction
+    stops at the first term that no such reducer removes; the terms
+    below it are returned as they are.
 
     A term c*m is removed with the first reducer whose lead divides m:
     with g = gcd(c, lc), the remainder so far is multiplied by lc/g and
@@ -324,13 +310,16 @@ def _normal_form(fterms, reducers, guard):
         coeff = work.pop(exp, None)
         if not coeff:
             continue
-        for lt, lc, tail, _ in reducers:
+        for lt, lc, tail, s in reducers:
             shift = exp - lt
-            if not shift & guard:
+            if not shift & guard and (sig is None or shift + s < sig):
                 break
         else:
             out[exp] = coeff
-            continue
+            if sig is None:
+                continue
+            out.update(work)
+            break
         if lc != 1:
             g = math.gcd(coeff, lc)
             if g != lc:
@@ -363,7 +352,7 @@ def normal_form(f, basis_polys, order=GREVLEX):
 
 
 def _packed_normal_form(pk, f, divisors):
-    reducers = [_reducer(*_primitive_form(g, pk), pk) for g in divisors]
+    reducers = [_reducer(*_primitive_form(g, pk)) for g in divisors]
     terms, d = _clear_denominators(f)
     out, scale = _normal_form({pk.pack(e): c for e, c in terms.items()}, reducers, pk.guard)
     d *= scale
@@ -373,19 +362,24 @@ def _packed_normal_form(pk, f, divisors):
 def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
     """Reduced Groebner basis of the given generators.
 
-    Pairs are handled by the Gebauer-Moeller update (Gebauer & Moeller,
-    JSC 1988; Becker-Weispfenning's UPDATE).  Each element t, input
-    generator or new remainder alike, enters through update(t):
-    criterion B deletes the live pairs it makes redundant, criteria M
-    and F keep one new pair per minimal lcm, a minimal lcm whose group
-    holds a coprime pair (Buchberger's first criterion) gets none, and
-    t retires from the active set every element whose lead its lead
-    divides.  Only active elements get new pairs; every element stays a
-    reducer.
+    The run is signature-based Buchberger in the RB form of Eder &
+    Faugere's survey (JSC 2017) with the F5 rewrite order (Faugere,
+    ISSAC 2002).  The generators, sorted by (degree, lead), get the
+    signatures e_1 < e_2 < ..., position over term, and the basis of
+    f_1..f_i is complete before f_{i+1} enters.  The J-pair of two
+    elements is t*x, x the one whose multiple in their lcm has the
+    larger signature; two multiples of one signature make no J-pair
+    (singular criterion).  J-pairs are reduced in increasing signature
+    order, one per signature with the latest x, by regular
+    top-reductions, and dropped when the signature is a multiple of a
+    lead of the earlier generators' basis (Koszul syzygies), of the
+    signature of a reduction to zero (syzygy criterion) or of the
+    signature of an element of the same index made after x (rewrite
+    criterion).  On a regular sequence no J-pair reduces to zero.
 
     Resource caps abort with ResourceCapExceeded instead of exhausting
     memory.  max_basis bounds the number of elements the run holds: the
-    generators plus every remainder it adds, retired ones included.
+    generators plus every element a J-pair adds.
 
     Each element lists its terms largest first, so its lead is the
     first key of its terms.
@@ -413,101 +407,136 @@ def minimal_leads(generators, order=GREVLEX, max_basis=None, max_degree=None):
 
 
 def _minimal_leads(pk, generators, max_basis, max_degree):
-    _, lts, _, active = _buchberger(pk, generators, max_basis, max_degree)
-    return [pk.unpack(lts[k]) for k in _minimal_active(lts, active, pk.guard)]
+    _, lts, _, minimal = _buchberger(pk, generators, max_basis, max_degree)
+    return [pk.unpack(lts[k]) for k in minimal]
 
 
 def _buchberger(pk, generators, max_basis, max_degree):
-    """A Groebner basis (G, lts, reducers, active): primitive integer term
-    dicts, their leading exponents, the matching list of _reducer, and
-    the elements whose lead no later lead divides."""
-    G, lts = map(list, zip(*(_primitive_form(g, pk) for g in generators)))
-    reducers = [_reducer(g, lt, pk) for g, lt in zip(G, lts)]
-    guard, lcm = pk.guard, pk.lcm
+    """A Groebner basis (G, lts, reducers, minimal): primitive integer
+    term dicts, their leading exponents, the matching list of _reducer
+    and the elements that hold the minimal leads, sorted by lead, by
+    buchberger's signature-based run.  Each element is kept as its
+    regular top-reduction left it: lead reduced, tail as it came.
 
-    def check_caps(terms):
+    The signature t*e_i of an element is the packed monomial t of index
+    i; its _reducer sig is (i << width) + t, whose integer order is
+    position over term.  A reducer's multiple keeps its index: shift + t
+    is a product of two valid monomials, which fits in width bits."""
+    guard, lcm = pk.guard, pk.lcm
+    width = pk.top + pk.bits + 1  # the bits of a packed monomial
+    forms = sorted((_primitive_form(g, pk) for g in generators),
+                   key=lambda f: (max(map(pk.degree, f[0])), f[1]))
+
+    def check_degree(terms):
         if max_degree is not None and max(map(pk.degree, terms)) > max_degree:
             raise ResourceCapExceeded("degree exceeded %d" % max_degree)
-        if max_basis is not None and len(G) > max_basis:
-            raise ResourceCapExceeded("basis size exceeded %d" % max_basis)
 
-    heap = []
-    # (i, j) -> lcm of the leads for each pair still to reduce; a popped
-    # heap entry whose pair is gone is skipped
-    live = {}
-    active = []  # elements whose lead no later lead divides
+    for terms, _ in forms:
+        check_degree(terms)
+    held = len(forms)
+    if max_basis is not None and held > max_basis:
+        raise ResourceCapExceeded("basis size exceeded %d" % max_basis)
+    G, lts, sigs, reducers = [], [], [], []
+    holder = {}  # lead -> the element that holds it
 
-    def update(t):
-        lt = lts[t]
-        # criterion B: lt | lcm(i, j) and lcm(i, j) is neither lcm(t, i)
-        # nor lcm(t, j), so the pairs (t, i) and (t, j) cover (i, j)
-        dead = [ij for ij, u in live.items()
-                if not (u - lt) & guard
-                and lcm(lt, lts[ij[0]]) != u and lcm(lt, lts[ij[1]]) != u]
-        for ij in dead:
-            del live[ij]
-        # new pairs grouped by lcm: [first k, whether some pair of the
-        # group is coprime]
-        groups = {}
-        for k in active:
-            u = lcm(lt, lts[k])
-            group = groups.get(u)
-            if group is None:
-                groups[u] = [k, u == lt + lts[k]]
-            elif u == lt + lts[k]:
-                group[1] = True
-        # criteria M and F: keep only the minimal lcms; a proper divisor
-        # is a smaller monomial, so it is kept before its multiples
-        kept = []
-        for u in sorted(groups):
-            if any(not (u - v) & guard for v in kept):
+    def add(r, u):
+        """Add the element r of signature u*e_i and queue its J-pairs
+        that no Koszul signature drops."""
+        p = len(G)
+        lp = next(iter(r))
+        G.append(_primitive(r, lp))
+        lts.append(lp)
+        sigs.append(u)
+        holder[lp] = p
+        reducers.append(_reducer(G[p], lp, base + u))
+        active.append(reducers[p])
+        check_degree(G[p])
+        # With an element of lower index, p's multiple has the larger
+        # signature.  Only the minimal leads lk of the earlier basis
+        # are paired, as in F5C (Eder & Perry, JSC 2010): a lead that lk
+        # divides gives a J-pair of p whose signature is a multiple of
+        # this one, and the criteria drop it once this one is handled.
+        pairs = []
+        for lk in koszul:
+            v = lcm(lp, lk) - lp + u
+            if (v - lk) & guard:  # else v is a multiple of lk itself
+                pairs.append((v, p))
+        for k in range(first, p):
+            lk = lts[k]
+            t = lcm(lp, lk)
+            v = t - lp + u
+            w = t - lk + sigs[k]
+            if w > v:
+                pairs.append((w, k))
+            elif w < v:
+                pairs.append((v, p))
+            # w == v: singular, the multiples have one signature
+        for v, x in pairs:
+            old = pending.get(v)
+            if old is not None:
+                if x > old:
+                    pending[v] = x
                 continue
-            kept.append(u)
-            k, coprime = groups[u]
-            if not coprime:
-                live[t, k] = u
-                heapq.heappush(heap, (u, t, k))
-        active[:] = [k for k in active if (lts[k] - lt) & guard]
-        active.append(t)
+            if v in multiples:
+                continue
+            if v & guard:
+                raise _FieldOverflow
+            # a divisor of v is not larger than v
+            for m in koszul[:bisect.bisect_right(koszul, v)]:
+                if not (v - m) & guard:
+                    multiples.add(v)
+                    break
+            else:
+                pending[v] = x
+                heapq.heappush(heap, v)
 
-    for g in G:
-        check_caps(g)
-    for t in range(len(G)):
-        update(t)
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        if live.pop((i, j), None) is None:
-            continue
-        r, _ = _normal_form(_spoly(reducers[i], reducers[j]), reducers, guard)
+    koszul = []  # the minimal leads of the basis of f_1, ..., f_{i-1}
+    for i, (f, _) in enumerate(forms):
+        base = i << width
+        first = len(G)  # G[first:] has index i
+        syz = []  # signatures of index i that reduced to zero
+        pending = {}  # J-pair signature -> the latest x with it
+        multiples = set()  # J-pair signatures found in in(f_1, ..., f_{i-1})
+        heap = []  # the pending signatures
+        # every reducer of lower index is regular, and a minimal lead
+        # divides whatever another lead of lower index divides
+        active = [reducers[holder[m]] for m in koszul]
+        r, _ = _normal_form(f, active, guard, base)
         if not r:
-            continue
-        t = len(G)
-        lts.append(max(r))
-        G.append(_primitive(r, lts[t]))
-        reducers.append(_reducer(G[t], lts[t], pk))
-        check_caps(G[t])
-        update(t)
-    return G, lts, reducers, active
+            continue  # f_i lies in (f_1, ..., f_{i-1})
+        add(r, 0)
+        while heap:
+            u = heapq.heappop(heap)
+            x = pending.pop(u)
+            # syzygy and rewrite criteria: u is a multiple of the
+            # signature of a reduction to zero or of an element after x
+            for m in itertools.chain(syz, sigs[x + 1:]):
+                if not (u - m) & guard:
+                    break
+            else:
+                shift = u - sigs[x]
+                r = {shift + e: c for e, c in G[x].items()}
+                if any(e & guard for e in r):
+                    raise _FieldOverflow
+                r, _ = _normal_form(r, active, guard, base + u)
+                if not r:
+                    syz.append(u)
+                    continue
+                held += 1
+                if max_basis is not None and held > max_basis:
+                    raise ResourceCapExceeded("basis size exceeded %d" % max_basis)
+                add(r, u)
+        # no lead of index i is a multiple of an earlier one, which would
+        # have reduced it, so only earlier leads can stop being minimal
+        new = _minimal_monomials(lts[first:], guard)
+        koszul = sorted(new + [m for m in koszul if all((m - l) & guard for l in new)])
+    return G, lts, reducers, [holder[m] for m in koszul]
 
 
-def _minimal_active(lts, active, guard):
-    """The active elements that hold the minimal leads, one per lead,
-    sorted by lead.
-
-    Every minimal lead is held by an active element, and no two active
-    leads are equal (a newcomer retires an equal lead), so dropping the
-    active elements whose lead another active lead divides leaves
-    exactly one element per minimal lead."""
-    return sorted((i for i in active
-                   if all(j == i or (lts[i] - lts[j]) & guard for j in active)),
-                  key=lts.__getitem__)
-
-
-def _autoreduce(G, lts, reducers, active, pk, variables):
+def _autoreduce(G, lts, reducers, keep, pk, variables):
     """Reduced monic basis over Q, sorted by lead, each element's terms
     largest first, from _buchberger's Groebner basis."""
     guard = pk.guard
-    keep = _minimal_active(lts, active, guard)
     reducers = [reducers[i] for i in keep]
     # fully reduce each survivor against the others; its lead survives
     out = []

@@ -14,9 +14,10 @@ b_{2j} = (-1)^{j-1} B_j / (2j)!).  Modern references instead attach the
 sign to the Bernoulli number; conversions must keep that in mind.
 
 Memoised for the life of the process, since none of them depends on a
-variety and each value is immutable: delta_b (Delta_lam(b) by lam),
-the coefficients k a_k of the Todd recurrence for each m, todd_poly
-(a MultiPoly), delta_coeff (delta^{m,k}_mu, a Fraction) and
+variety and each value is immutable: delta_b (Delta_lam(b) by lam)
+and the b-sequence it reads for each size |lam|, the coefficients k a_k
+of the Todd recurrence for each m, todd_poly (a MultiPoly), delta_coeff
+(delta^{m,k}_mu, a Fraction) and
 delta_table (a DeltaTable whose entries are a read-only mapping,
 checked for integrality once per table).
 """
@@ -115,13 +116,20 @@ def b_sequence(K):
 
 
 @lru_cache(maxsize=None)
+def _b_sequence_of_size(size):
+    """b_sequence(size), built once per size for delta_b, which only
+    reads it."""
+    return b_sequence(size)
+
+
+@lru_cache(maxsize=None)
 def delta_b(lam):
     """Delta_lam(b) for the coefficients b of t/(1 - e^{-t}).
 
     No entry b_i of the determinant has i > lam_1 + len(lam) - 1 <= |lam|,
     so b_sequence(|lam|) holds every one of them.
     """
-    return delta_det(lam, b_sequence(max(lam.size, 1)))
+    return delta_det(lam, _b_sequence_of_size(max(lam.size, 1)))
 
 
 def newton_power_sums(c):

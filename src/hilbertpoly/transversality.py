@@ -141,6 +141,14 @@ class GrassPoint:
         if linalg.rank(rows) != len(rows):
             raise ValueError("span matrix is rank deficient")
 
+    @classmethod
+    def _of_kernel(cls, basis):
+        """The point spanned by a kernel basis from linalg.kernel, which
+        has full rank by construction, so it is not ranked again."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "span_matrix", tuple(tuple(v) for v in basis))
+        return point
+
     @property
     def dim(self):
         return len(self.span_matrix) - 1
@@ -189,7 +197,7 @@ def _gauss_point(inst, jac):
     basis = linalg.kernel(jac, ncols=inst.n + 1)
     if len(basis) != inst.m + 1:
         return None
-    return GrassPoint(tuple(tuple(v) for v in basis))
+    return GrassPoint._of_kernel(basis)
 
 
 def gauss_point(inst, x):

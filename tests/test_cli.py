@@ -478,10 +478,11 @@ def test_ci_grid_reports_independent_of_order():
     # on which reports ran before it
     from hilbertpoly.chern import chern_cone_normal, chern_tangent, ci_grid
     from hilbertpoly.partitions import _nested
-    from hilbertpoly.symfun import _todd_log_coeffs, delta_b, delta_coeff, delta_table
+    from hilbertpoly.symfun import (
+        _b_sequence_of_size, _todd_log_coeffs, delta_b, delta_coeff, delta_table)
 
-    for cache in (delta_b, _todd_log_coeffs, delta_coeff, delta_table, _nested,
-                  chern_tangent, chern_cone_normal):
+    for cache in (delta_b, _b_sequence_of_size, _todd_log_coeffs, delta_coeff, delta_table,
+                  _nested, chern_tangent, chern_cone_normal):
         cache.cache_clear()
     argvs = [["ci", "n=%d" % ci.n, "degrees=" + ",".join(map(str, ci.degrees))]
              for ci in ci_grid(5, 2, 3)]

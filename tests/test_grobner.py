@@ -101,14 +101,12 @@ def test_resource_caps():
     with pytest.raises(ResourceCapExceeded, match="degree"):
         buchberger(polys("x y", "x^5 - y^5"), max_degree=4)
     assert buchberger(polys("x y", "x^4 - y^4"), max_degree=4) == polys("x y", "x^4 - y^4")
-    # the inputs fit under the basis cap; the remainders the run adds do
-    # not, even though the update retires the generators x*y and y^2 -
-    # both leads are divisible by the remainder y
-    mid_run = polys("x y", "x*y", "y^2 + y", "x - y + 1")
-    assert len(buchberger(mid_run)) == 2
+    # the two inputs fit under the basis cap; the element that the
+    # J-pair of x*y - 1 and x^2 - y adds does not
+    mid_run = polys("x y", "x^2 - y", "x*y - 1")
     with pytest.raises(ResourceCapExceeded, match="basis size"):
-        buchberger(mid_run, max_basis=3)
-    assert buchberger(mid_run, max_basis=4) == polys("x y", "y", "x + 1")
+        buchberger(mid_run, max_basis=2)
+    assert buchberger(mid_run, max_basis=3) == polys("x y", "y^2 - x", "x*y - 1", "x^2 - y")
 
 
 # -- normal forms and membership
@@ -275,26 +273,32 @@ def test_basis_invariant_under_scaling_generators(gens, scalars, order):
         assert basis == reduced_basis_by_scan(gens, order)
 
 
-@pytest.mark.parametrize("gens, basis, pairs", [
-    # x*y*z, x*z, y*z and z enter in turn.  x*z pairs with x*y*z and
-    # retires it.  y*z pairs with x*z; criterion B keeps (x*z, x*y*z),
-    # as lcm(y*z, x*z) equals its lcm.  z deletes (y*z, x*z) by
-    # criterion B, keeps (x*z, x*y*z) for lcm(z, x*y*z) = x*y*z, pairs
-    # with x*z and y*z, and retires both
-    (("x*y*z", "x*z", "y*z", "z"), ("z",), 3),
-    # x pairs with y (lcm x*y, coprime) and with x*y*z; x*y divides
-    # x*y*z, so the coprime group eliminates the second pair too
-    (("y", "x*y*z", "x"), ("y", "x"), 1),
-])
-def test_update_reduces_only_needed_pairs(monkeypatch, gens, basis, pairs):
-    # monomial generators: every S-polynomial is zero, so the count
-    # shows exactly which pairs the update left to reduce
+@pytest.mark.parametrize("n, degrees", [(7, (2, 2, 2, 2)), (6, (3, 3))])
+def test_regular_sequence_has_no_reduction_to_zero(monkeypatch, n, degrees):
+    # dense forms with seeded coefficients are a regular sequence, on
+    # which the signature-based run reduces nothing to zero (F5)
     grobner = hilbertpoly.grobner
-    spoly_calls = []
-    monkeypatch.setattr(grobner, "_spoly",
-                        lambda ri, rj, real=grobner._spoly: spoly_calls.append(1) or real(ri, rj))
-    assert buchberger(polys("x y z", *gens)) == polys("x y z", *basis)
-    assert len(spoly_calls) == pairs
+    remainders = []
+
+    def counted(*args, real=grobner._normal_form):
+        out = real(*args)
+        remainders.append(bool(out[0]))
+        return out
+
+    monkeypatch.setattr(grobner, "_normal_form", counted)
+    rng = random.Random(10 * n + len(degrees))
+    variables = tuple("x%d" % i for i in range(n + 1))
+    forms = [MultiPoly(variables, {e: Fraction(rng.randint(-5, 5))
+                                   for e in monomials_of_degree(n + 1, d)})
+             for d in degrees]
+    data = hilbert_data(HomIdeal.from_polys(variables, forms))
+    # a regular sequence of these degrees has numerator prod (1 - t^d)
+    numerator = UniPoly([1])
+    for d in degrees:
+        numerator = numerator * UniPoly([1] + [0] * (d - 1) + [-1])
+    assert data.series_numerator == numerator
+    assert len(remainders) > len(degrees)
+    assert all(remainders)
 
 
 @st.composite
@@ -302,8 +306,8 @@ def sat_shaped_system(draw):
     """SAT-shaped systems: 4-5 variables, 6-12 monomials and binomials
     with coefficients +-1.  Leads come from a small pool of
     exponents and their multiples by one variable, so that leads repeat
-    and divide each other: criteria B, M and F and the retiring of
-    active elements all get work."""
+    and divide each other: the syzygy and rewrite criteria both get
+    work."""
     n = draw(st.integers(4, 5))
     exponent = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
     pool = draw(st.lists(exponent, min_size=2, max_size=4))
@@ -339,6 +343,19 @@ def test_sat_ideal_basis_matches_scan(num_vars, clauses):
     affine = [g.set_variable("x0", 1) for g in gens]
     for system in (gens, affine):
         assert buchberger(system) == reduced_basis_by_scan(system, GREVLEX)
+
+
+def test_sat_formula_pinned_at_21_models():
+    # pass seed sat_count:24:0 of bench/run.py: J-pair pruning that
+    # drops a pair the signature criteria need counted 23 models here
+    from hilbertpoly.reductions import CnfFormula, count_sat_bruteforce, sat_to_ideal
+    phi = CnfFormula(7, ((-6, 7, 3), (6, 2, -5), (-4, 7, 2), (1, 6, -2), (-7, 1, 5),
+                         (6, -4, -1), (-2, 5, 4), (3, 2, 5), (-4, 2, -5), (-4, -5, -7),
+                         (5, -1, -7), (3, 7, 5), (6, -1, 5), (3, 6, -2)))
+    I = sat_to_ideal(phi)
+    assert count_sat_bruteforce(phi) == 21
+    assert hilbert_data(I).hilbert_polynomial == UniPoly([21])
+    assert count_zero_dim([g.set_variable("x0", 1) for g in I.generators]) == 21
 
 
 def test_hilbert_data_without_asserts():

@@ -154,6 +154,22 @@ def test_delta_b_scaled_integrality():
             assert value.denominator == 1, (lam, value)
 
 
+def test_delta_b_builds_each_b_sequence_size_once(monkeypatch):
+    from hilbertpoly import symfun
+    for cache in (symfun.delta_b, symfun._b_sequence_of_size):
+        cache.cache_clear()
+    sizes = []
+    monkeypatch.setattr(symfun, "b_sequence", lambda K, real=b_sequence: sizes.append(K) or real(K))
+    M = 7
+    values = {lam: symfun.delta_b(lam) for size in range(M + 1)
+              for lam in enumerate_partitions(size)}
+    assert sorted(sizes) == list(range(1, M + 1))
+    for lam, value in values.items():
+        assert value == delta_det(lam, b_sequence(max(lam.size, 1)))
+    for cache in (symfun.delta_b, symfun._b_sequence_of_size):
+        cache.cache_clear()
+
+
 # -- Todd and Chern character polynomials
 
 

@@ -85,6 +85,24 @@ def test_flag_basis_inverted_once(monkeypatch):
         Flag(basis=flag.basis, inverse=flag.inverse)
 
 
+def test_rank_deficient_span_is_refused():
+    for rows in (((1, 2, 3), (2, 4, 6)), ((0, 0, 0),), ((1, 0, 1), (0, 1, 0), (1, 1, 1))):
+        with pytest.raises(ValueError, match="rank deficient"):
+            GrassPoint(rows)
+    assert GrassPoint(((1, 2, 3), (0, 1, 0))).dim == 1
+
+
+def test_gauss_point_ranks_no_kernel(monkeypatch):
+    # the kernel basis has full rank by construction; the point made of
+    # it equals the checked one
+    calls = []
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(1) or real(rows))
+    A = gauss_point(CONIC, (1, 1, 1))
+    assert calls == []
+    assert A == GrassPoint(A.span_matrix) and A.dim == 1
+
+
 def test_singular_flag_basis_is_refused():
     singular = ((1, 2, 0), (2, 4, 0), (0, 0, 1))
     with pytest.raises(ValueError, match="flag basis is singular"):
@@ -219,6 +237,20 @@ def test_q_lambda_tangent_flag():
 
 def test_q_lambda_random_flag_misses():
     assert not in_Q_lambda(CONIC, (1, 1, 1), random_flag(2, 12345), Partition([1]))
+
+
+def test_q_lambda_reads_the_dual_rows_last_first():
+    # for [1,1] the i = 1 test takes dual row 0 alone, the form vanishing
+    # on F_1 = span(l_0, l_1); x lies in Q_[1,1] exactly when F_1 is the
+    # tangent line y0 - 2*y1 + y2 = 0 at x = (1,1,1).  Swapping l_1 and
+    # l_2 moves the tangent line from F_1 to span(l_0, l_2).
+    tangent_f1 = flag_from_columns((1, 2, 3), (1, 1, 1), (0, 0, 1))
+    tangent_elsewhere = flag_from_columns((1, 2, 3), (0, 0, 1), (1, 1, 1))
+    assert in_Q_lambda(CONIC, (1, 1, 1), tangent_f1, Partition([1, 1]))
+    assert not in_Q_lambda(CONIC, (1, 1, 1), tangent_elsewhere, Partition([1, 1]))
+    # F_0 = (1,2,3) is on the tangent line in both, so [1] holds for both
+    assert in_Q_lambda(CONIC, (1, 1, 1), tangent_f1, Partition([1]))
+    assert in_Q_lambda(CONIC, (1, 1, 1), tangent_elsewhere, Partition([1]))
 
 
 # -- Schubert charts
