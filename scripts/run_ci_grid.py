@@ -32,7 +32,7 @@ def main():
     by_n = {}
     for ci in grid:
         hrr = hilbert_poly_hrr(ci)
-        chars = hilbert_poly_from_characters(ci, character_table(ci))
+        chars = hilbert_poly_from_characters(ci.m, ci.n, character_table(ci))
         ok = hrr == chars == ci_hilbert_series_oracle(ci)
         if not ok:
             disagreements.append(ci)

@@ -306,7 +306,9 @@ def parse_poly(text, variables=None):
         raise PolyParseError("trailing operator in %r" % text)
     chunks.append((sign, cur))
 
-    poly = MultiPoly.zero(variables)
+    # the terms are summed in one dict, so that a line of N terms takes
+    # time linear in N: nothing caps the length of an ideal-file line
+    terms = {}
     index = {name: i for i, name in enumerate(variables)}
     for sign, body in chunks:
         coeff = Fraction(sign)
@@ -328,8 +330,9 @@ def parse_poly(text, variables=None):
                 exp[index[name]] += int(e) if e else 1
                 continue
             raise PolyParseError("bad factor %r in %r" % (factor, text))
-        poly = poly + MultiPoly(variables, {tuple(exp): coeff})
-    return poly
+        exp = tuple(exp)
+        terms[exp] = terms.get(exp, 0) + coeff
+    return MultiPoly(variables, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ c_i = s_i + a s_{i-1} and c_i = s_i - a c_{i-1} take exactly.  So a
 determinant Delta_lam of Chern classes is the scalar one of the Chern
 numbers times h^|lam|, and the Todd class is the multiplicative-sequence
 recurrence of symfun at the Chern numbers; both are taken over scalars,
-zero-padded past h^m (no term of weight <= m reads there).  Three
-independent routes come out of this module:
+and no term of weight <= m reads past h^m.  Three independent routes
+come out of this module:
 
 * hilbert_poly_hrr             - Riemann-Roch coefficients
                                  k! p_k = deg(h^k T_{m-k})
@@ -47,7 +47,7 @@ from functools import lru_cache
 from .arith import CrossCheckFailed, MultiPoly, UniPoly
 from .grobner import HomIdeal, monomials_of_degree
 from .partitions import enumerate_partitions
-from .symfun import CoeffSeq, delta_det, delta_table, scaling_factor, todd_sequence
+from .symfun import delta_det, delta_table, scaling_factor, todd_sequence
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,7 @@ def projective_character(ci, lam):
         raise ValueError("|lambda| must be at most m")
     if lam.part(1) > ci.n - ci.m:
         return 0
-    normal = CoeffSeq(chern_cone_normal(ci), pad=True)
-    value = delta_det(lam, normal) * ci.degree
+    value = delta_det(lam, chern_cone_normal(ci)) * ci.degree
     if value.denominator != 1 or value < 0:
         raise CrossCheckFailed("character %s -> %s is not a nonnegative integer"
                                % (lam, value))
@@ -184,15 +183,16 @@ def character_table(ci):
     return table
 
 
-def hilbert_poly_from_characters(ci, chars):
-    """Hilbert polynomial assembled from delta tables and the projective
-    character table `chars` of ci (as returned by character_table)."""
+def hilbert_poly_from_characters(m, n, chars):
+    """Hilbert polynomial of an m-dimensional smooth variety in P^n,
+    assembled from delta tables and its projective characters: `chars`
+    maps each mu with |mu| <= m and mu_1 <= n-m to deg P_mu (as
+    character_table returns them for a complete intersection)."""
     coeffs = []
-    for k in range(ci.m + 1):
-        table = delta_table(ci.m, k, ci.n)
-        pk = sum((value * chars[mu] for mu, value in table.entries.items()),
+    for k in range(m + 1):
+        pk = sum((value * chars[mu] for mu, value in delta_table(m, k, n).items()),
                  Fraction(0)) / math.factorial(k)
-        scaled = scaling_factor(k, ci.m) * math.factorial(k) * pk
+        scaled = scaling_factor(k, m) * math.factorial(k) * pk
         if scaled.denominator != 1:
             raise CrossCheckFailed("scaled coefficient p_%d not integral" % k)
         coeffs.append(pk)

@@ -216,7 +216,7 @@ def cmd_ci(args):
     _check_pairs("ci", sum(delta_table_pairs(ci.m, k, ci.n) for k in range(ci.m + 1)))
     hrr = hilbert_poly_hrr(ci)
     table = character_table(ci)
-    chars = hilbert_poly_from_characters(ci, table)
+    chars = hilbert_poly_from_characters(ci.m, ci.n, table)
     oracle = ci_hilbert_series_oracle(ci)
     agree = hrr == chars == oracle
     report = {
@@ -250,9 +250,9 @@ def cmd_delta(args):
     _check_pairs("delta", delta_table_pairs(kv["m"], kv["k"], kv["n"]))
     table = delta_table(kv["m"], kv["k"], kv["n"])
     entries = [{"mu": list(mu.parts), "value": _q(value)}
-               for mu, value in sorted(table.entries.items(),
+               for mu, value in sorted(table.items(),
                                        key=lambda kv2: (kv2[0].size, kv2[0].parts))]
-    _emit({"m": table.m, "k": table.k, "n": table.n, "entries": entries}, args)
+    _emit({"m": kv["m"], "k": kv["k"], "n": kv["n"], "entries": entries}, args)
     return EXIT_OK
 
 

@@ -1,11 +1,12 @@
 """Symmetric-function engine: Jacobi-Trudi-shaped determinants of
-rational sequences, the Bernoulli-derived b-sequence, power sums by
-Newton's identities and the Todd class by Hirzebruch's
-multiplicative-sequence recurrence, each written once over any ring
-(the tangent Chern numbers of a variety, or formal Chern classes for
-the symbolic Todd polynomials), integer binomial-determinant shift
-coefficients, and the delta tables that assemble Hilbert coefficients
-from projective characters, with a count of their work.
+rational sequences (plain tuples c_0 = 1, c_1, ...), the
+Bernoulli-derived b-sequence, power sums by Newton's identities and the
+Todd class by Hirzebruch's multiplicative-sequence recurrence, each
+written once over any ring (the tangent Chern numbers of a variety, or
+formal Chern classes for the symbolic Todd polynomials), integer
+binomial-determinant shift coefficients, and the delta tables that
+assemble Hilbert coefficients from projective characters, with a count
+of their work.
 
 Sign convention: bernoulli(n) returns the all-positive values
 B_1 = 1/6, B_2 = 1/30, B_3 = 1/42, ...  (the alternating signs live in
@@ -14,18 +15,16 @@ b_{2j} = (-1)^{j-1} B_j / (2j)!).  Modern references instead attach the
 sign to the Bernoulli number; conversions must keep that in mind.
 
 Memoised for the life of the process, since none of them depends on a
-variety and each value is immutable: delta_b (Delta_lam(b) by lam)
-and the b-sequence it reads for each size |lam|, the coefficients k a_k
-of the Todd recurrence for each m, todd_poly (a MultiPoly), delta_coeff
-(delta^{m,k}_mu, a Fraction) and
-delta_table (a DeltaTable whose entries are a read-only mapping,
-checked for integrality once per table).
+variety and each value is immutable: b_sequence (a tuple for each K),
+delta_b (Delta_lam(b) by lam), the coefficients k a_k of the Todd
+recurrence for each m, todd_poly (a MultiPoly), delta_coeff
+(delta^{m,k}_mu, a Fraction) and delta_table (a read-only mapping from
+mu, checked for integrality once per table).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -35,52 +34,22 @@ from .arith import CrossCheckFailed, MultiPoly
 from .partitions import count_nested_pairs, enumerate_partitions
 
 
-class CoeffSeq:
-    """Coefficient sequence c_0 = 1, c_1, c_2, ... of rationals (ints or
-    Fractions).
-
-    Negative indices read as zero.  Reads past the stored values raise
-    unless the sequence was built with pad=True (used for Chern-class
-    sequences, which genuinely vanish beyond the stored range).
-    """
-
-    def __init__(self, values, pad=False):
-        values = list(values)
-        if not values:
-            raise ValueError("need at least the leading 1")
-        self.values = values
-        self.one = values[0]
-        self.zero = self.one - self.one
-        self.pad = pad
-        if self.one != 1:
-            raise ValueError("leading value must be 1")
-
-    def __getitem__(self, i):
-        if i < 0:
-            return self.zero
-        if i >= len(self.values):
-            if self.pad:
-                return self.zero
-            raise IndexError("coefficient %d beyond stored range %d" % (i, len(self.values)))
-        return self.values[i]
-
-    def dual(self):
-        """The sequence c^v with c^v_i = (-1)^i c_i."""
-        return CoeffSeq([v if i % 2 == 0 else -v for i, v in enumerate(self.values)],
-                        pad=self.pad)
-
-
 def delta_det(lam, c):
-    """det((c_{lam_i - i + j})_{1<=i,j<=r}) with c_i = 0 for i < 0.
+    """det((c_{lam_i - i + j})_{1<=i,j<=r}) for a sequence c = (c_0 = 1,
+    c_1, ...) of rationals, with c_i = 0 for i < 0.
 
-    The empty partition gives 1; padding lam with zeros does not change
-    the value.
+    The largest index read is lam_1 + r - 1 <= |lam|; a read past the end
+    of c raises IndexError.  The empty partition gives c_0; padding lam
+    with zeros does not change the value.
     """
     r = lam.length
     if r == 0:
-        return c.one
-    return linalg.det([[c[lam.part(i) - i + j] for j in range(1, r + 1)]
-                       for i in range(1, r + 1)])
+        return c[0]
+    rows = []
+    for i in range(1, r + 1):
+        first = lam.part(i) - i + 1
+        rows.append([c[k] if k >= 0 else 0 for k in range(first, first + r)])
+    return linalg.det(rows)
 
 
 @lru_cache(maxsize=None)
@@ -98,8 +67,9 @@ def bernoulli(n):
     return (-1) ** (n - 1) * total
 
 
+@lru_cache(maxsize=None)
 def b_sequence(K):
-    """Coefficients b_0..b_K of t/(1 - e^{-t}) as a CoeffSeq.
+    """Coefficients (b_0, ..., b_K) of t/(1 - e^{-t}) as a tuple.
 
     b_0 = 1, b_1 = 1/2, b_{2j} = (-1)^(j-1) B_j/(2j)!, b_odd = 0 past b_1.
     """
@@ -112,14 +82,7 @@ def b_sequence(K):
         else:
             j = i // 2
             values.append((-1) ** (j - 1) * bernoulli(j) / math.factorial(i))
-    return CoeffSeq(values)
-
-
-@lru_cache(maxsize=None)
-def _b_sequence_of_size(size):
-    """b_sequence(size), built once per size for delta_b, which only
-    reads it."""
-    return b_sequence(size)
+    return tuple(values)
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +92,7 @@ def delta_b(lam):
     No entry b_i of the determinant has i > lam_1 + len(lam) - 1 <= |lam|,
     so b_sequence(|lam|) holds every one of them.
     """
-    return delta_det(lam, _b_sequence_of_size(max(lam.size, 1)))
+    return delta_det(lam, b_sequence(lam.size))
 
 
 def newton_power_sums(c):
@@ -245,26 +208,6 @@ def delta_coeff(m, k, mu):
     return (-1) ** mu.size * total
 
 
-@dataclass(frozen=True)
-class DeltaTable:
-    """All delta^{m,k}_mu with |mu| <= m-k and mu_1 <= n-m; entries is a
-    read-only view of a private copy of the mapping it is built from."""
-
-    m: int
-    k: int
-    n: int
-    entries: MappingProxyType
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
-        N = scaling_factor(self.k, self.m)
-        for mu, value in self.entries.items():
-            if mu.size > self.m - self.k:
-                raise ValueError("entry %s too large for (m,k)" % mu)
-            if (N * value).denominator != 1:
-                raise CrossCheckFailed("scaled entry %s -> %s not integral" % (mu, value))
-
-
 def delta_table_pairs(m, k, n):
     """The work of a cold delta_table(m, k, n), counted without doing it:
     the pairs (lam, mu) whose d_coeff it takes, lam of size m-k
@@ -276,10 +219,17 @@ def delta_table_pairs(m, k, n):
 
 @lru_cache(maxsize=None)
 def delta_table(m, k, n):
+    """delta^{m,k}_mu for every mu with |mu| <= m-k and mu_1 <= n-m, as a
+    read-only mapping from mu; each entry times N(k,m) is checked to be
+    an integer."""
     if not 0 <= k <= m <= n:
         raise ValueError("need 0 <= k <= m <= n")
+    N = scaling_factor(k, m)
     entries = {}
     for size in range(m - k + 1):
         for mu in enumerate_partitions(size, max_part=n - m):
-            entries[mu] = delta_coeff(m, k, mu)
-    return DeltaTable(m=m, k=k, n=n, entries=entries)
+            value = delta_coeff(m, k, mu)
+            if (N * value).denominator != 1:
+                raise CrossCheckFailed("scaled entry %s -> %s not integral" % (mu, value))
+            entries[mu] = value
+    return MappingProxyType(entries)

@@ -12,8 +12,8 @@ from Fraction convolution, the Chern classes of a complete
 intersection from Fraction series products and series inverses, the
 Euler characteristics of its twists from exp(d h) td V, the delta
 coefficients from one Cauchy-Binet determinant over truncated series,
-Schur values from bialternants,
-the zero count of a staircase from the box under its pure powers, the
+Schur values from bialternants, the dual sequence (-1)^i c_i by
+signs, the zero count of a staircase from the box under its pure powers, the
 leads of a Groebner basis by a scan of each element's terms, division
 by 1 - t in Fraction arithmetic, the derivatives of a polynomial in
 adapted coordinates from substituting the change of coordinates
@@ -34,7 +34,7 @@ from hilbertpoly.arith import ANY_DEGREE, CrossCheckFailed, MultiPoly, UniPoly
 from hilbertpoly.chern import todd_class
 from hilbertpoly.grobner import INFINITE, HomIdeal, hilbert_data
 from hilbertpoly.partitions import enumerate_partitions
-from hilbertpoly.symfun import CoeffSeq, delta_b, delta_det
+from hilbertpoly.symfun import delta_b, delta_det
 
 
 def b_prefix_by_inversion(K):
@@ -470,11 +470,12 @@ def todd_terms(m):
 
 
 def todd_value(m, c):
-    """T_m(c_1..c_m) at the rational CoeffSeq c, by the determinantal
-    formula T_m = sum over |lam| = m of Delta_{lam'}(b) Delta_lam(c)."""
+    """T_m(c_1..c_m) at the rational sequence c = (1, c_1, ..., c_m, ...),
+    by the determinantal formula
+    T_m = sum over |lam| = m of Delta_{lam'}(b) Delta_lam(c)."""
     if m == 0:
-        return c.one
-    total = c.zero
+        return c[0]
+    total = 0
     for lam, coeff in todd_terms(m):
         total = total + coeff * delta_det(lam, c)
     return total
@@ -521,6 +522,11 @@ def delta_coeffs_by_cauchy_binet(m, mu):
     return [(-1) ** mu.size * det[m - k] for k in range(m - mu.size + 1)]
 
 
+def dual_sequence(c):
+    """The sequence c^v with c^v_i = (-1)^i c_i."""
+    return tuple(v if i % 2 == 0 else -v for i, v in enumerate(c))
+
+
 def complete_homogeneous_values(gamma, upto):
     """h_0..h_upto evaluated at the points gamma, via the product rule
     H_j(k) = H_{j-1}(k) + gamma_j H_j(k-1)."""
@@ -557,7 +563,7 @@ def schur_eval(lam, gamma):
         den = [[gamma[i] ** (m - 1 - j) for j in range(m)] for i in range(m)]
         return linalg.det(num) / linalg.det(den)
     upto = lam.part(1) + lam.length
-    h = CoeffSeq(complete_homogeneous_values(gamma, max(upto, 1)))
+    h = tuple(complete_homogeneous_values(gamma, max(upto, 1)))
     return delta_det(lam, h)
 
 

@@ -118,6 +118,26 @@ def test_parse_infers_variables():
     assert f.variables == ("x0", "x1", "y")
 
 
+def test_parse_builds_one_multipoly(monkeypatch):
+    # the terms are summed in one dict and become one MultiPoly; a
+    # MultiPoly per term costs a copy of the sum so far for each term
+    built = []
+    init = MultiPoly.__init__
+    monkeypatch.setattr(MultiPoly, "__init__",
+                        lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+    f = parse_poly("x0^3 + 2*x0*x1*x2 - x1^2*x2 + 3/4*x2^3 - 5", ("x0", "x1", "x2"))
+    assert len(built) == 1
+    assert len(f.terms) == 5
+
+
+def test_parse_adds_repeated_and_drops_cancelling_monomials():
+    v = ("x0", "x1", "x2")
+    f = parse_poly("x0*x1 + x2^2 + 1/2*x1*x0 - x2^2 + 3 - x0^2 + x0^2 - x0^2", v)
+    assert f.terms == {(1, 1, 0): Fraction(3, 2), (0, 0, 0): Fraction(3),
+                       (2, 0, 0): Fraction(-1)}
+    assert parse_poly("x0 - x0", v).terms == {}
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(PolyParseError):
         parse_poly("x0 + + x1", ("x0", "x1"))

@@ -21,7 +21,7 @@ from hilbertpoly.chern import (
 )
 from hilbertpoly.grobner import hilbert_data
 from hilbertpoly.partitions import Partition, enumerate_partitions
-from hilbertpoly.symfun import CoeffSeq, d_coeff, delta_coeff
+from hilbertpoly.symfun import d_coeff, delta_coeff, delta_det
 
 from oracles import (
     TruncSeries,
@@ -37,7 +37,7 @@ CI = CompleteIntersection
 
 
 def characters_route(ci):
-    return hilbert_poly_from_characters(ci, character_table(ci))
+    return hilbert_poly_from_characters(ci.m, ci.n, character_table(ci))
 
 
 def test_ci_validation():
@@ -226,7 +226,7 @@ def test_todd_class_matches_symbolic_todd_polynomials():
     # sum Delta_{lam'}(b) Delta_lam(c) of the oracle at the same numbers
     # (m <= 8 on this grid)
     for ci in ci_grid(8, 3, 4):
-        c = CoeffSeq(chern_tangent(ci), pad=True)
+        c = chern_tangent(ci)
         td = todd_class(ci)
         assert td[0] == 1
         for i in range(1, ci.m + 1):
@@ -268,3 +268,16 @@ def test_projective_character_matches_series_determinant():
                         else TruncSeries.zero(K) for i in range(1, upto + 1)]
             det = ring_delta(mu, entries)
             assert value == det[mu.size] * ci.degree, (ci, mu)
+
+
+def test_characters_read_no_chern_class_past_c_m():
+    # Delta_mu reads c_i only for i <= |mu| <= m, so the bare class
+    # (c_0, ..., c_m) gives every character that the class zero-padded
+    # to length 2m + 2 gives
+    for ci in ci_grid(10, 3, 4):
+        bare = chern_cone_normal(ci)
+        padded = bare + (0,) * (ci.m + 1)
+        assert len(bare) == ci.m + 1 and len(padded) == 2 * ci.m + 2
+        for mu, value in character_table(ci).items():
+            assert delta_det(mu, bare) == delta_det(mu, padded), (ci, mu)
+            assert value == delta_det(mu, padded) * ci.degree, (ci, mu)

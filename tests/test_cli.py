@@ -442,7 +442,7 @@ def test_character_route_disagreement_exit_code(monkeypatch):
     from hilbertpoly.arith import UniPoly
 
     monkeypatch.setattr(cli, "hilbert_poly_from_characters",
-                        lambda ci, table: UniPoly([41]))
+                        lambda m, n, table: UniPoly([41]))
     code, report = run_json("ci", "n=2", "degrees=3")
     assert code == EXIT_DISAGREE
     assert report["agreement"] is False
@@ -479,9 +479,9 @@ def test_ci_grid_reports_independent_of_order():
     from hilbertpoly.chern import chern_cone_normal, chern_tangent, ci_grid
     from hilbertpoly.partitions import _nested
     from hilbertpoly.symfun import (
-        _b_sequence_of_size, _todd_log_coeffs, delta_b, delta_coeff, delta_table)
+        _todd_log_coeffs, b_sequence, delta_b, delta_coeff, delta_table)
 
-    for cache in (delta_b, _b_sequence_of_size, _todd_log_coeffs, delta_coeff, delta_table,
+    for cache in (delta_b, b_sequence, _todd_log_coeffs, delta_coeff, delta_table,
                   _nested, chern_tangent, chern_cone_normal):
         cache.cache_clear()
     argvs = [["ci", "n=%d" % ci.n, "degrees=" + ",".join(map(str, ci.degrees))]

@@ -29,6 +29,31 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_package_imports_no_test_code():
+    # the cross-check routes stay independent of the oracles that check
+    # them: no module of the package imports oracles, conftest or any
+    # module of the tests directory
+    test_modules = {"tests", "oracles", "conftest"}
+    test_modules |= {name[:-3] for name in os.listdir(TESTS) if name.endswith(".py")}
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(PACKAGE, name)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += ["%s:%d %s" % (name, node.lineno, module) for module in modules
+                      if module.split(".")[0] in test_modules]
+    assert found == []
+
+
 INPUTS = {
     "conic.ideal": "vars: x0 x1 x2\nx0*x2 - x1^2\n",
     "points.ideal": "vars: x y\nx^2 - 1\ny^3 - y\n",
