@@ -171,6 +171,11 @@ def _caps(args):
     return {"max_basis": args.max_basis, "max_degree": args.max_degree}
 
 
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
 def _emit(report, args):
     report = {"schema": SCHEMA, "seed": args.seed, **report}
     if args.output == "json":
@@ -182,7 +187,7 @@ def _emit(report, args):
 
 
 def cmd_hilbert(args):
-    ideal = parse_ideal_file(open(args.ideal).read())
+    ideal = parse_ideal_file(_read(args.ideal))
     if not ideal.homogeneous:
         raise CliParseError("ideal file contains inhomogeneous polynomials")
     data = hilbert_data(ideal, **_caps(args))
@@ -265,7 +270,7 @@ def cmd_todd(args):
 
 
 def cmd_reduce_sat(args):
-    phi = parse_dimacs(open(args.cnf).read())
+    phi = parse_dimacs(_read(args.cnf))
     if phi.num_vars > BRUTEFORCE_MAX_VARS:
         raise ResourceCapExceeded("reduce-sat needs at most %d variables, got %d"
                                   % (BRUTEFORCE_MAX_VARS, phi.num_vars))
@@ -295,7 +300,7 @@ def cmd_reduce_sat(args):
 
 
 def cmd_membership(args):
-    ideal = parse_ideal_file(open(args.ideal).read())
+    ideal = parse_ideal_file(_read(args.ideal))
     g = parse_poly(args.poly, ideal.variables)
     direct = in_ideal(g, ideal, **_caps(args))
     via_hilbert = membership_via_hilbert(ideal, g, **_caps(args))
@@ -306,7 +311,7 @@ def cmd_membership(args):
 
 
 def cmd_count(args):
-    ideal = parse_ideal_file(open(args.ideal).read())
+    ideal = parse_ideal_file(_read(args.ideal))
     count = count_zero_dim(list(ideal.generators), **_caps(args))
     _emit({"count": count if count != INFINITE else "INFINITE"}, args)
     return EXIT_OK
@@ -327,7 +332,7 @@ def _read_flag(path, n):
     """Flag from a file of n+1 lines of n+1 rationals: the rows of the
     basis matrix, whose column j spans F_j.  Blank lines and # comments
     are skipped."""
-    lines = [ln.split() for ln in open(path).read().splitlines()]
+    lines = [ln.split() for ln in _read(path).splitlines()]
     rows = [[_rational(tok) for tok in ln] for ln in lines if ln and not ln[0].startswith("#")]
     if len(rows) != n + 1 or any(len(row) != n + 1 for row in rows):
         raise CliParseError("flag file needs %d lines of %d rationals" % (n + 1, n + 1))
@@ -335,7 +340,7 @@ def _read_flag(path, n):
 
 
 def cmd_trans(args):
-    ideal = parse_ideal_file(open(args.instance).read())
+    ideal = parse_ideal_file(_read(args.instance))
     n = len(ideal.variables) - 1
     degree = max((sum(e) for g in ideal.generators for e in g.terms), default=0)
     if degree > args.max_degree:

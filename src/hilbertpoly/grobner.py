@@ -4,18 +4,18 @@ zero-dimensional solution counting, and ideal membership.
 
 Conventions
 -----------
-* Default order is grevlex (smaller bases in practice); lex is
-  available for elimination-style work.  hilbert_data without an order
-  picks one from its generators (_revlex_order): grevlex with x_j
-  ranked last when, for every other variable x_k, some generator
-  restricted to x_j = 0 is c * x_k^d (c != 0, d >= 1), which proves
-  that the hyperplane x_j = 0 holds no zero of I; plain grevlex when no
-  variable has such a proof.  The caps count the run under the order
-  it picked.
+* The one monomial order is grevlex, with any ranking of the
+  variables.  hilbert_data without an order picks a ranking from its
+  generators (_revlex_order): x_j ranked last when, for every other
+  variable x_k, some generator restricted to x_j = 0 is c * x_k^d
+  (c != 0, d >= 1), which proves that the hyperplane x_j = 0 holds no
+  zero of I; plain grevlex when no variable has such a proof.  The caps
+  count the run under the order it picked.
 * hilbert_data and count_zero_dim need only the leading-term ideal:
   they read its minimal generators off Buchberger's run
-  (minimal_leads) and reduce no tail.  buchberger and GrobnerBasis
-  return the reduced basis.
+  (minimal_leads) and reduce no tail.  buchberger returns the reduced
+  basis.  in_ideal reduces its polynomial against the elements of the
+  run that hold the minimal leads, in the run's own packing.
 * For a possibly non-radical input ideal I the Hilbert data computed is
   that of S/I as given, not of the vanishing ideal of its zero set.
 * count_zero_dim counts points with multiplicity (vector-space
@@ -30,9 +30,9 @@ Conventions
   negated ints.  Tuples appear only where MultiPoly terms go in and come
   out.
 * The field width is derived from the input degrees.  A guard bit is
-  checked at every pack, every grevlex lcm and every new term; an
-  overflow reruns the whole call at twice the width, so no exponent is
-  ever wrapped and the result does not depend on the width.
+  checked at every pack, every lcm and every new term; an overflow
+  reruns the whole call at twice the width, so no exponent is ever
+  wrapped and the result does not depend on the width.
 * The Groebner core works on primitive integer polynomials (content 1,
   positive leading coefficient) and reduces fraction-free; only the
   bases and remainders it returns are rational, and Groebner bases are
@@ -69,29 +69,14 @@ class ResourceCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total multiplicative well-order on monomials.
+    """Grevlex, the one monomial order, on the variables in ranking
+    order: indices listed from most to least significant, by default
+    the variables as they come."""
 
-    kind is "grevlex" or "lex"; ranking optionally permutes variable
-    priority (indices listed from most to least significant).
-    """
-
-    kind: str = "grevlex"
     ranking: tuple = None
 
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "lex"):
-            raise ValueError("unknown order %r" % self.kind)
 
-    def key(self, exp):
-        if self.ranking is not None:
-            exp = tuple(exp[i] for i in self.ranking)
-        if self.kind == "lex":
-            return tuple(exp)
-        return (sum(exp), tuple(-e for e in reversed(exp)))
-
-
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
+GREVLEX = MonomialOrder()
 
 
 class _FieldOverflow(Exception):
@@ -104,12 +89,11 @@ class _Packing:
     1998).
 
     Each field holds bits value bits under one guard bit, clear in every
-    valid monomial.  Lex puts the exponents in ranking order, the most
-    significant in the top field.  Grevlex puts e_1..e_n, the exponents
-    in ranking order, in the low n fields and the weight sums
-    S_k = e_1 + ... + e_k in the n fields above them, S_n (the degree)
-    on top: comparing S_n, S_{n-1}, ..., S_1 is comparing the degree and
-    then the last exponents, smaller first.
+    valid monomial.  e_1..e_n, the exponents in ranking order, fill the
+    low n fields and the weight sums S_k = e_1 + ... + e_k the n fields
+    above them, S_n (the degree) on top: comparing S_n, S_{n-1}, ...,
+    S_1 is comparing the degree and then the last exponents, smaller
+    first, which is grevlex.
 
     For valid a and b, a + b is the product; a divides b exactly when
     (b - a) & guard is 0, and b - a is then the quotient; a and b are
@@ -120,51 +104,46 @@ class _Packing:
 
     def __init__(self, order, nvars, bits):
         self.bits = bits
-        self.grevlex = order.kind == "grevlex"
         w = bits + 1
         field_of = [0] * nvars
         for k, v in enumerate(range(nvars) if order.ranking is None else order.ranking):
-            field_of[v] = k if self.grevlex else nvars - 1 - k
+            field_of[v] = k
         self.shifts = tuple(w * f for f in field_of)
-        nfields = 2 * nvars if self.grevlex else nvars
         low = sum(1 << w * f for f in range(nvars))  # a 1 in each exponent field
         self.exp_guard = low << bits
-        self.guard = sum(1 << w * f + bits for f in range(nfields))
+        self.guard = sum(1 << w * f + bits for f in range(2 * nvars))
         self.ones = low * ((1 << bits) - 1)
         self.exp_mask = (1 << w * nvars) - 1
         # times the exponent fields, this puts e_1 + ... + e_k into the
         # field of S_k, and partial sums above S_n that sums_mask drops
         self.sums_mul = low << w * nvars
         self.sums_mask = self.exp_mask << w * nvars
-        self.top = w * max(nfields - 1, 0)
+        self.top = w * max(2 * nvars - 1, 0)
 
     def pack(self, exp):
-        if (sum(exp) if self.grevlex else max(exp, default=0)) >> self.bits:
+        if sum(exp) >> self.bits:
             raise _FieldOverflow
         p = 0
         for e, s in zip(exp, self.shifts):
             p += e << s
-        if self.grevlex:
-            p += (p * self.sums_mul) & self.sums_mask
-        return p
+        return p + ((p * self.sums_mul) & self.sums_mask)
 
     def unpack(self, p):
         mask = (1 << self.bits) - 1
         return tuple((p >> s) & mask for s in self.shifts)
 
     def degree(self, p):
-        return p >> self.top if self.grevlex else sum(self.unpack(p))
+        return p >> self.top
 
     def lcm(self, a, b):
         """Field-wise max of the exponents: the guard of each field of
-        (a | guard) - b stays set where a's exponent is the larger."""
+        (a | guard) - b stays set where a's exponent is the larger; then
+        the weight sums of that max."""
         t = ((a | self.exp_guard) - b) & self.exp_guard
-        u = b ^ ((a ^ b) & (t - (t >> self.bits)))
-        if self.grevlex:
-            u &= self.exp_mask
-            u += (u * self.sums_mul) & self.sums_mask
-            if u & self.guard:
-                raise _FieldOverflow
+        u = (b ^ ((a ^ b) & (t - (t >> self.bits)))) & self.exp_mask
+        u += (u * self.sums_mul) & self.sums_mask
+        if u & self.guard:
+            raise _FieldOverflow
         return u
 
 
@@ -352,11 +331,17 @@ def normal_form(f, basis_polys, order=GREVLEX):
 
 
 def _packed_normal_form(pk, f, divisors):
-    reducers = [_reducer(*_primitive_form(g, pk)) for g in divisors]
+    out, d = _reduce(pk, f, [_reducer(*_primitive_form(g, pk)) for g in divisors])
+    return MultiPoly(f.variables, {pk.unpack(e): Fraction(c, d) for e, c in out.items()})
+
+
+def _reduce(pk, f, reducers):
+    """(remainder, d): f's denominators cleared, packed and fully reduced
+    against the reducers, the remainder an integer term dict equal to
+    d > 0 times the exact rational remainder."""
     terms, d = _clear_denominators(f)
     out, scale = _normal_form({pk.pack(e): c for e, c in terms.items()}, reducers, pk.guard)
-    d *= scale
-    return MultiPoly(f.variables, {pk.unpack(e): Fraction(c, d) for e, c in out.items()})
+    return out, d * scale
 
 
 def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
@@ -387,12 +372,7 @@ def buchberger(generators, order=GREVLEX, max_basis=None, max_degree=None):
     generators = [g for g in generators if g]
     if not generators:
         return []
-    return _packed(order, generators, _reduced_basis, generators, max_basis, max_degree)
-
-
-def _reduced_basis(pk, generators, max_basis, max_degree):
-    return _autoreduce(*_buchberger(pk, generators, max_basis, max_degree),
-                       pk, generators[0].variables)
+    return _packed(order, generators, _autoreduce, generators, max_basis, max_degree)
 
 
 def minimal_leads(generators, order=GREVLEX, max_basis=None, max_degree=None):
@@ -533,10 +513,11 @@ def _buchberger(pk, generators, max_basis, max_degree):
     return G, lts, reducers, [holder[m] for m in koszul]
 
 
-def _autoreduce(G, lts, reducers, keep, pk, variables):
+def _autoreduce(pk, generators, max_basis, max_degree):
     """Reduced monic basis over Q, sorted by lead, each element's terms
     largest first, from _buchberger's Groebner basis."""
-    guard = pk.guard
+    G, lts, reducers, keep = _buchberger(pk, generators, max_basis, max_degree)
+    guard, variables = pk.guard, generators[0].variables
     reducers = [reducers[i] for i in keep]
     # fully reduce each survivor against the others; its lead survives
     out = []
@@ -552,30 +533,18 @@ def _autoreduce(G, lts, reducers, keep, pk, variables):
     return out
 
 
-@dataclass(frozen=True)
-class GrobnerBasis:
-    """Reduced, monic, auto-reduced basis under a fixed monomial order."""
-
-    order: MonomialOrder
-    elements: tuple
-
-    @classmethod
-    def of(cls, ideal_or_polys, order=GREVLEX, max_basis=None, max_degree=None):
-        polys = (ideal_or_polys.generators
-                 if isinstance(ideal_or_polys, HomIdeal) else tuple(ideal_or_polys))
-        basis = buchberger(polys, order, max_basis=max_basis, max_degree=max_degree)
-        return cls(order=order, elements=tuple(basis))
-
-    def normal_form(self, f):
-        return normal_form(f, self.elements, self.order)
-
-    def contains(self, f):
-        return not self.normal_form(f)
+def in_ideal(f, ideal, max_basis=None, max_degree=None):
+    """Whether f lies in the ideal: f fully reduces to zero against the
+    elements of buchberger's run that hold the minimal leads, which are a
+    Groebner basis, in the run's own packing.  The caps are
+    buchberger's."""
+    return _packed(GREVLEX, list(ideal.generators) + [f], _in_ideal, f,
+                   ideal.generators, max_basis, max_degree)
 
 
-def in_ideal(f, ideal, order=GREVLEX, **caps):
-    """Membership by normal form against a reduced basis."""
-    return GrobnerBasis.of(ideal, order, **caps).contains(f)
+def _in_ideal(pk, f, generators, max_basis, max_degree):
+    _, _, reducers, minimal = _buchberger(pk, generators, max_basis, max_degree)
+    return not _reduce(pk, f, [reducers[k] for k in minimal])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +699,7 @@ def _revlex_order(ideal):
         if len(powers) == nvars - 1:
             if j == nvars - 1:
                 return GREVLEX
-            return MonomialOrder("grevlex", tuple(k for k in range(nvars) if k != j) + (j,))
+            return MonomialOrder(tuple(k for k in range(nvars) if k != j) + (j,))
     return GREVLEX
 
 
@@ -783,7 +752,7 @@ def hilbert_function_direct(ideal, k):
 INFINITE = float("inf")
 
 
-def count_zero_dim(gens, order=GREVLEX, max_basis=None, max_degree=None, nvars=None):
+def count_zero_dim(gens, max_basis=None, max_degree=None, nvars=None):
     """Number of common zeros (with multiplicity) of an affine system, or
     INFINITE, read off the Hilbert-series numerator q = (1-t)^k * qbar of
     its leading-term ideal: q = 0 means none, k < nvars infinitely many,
@@ -797,7 +766,7 @@ def count_zero_dim(gens, order=GREVLEX, max_basis=None, max_degree=None, nvars=N
     gens = [g for g in gens if g]
     if not gens:
         return 1 if nvars == 0 else INFINITE
-    leads = minimal_leads(gens, order, max_basis=max_basis, max_degree=max_degree)
+    leads = minimal_leads(gens, max_basis=max_basis, max_degree=max_degree)
     qbar, cancelled = _cancel_one_minus_t(hilbert_series_monomial(leads, nvars))
     if not qbar:
         return 0
@@ -815,7 +784,7 @@ def fresh_variable(variables):
     return "y%d" % k
 
 
-def membership_via_hilbert(ideal, g, order=GREVLEX, max_basis=None, max_degree=None):
+def membership_via_hilbert(ideal, g, max_basis=None, max_degree=None):
     """Decide g in I by comparing Hilbert polynomials of I and I+(g)
     after adjoining a fresh variable (which is then a non-zero-divisor
     modulo the extended ideal, making the comparison conclusive)."""
@@ -829,7 +798,7 @@ def membership_via_hilbert(ideal, g, order=GREVLEX, max_basis=None, max_degree=N
     ext = [p.extend_variables(newvars) for p in ideal.generators]
     base = HomIdeal.from_polys(newvars, ext)
     extended = HomIdeal.from_polys(newvars, ext + [g.extend_variables(newvars)])
-    caps = dict(order=order, max_basis=max_basis, max_degree=max_degree)
+    caps = dict(order=GREVLEX, max_basis=max_basis, max_degree=max_degree)
     pa = hilbert_data(base, **caps).hilbert_polynomial
     pb = hilbert_data(extended, **caps).hilbert_polynomial
     return pa == pb

@@ -14,8 +14,9 @@ Euler characteristics of its twists from exp(d h) td V, the delta
 coefficients from one Cauchy-Binet determinant over truncated series,
 Schur values from bialternants, the dual sequence (-1)^i c_i by
 signs, the zero count of a staircase from the box under its pure powers, the
-leads of a Groebner basis by a scan of each element's terms, division
-by 1 - t in Fraction arithmetic, the derivatives of a polynomial in
+leads of a Groebner basis by a scan of each element's terms under the
+oracle's own grevlex key, division by 1 - t in Fraction arithmetic,
+the derivatives of a polynomial in
 adapted coordinates from substituting the change of coordinates
 symbolically, the reduced row echelon form
 from Gauss-Jordan elimination in Fraction arithmetic, the Euler
@@ -158,16 +159,31 @@ def formal_chern(m):
     return [MultiPoly.constant(cvars, 1)] + [MultiPoly.variable(cvars, v) for v in cvars]
 
 
+def order_key(order):
+    """Sort key of grevlex on the variables in order.ranking (most
+    significant first), written from the definition: the degree first,
+    then the smaller last exponent, then the one before it, ...."""
+    ranking = order.ranking
+
+    def key(exp):
+        if ranking is not None:
+            exp = tuple(exp[i] for i in ranking)
+        return sum(exp), tuple(-e for e in reversed(exp))
+
+    return key
+
+
 def normal_form_by_scan(f, divisors, order):
     """Remainder of f under full division by the divisors, the textbook
-    way: scan the whole remainder for its largest term under order.key,
+    way: scan the whole remainder for its largest term under order_key,
     then divide by the first divisor whose leading monomial divides it."""
     variables = f.variables
-    leads = [(max(g.terms, key=order.key), g) for g in divisors if g]
+    key = order_key(order)
+    leads = [(max(g.terms, key=key), g) for g in divisors if g]
     work = f
     rem = MultiPoly.zero(variables)
     while work:
-        exp = max(work.terms, key=order.key)
+        exp = max(work.terms, key=key)
         term = MultiPoly(variables, {exp: work.terms[exp]})
         for lt, g in leads:
             if all(a <= b for a, b in zip(lt, exp)):
@@ -185,8 +201,9 @@ def spoly(f, g, order):
     """S-polynomial of f and g from MultiPoly arithmetic: the lcm of the
     leading monomials over each leading term, times the polynomial."""
     variables = f.variables
-    lf = max(f.terms, key=order.key)
-    lg = max(g.terms, key=order.key)
+    key = order_key(order)
+    lf = max(f.terms, key=key)
+    lg = max(g.terms, key=key)
     u = tuple(max(a, b) for a, b in zip(lf, lg))
     a = MultiPoly(variables, {tuple(p - q for p, q in zip(u, lf)): 1 / f.terms[lf]})
     b = MultiPoly(variables, {tuple(p - q for p, q in zip(u, lg)): 1 / g.terms[lg]})
@@ -209,7 +226,8 @@ def reduced_basis_by_scan(gens, order):
                 continue
             break
         else:
-            return sorted(basis, key=lambda g: order.key(max(g.terms, key=order.key)))
+            key = order_key(order)
+            return sorted(basis, key=lambda g: key(max(g.terms, key=key)))
         basis = _interreduce(basis + [r], order)
 
 
@@ -225,13 +243,15 @@ def _interreduce(basis, order):
         else:
             basis = others + ([r] if r else [])
             i = 0
-    return [g * (1 / g.terms[max(g.terms, key=order.key)]) for g in basis]
+    key = order_key(order)
+    return [g * (1 / g.terms[max(g.terms, key=key)]) for g in basis]
 
 
-def leading_exponents(gb):
-    """Leading exponent of each element of a GrobnerBasis, the largest
-    term under its order.key."""
-    return [max(g.terms, key=gb.order.key) for g in gb.elements]
+def leading_exponents(basis, order):
+    """Leading exponent of each polynomial of the basis, the largest
+    term under order_key."""
+    key = order_key(order)
+    return [max(g.terms, key=key) for g in basis]
 
 
 def divide_by_one_minus_t(p):

@@ -421,6 +421,24 @@ def test_exit_codes_of_the_process():
     assert out.stdout.startswith("usage: hilbertpoly")
 
 
+def test_input_files_are_closed(tmp_path):
+    # python -X dev reports a file left to the garbage collector as an
+    # unclosed-file ResourceWarning on stderr
+    src = os.path.dirname(os.path.dirname(hilbertpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    (tmp_path / "conic.ideal").write_text(CONIC)
+    (tmp_path / "points.ideal").write_text("vars: x y\nx^2 - 1\ny^3 - y\n")
+    (tmp_path / "small.cnf").write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
+    (tmp_path / "tangent.flag").write_text(CONIC_TANGENT_FLAG)
+    for argv in (["hilbert", "conic.ideal"], ["count", "points.ideal"],
+                 ["membership", "conic.ideal", "x0*x2 - x1^2"], ["reduce-sat", "small.cnf"],
+                 ["trans", "conic.ideal", "1,1,1", "[1]", "--flag", "tangent.flag"]):
+        run = subprocess.run([sys.executable, "-X", "dev", "-m", "hilbertpoly", *argv],
+                             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == EXIT_OK, (argv, run.stderr)
+        assert "ResourceWarning" not in run.stderr, (argv, run.stderr)
+
+
 def test_text_output_mode():
     code, out = run_cli("--output", "text", "todd", "1")
     assert code == EXIT_OK
