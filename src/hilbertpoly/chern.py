@@ -46,8 +46,8 @@ from functools import lru_cache
 
 from .arith import CrossCheckFailed, MultiPoly, UniPoly
 from .grobner import HomIdeal, monomials_of_degree
-from .partitions import enumerate_partitions
-from .symfun import delta_det, delta_table, scaling_factor, todd_sequence
+from .partitions import partitions_in_strip
+from .symfun import delta_det, scaled_delta_table, scaling_factor, todd_sequence
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def character_table(ci):
     """deg P_mu for every mu with |mu| <= m and mu_1 <= n-m."""
     table = {}
     for size in range(ci.m + 1):
-        for mu in enumerate_partitions(size, max_part=ci.n - ci.m):
+        for mu in partitions_in_strip(size, ci.n - ci.m):
             table[mu] = projective_character(ci, mu)
     return table
 
@@ -187,15 +187,17 @@ def hilbert_poly_from_characters(m, n, chars):
     """Hilbert polynomial of an m-dimensional smooth variety in P^n,
     assembled from delta tables and its projective characters: `chars`
     maps each mu with |mu| <= m and mu_1 <= n-m to deg P_mu (as
-    character_table returns them for a complete intersection)."""
+    character_table returns them for a complete intersection).
+
+    With N = N(k,m), the sum of the integers N delta^{m,k}_mu times the
+    characters is N k! p_k, which is checked to be an integer; p_k is
+    built from it as one Fraction."""
     coeffs = []
     for k in range(m + 1):
-        pk = sum((value * chars[mu] for mu, value in delta_table(m, k, n).items()),
-                 Fraction(0)) / math.factorial(k)
-        scaled = scaling_factor(k, m) * math.factorial(k) * pk
+        scaled = sum(value * chars[mu] for mu, value in scaled_delta_table(m, k, n))
         if scaled.denominator != 1:
             raise CrossCheckFailed("scaled coefficient p_%d not integral" % k)
-        coeffs.append(pk)
+        coeffs.append(Fraction(scaled, scaling_factor(k, m) * math.factorial(k)))
     return UniPoly(coeffs)
 
 

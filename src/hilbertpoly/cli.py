@@ -302,8 +302,9 @@ def cmd_reduce_sat(args):
 def cmd_membership(args):
     ideal = parse_ideal_file(_read(args.ideal))
     g = parse_poly(args.poly, ideal.variables)
-    direct = in_ideal(g, ideal, **_caps(args))
+    # membership_via_hilbert checks g and the ideal before any Groebner run
     via_hilbert = membership_via_hilbert(ideal, g, **_caps(args))
+    direct = in_ideal(g, ideal, **_caps(args))
     agree = direct == via_hilbert
     _emit({"poly": g.to_text(), "in_ideal": direct,
            "him_decide": via_hilbert, "agreement": agree}, args)

@@ -2,14 +2,16 @@
 kernel, RREF and products.
 
 Matrices are lists of rows whose entries are ints or Fractions.  Every
-elimination and product works on integer rows, each row's denominators
-cleared first, and builds each rational it returns with one Fraction.
-There are two eliminations: rank and det share one fraction-free
-Bareiss elimination (Bareiss 1968), and rref is the one Gauss-Jordan
-elimination, also fraction-free, which solve runs on the augmented
-matrix [a | b] of a matrix right-hand side b, inverse as solve(a, I),
-and kernel on the matrix itself.  mat_mul takes integer dot products of
-cleared rows and cleared columns.
+elimination and product works on integer rows and builds each rational
+it returns with one Fraction.  There are two eliminations: rank and det
+share one fraction-free Bareiss elimination (Bareiss 1968), and rref is
+the one Gauss-Jordan elimination, also fraction-free, which solve runs
+on the augmented matrix [a | b] of a matrix right-hand side b, inverse
+as solve(a, I), and kernel on the matrix itself.  mat_mul takes integer
+dot products of cleared rows and cleared columns.  Bareiss takes a
+matrix of ints as given, and its det is then an int; any other matrix,
+like every input of rref and mat_mul, has each row's denominators
+cleared first.
 """
 
 from __future__ import annotations
@@ -38,9 +40,13 @@ def _cleared(rows):
 def _bareiss(rows):
     """Fraction-free Bareiss elimination (Bareiss 1968) of a rational
     matrix; returns (rank, det), det being the determinant when the
-    matrix is square and 0 otherwise."""
-    a, dens = _cleared(rows)
-    scale = math.prod(dens)
+    matrix is square and 0 otherwise, an int for a matrix of ints and a
+    Fraction for any other."""
+    if all(type(x) is int for row in rows for x in row):
+        a, scale = [list(row) for row in rows], None
+    else:
+        a, dens = _cleared(rows)
+        scale = math.prod(dens)
     nr, nc = len(a), len(a[0]) if a else 0
     r, sign, prev = 0, 1, 1
     for col in range(nc):
@@ -60,7 +66,8 @@ def _bareiss(rows):
         r += 1
     # the last pivot of a nonsingular square matrix is its determinant,
     # up to the row swaps and the cleared denominators
-    return r, (Fraction(sign * prev, scale) if r == nr == nc else Fraction(0))
+    value = sign * prev if r == nr == nc else 0
+    return r, (value if scale is None else Fraction(value, scale))
 
 
 def rank(rows):

@@ -144,6 +144,13 @@ def enumerate_partitions(size, max_part=None, max_len=None, containing=None):
 
 
 @lru_cache(maxsize=None)
+def partitions_in_strip(size, width):
+    """enumerate_partitions(size, max_part=width) as a tuple, memoised:
+    the mu of a delta table or a character table of that width."""
+    return tuple(enumerate_partitions(size, max_part=width))
+
+
+@lru_cache(maxsize=None)
 def _nested(size, a, b):
     """Pairs (lam, mu), mu inside lam, with |lam| = size, lam_1 <= a and
     mu_1 <= b."""

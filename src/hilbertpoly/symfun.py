@@ -16,10 +16,16 @@ sign to the Bernoulli number; conversions must keep that in mind.
 
 Memoised for the life of the process, since none of them depends on a
 variety and each value is immutable: b_sequence (a tuple for each K),
-delta_b (Delta_lam(b) by lam), the coefficients k a_k of the Todd
-recurrence for each m, todd_poly (a MultiPoly), delta_coeff
-(delta^{m,k}_mu, a Fraction) and delta_table (a read-only mapping from
-mu, checked for integrality once per table).
+its cleared form (integer numerators b_i D and one denominator D, for
+each K), delta_b (Delta_lam(b) by lam), the coefficients k a_k of the
+Todd recurrence for each m, todd_poly (a MultiPoly), delta_coeff
+(delta^{m,k}_mu, a Fraction), delta_table (a read-only mapping from mu,
+checked for integrality once per table) and scaled_delta_table (the
+same entries times N(k,m), as pairs (mu, int)).
+
+A Jacobi-Trudi determinant of a sequence of ints, such as the cleared
+b-sequence, the binomials of d_coeff or the Chern numbers of a complete
+intersection, is an int: linalg eliminates it without Fractions.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from types import MappingProxyType
 
 from . import linalg
 from .arith import CrossCheckFailed, MultiPoly
-from .partitions import count_nested_pairs, enumerate_partitions
+from .partitions import count_nested_pairs, enumerate_partitions, partitions_in_strip
 
 
 def delta_det(lam, c):
@@ -86,13 +92,25 @@ def b_sequence(K):
 
 
 @lru_cache(maxsize=None)
+def _cleared_b(K):
+    """(b_0 D, ..., b_K D) as ints, and D, the lcm of the denominators of
+    b_sequence(K)."""
+    b = b_sequence(K)
+    D = math.lcm(*(x.denominator for x in b))
+    return tuple(int(x * D) for x in b), D
+
+
+@lru_cache(maxsize=None)
 def delta_b(lam):
     """Delta_lam(b) for the coefficients b of t/(1 - e^{-t}).
 
     No entry b_i of the determinant has i > lam_1 + len(lam) - 1 <= |lam|,
-    so b_sequence(|lam|) holds every one of them.
+    so b_sequence(|lam|) holds every one of them.  The determinant is
+    taken in integers, on the b_i D: each of its len(lam) rows is D
+    times a row of Delta_lam(b), and the empty partition reads b_0 D.
     """
-    return delta_det(lam, b_sequence(lam.size))
+    nums, D = _cleared_b(lam.size)
+    return Fraction(delta_det(lam, nums), D ** max(lam.length, 1))
 
 
 def newton_power_sums(c):
@@ -227,9 +245,17 @@ def delta_table(m, k, n):
     N = scaling_factor(k, m)
     entries = {}
     for size in range(m - k + 1):
-        for mu in enumerate_partitions(size, max_part=n - m):
+        for mu in partitions_in_strip(size, n - m):
             value = delta_coeff(m, k, mu)
             if (N * value).denominator != 1:
                 raise CrossCheckFailed("scaled entry %s -> %s not integral" % (mu, value))
             entries[mu] = value
     return MappingProxyType(entries)
+
+
+@lru_cache(maxsize=None)
+def scaled_delta_table(m, k, n):
+    """(mu, N(k,m) delta^{m,k}_mu) for every entry of delta_table(m, k, n),
+    in its order, each scaled entry an int (delta_table checks that)."""
+    N = scaling_factor(k, m)
+    return tuple((mu, int(N * value)) for mu, value in delta_table(m, k, n).items())

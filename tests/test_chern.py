@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hilbertpoly.arith import UniPoly, binom_poly
+from hilbertpoly.arith import CrossCheckFailed, UniPoly, binom_poly
 from hilbertpoly.chern import (
     CompleteIntersection,
     chern_cone_normal,
@@ -138,6 +138,17 @@ def test_curve_p0_from_characters_directly():
         expected = ci.degree - Fraction(1, 2) * projective_character(ci, Partition([1]))
         assert p.coefficient(0) == expected
         assert p == hilbert_poly_hrr(ci)
+
+
+def test_characters_route_refuses_a_character_that_is_not_an_integer():
+    ci = CI(3, (2,))
+    chars = character_table(ci)
+    for mu in chars:
+        bad = dict(chars)
+        bad[mu] = chars[mu] + Fraction(1, 7)
+        with pytest.raises(CrossCheckFailed, match="not integral"):
+            hilbert_poly_from_characters(ci.m, ci.n, bad)
+    assert hilbert_poly_from_characters(ci.m, ci.n, chars) == hilbert_poly_hrr(ci)
 
 
 def test_euler_top_examples():

@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -152,6 +154,26 @@ def test_membership_command(tmp_path):
     code, report = run_json("membership", str(ideal), "x0*x1")
     assert code == EXIT_OK
     assert report["in_ideal"] is False and report["him_decide"] is False
+
+
+def test_membership_checks_its_input_before_any_groebner_run(tmp_path, monkeypatch):
+    from hilbertpoly import grobner
+
+    runs = []
+    buchberger = grobner._buchberger
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(grobner, "_buchberger", counted)
+    ideal = tmp_path / "conic.ideal"
+    ideal.write_text(CONIC)
+    assert run_cli("membership", str(ideal), "x0 + 1") == (EXIT_PARSE, "")
+    assert runs == []
+    code, report = run_json("membership", str(ideal), "x0*x1")
+    assert code == EXIT_OK and report["agreement"] is True
+    assert runs
 
 
 def test_membership_poly_with_a_leading_minus(tmp_path):
@@ -495,12 +517,14 @@ def test_ci_grid_reports_independent_of_order():
     # the process-wide caches behind `ci` must not make a report depend
     # on which reports ran before it
     from hilbertpoly.chern import chern_cone_normal, chern_tangent, ci_grid
-    from hilbertpoly.partitions import _nested
+    from hilbertpoly.partitions import _nested, partitions_in_strip
     from hilbertpoly.symfun import (
-        _todd_log_coeffs, b_sequence, delta_b, delta_coeff, delta_table)
+        _cleared_b, _todd_log_coeffs, b_sequence, delta_b, delta_coeff, delta_table,
+        scaled_delta_table)
 
-    for cache in (delta_b, b_sequence, _todd_log_coeffs, delta_coeff, delta_table,
-                  _nested, chern_tangent, chern_cone_normal):
+    for cache in (delta_b, _cleared_b, b_sequence, _todd_log_coeffs, delta_coeff,
+                  delta_table, scaled_delta_table, _nested, partitions_in_strip,
+                  chern_tangent, chern_cone_normal):
         cache.cache_clear()
     argvs = [["ci", "n=%d" % ci.n, "degrees=" + ",".join(map(str, ci.degrees))]
              for ci in ci_grid(5, 2, 3)]
@@ -508,6 +532,27 @@ def test_ci_grid_reports_independent_of_order():
     backward = [run_cli(*argv) for argv in reversed(argvs)]
     assert forward == backward[::-1]
     assert all(code == EXIT_OK for code, _ in forward)
+
+
+def test_ci_and_delta_reports_are_pinned():
+    # the exit code and report of every ci of the n <= 8, r <= 3, d <= 4
+    # grid, then of every delta m k n with m <= 9 and n = m..m+3, hashed
+    # together: any change to a value or to its int-or-string form shows
+    digest = hashlib.sha256()
+    for n in range(9):
+        for r in range(min(3, n) + 1):
+            for degrees in itertools.combinations_with_replacement(range(4, 0, -1), r):
+                argv = ["ci", "n=%d" % n]
+                if degrees:
+                    argv.append("degrees=" + ",".join(map(str, degrees)))
+                digest.update(("%d%s" % run_cli(*argv)).encode())
+    for m in range(10):
+        for k in range(m + 1):
+            for n in range(m, m + 4):
+                digest.update(("%d%s" % run_cli("delta", "m=%d" % m, "k=%d" % k,
+                                                "n=%d" % n)).encode())
+    assert digest.hexdigest() == (
+        "ecb5c9a1090c2ce957103e866aab44e140e49c50b1e56ac55f30386e85b1233b")
 
 
 def _conic_tangency_report():

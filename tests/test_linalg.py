@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
+from hilbertpoly import linalg
 from hilbertpoly.linalg import (
     det,
     inverse,
@@ -99,6 +100,45 @@ def test_solve_and_inverse_of_nonsingular(a, rhs, k):
         assert solve(a, [[row[j]] for row in b]) == [[row[j]] for row in x]
     inv = inverse(a)
     assert mat_mul(a, inv) == identity(n) == mat_mul(inv, a)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices, square about half of the time."""
+    nr = draw(st.integers(0, 5))
+    nc = nr if draw(st.booleans()) else draw(st.integers(0, 5))
+    return [[draw(st.integers(-9, 9)) for _ in range(nc)] for _ in range(nr)]
+
+
+def _refusing_integer_rows(cleared):
+    def guarded(rows):
+        rows = [list(row) for row in rows]
+        if all(type(x) is int for row in rows for x in row):
+            raise AssertionError("an integer matrix was cleared: %r" % (rows,))
+        return cleared(rows)
+    return guarded
+
+
+@given(integer_matrices())
+@example([])
+@example([[0]])
+@example([[-7]])
+@example([[2, 4], [1, 2]])
+@settings(max_examples=150, deadline=None)
+def test_integer_matrices_skip_clearing(a):
+    # the same matrix with Fraction entries, and with every other row of
+    # Fractions, goes through _cleared; an integer matrix must not
+    fractions = [[Fraction(x) for x in row] for row in a]
+    mixed = [row if i % 2 else [Fraction(x) for x in row] for i, row in enumerate(a)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_cleared", _refusing_integer_rows(linalg._cleared))
+        assert rank(a) == rank(fractions) == rank(mixed)
+        if all(len(row) == len(a) for row in a):
+            value = det(a)
+            assert type(value) is int
+            assert value == det(fractions) == det(mixed) == leibniz(a)
+            if any(a):
+                assert type(det(fractions)) is Fraction
 
 
 @given(st.one_of(matrices(), singular_squares()))

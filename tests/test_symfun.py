@@ -16,6 +16,7 @@ from hilbertpoly.symfun import (
     delta_table,
     delta_table_pairs,
     newton_power_sums,
+    scaled_delta_table,
     scaling_factor,
     todd_poly,
 )
@@ -163,20 +164,24 @@ def test_delta_b_scaled_integrality():
 
 def test_delta_b_builds_each_b_sequence_size_once():
     from hilbertpoly import symfun
-    for cache in (symfun.delta_b, b_sequence):
+    caches = (symfun.delta_b, symfun._cleared_b, b_sequence)
+    for cache in caches:
         cache.cache_clear()
     M = 7
     values = {lam: symfun.delta_b(lam) for size in range(M + 1)
               for lam in enumerate_partitions(size)}
-    # one build for each size 0..M, however many lam share it
-    assert b_sequence.cache_info().misses == M + 1
-    assert b_sequence.cache_info().currsize == M + 1
+    # one cleared sequence, over one b_sequence, for each size 0..M,
+    # however many lam share it
+    for cache in (symfun._cleared_b, b_sequence):
+        assert cache.cache_info().misses == M + 1
+        assert cache.cache_info().currsize == M + 1
     for K in range(M + 1):
-        b_sequence(K)
-    assert b_sequence.cache_info().misses == M + 1  # the sizes were 0..M
+        symfun._cleared_b(K)
+    for cache in (symfun._cleared_b, b_sequence):
+        assert cache.cache_info().misses == M + 1  # the sizes were 0..M
     for lam, value in values.items():
         assert value == delta_det(lam, b_sequence(max(lam.size, 1)))
-    for cache in (symfun.delta_b, b_sequence):
+    for cache in caches:
         cache.cache_clear()
 
 
@@ -352,6 +357,18 @@ def test_delta_table_filters_memoised_coefficients(ns):
         assert set(entries) == expected
         for mu, value in entries.items():
             assert value == delta_coeff.__wrapped__(m, k, mu)
+
+
+def test_scaled_delta_table_is_the_table_times_N():
+    for m in range(9):
+        for k in range(m + 1):
+            N = scaling_factor(k, m)
+            for n in range(m, m + 4):
+                table = delta_table(m, k, n)
+                scaled = scaled_delta_table(m, k, n)
+                assert [mu for mu, _ in scaled] == list(table)
+                for mu, value in scaled:
+                    assert type(value) is int and value == N * table[mu], (m, k, n, mu)
 
 
 def test_delta_coeff_matches_cauchy_binet_oracle():
