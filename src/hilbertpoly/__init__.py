@@ -18,13 +18,12 @@ reductions      #SAT encodings and the brute-force model count
 cli             batch command-line front end
 """
 
-from .arith import MultiPoly, UniPoly, binom_poly, parse_poly
+from .arith import MultiPoly, UniPoly, parse_poly
 from .partitions import Partition, parse_partition
 
 __all__ = [
     "MultiPoly",
     "UniPoly",
-    "binom_poly",
     "parse_poly",
     "Partition",
     "parse_partition",

@@ -7,10 +7,8 @@ function, so they are safe to share between threads.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
-from functools import lru_cache
 
 # Homogeneity degree reported for the zero polynomial, which is
 # homogeneous of every degree.
@@ -446,20 +444,4 @@ class UniPoly:
             else:
                 pieces.append((" + " if c > 0 else " - ") + body)
         return "".join(pieces)
-
-
-@lru_cache(maxsize=None)
-def binom_poly(shift, n):
-    """The degree-n polynomial (T+shift)(T+shift-1)...(T+shift-n+1)/n!.
-
-    Takes the value C(k+shift, n) at integer T = k.  Memoised for the
-    life of the process; a UniPoly is immutable.
-    """
-    if n < 0:
-        raise ValueError("n must be a natural number")
-    p = UniPoly.constant(1)
-    t = UniPoly.variable()
-    for k in range(n):
-        p = p * (t + (shift - k))
-    return p * Fraction(1, math.factorial(n))
 

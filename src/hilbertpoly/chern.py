@@ -39,13 +39,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import CrossCheckFailed, MultiPoly, UniPoly
-from .grobner import HomIdeal, monomials_of_degree
+from .arith import CrossCheckFailed, UniPoly
 from .partitions import partitions_in_strip
 from .symfun import delta_det, scaled_delta_table, scaling_factor, todd_sequence
 
@@ -225,24 +223,6 @@ def ci_hilbert_series_oracle(ci):
             f = [a * f[0]] + [f[e - 1] + a * f[e] for e in range(1, len(f))] + [f[-1]]
         num = [x + y for x, y in zip(num, f)]
     return UniPoly([Fraction(x, math.factorial(m)) for x in num])
-
-
-def generic_ci_ideal(ci, seed=0, coeff_bound=5):
-    """Explicit dense homogeneous forms of the prescribed degrees with
-    pseudo-random small integer coefficients (pinned by seed)."""
-    rng = random.Random(seed)
-    variables = tuple("x%d" % i for i in range(ci.n + 1))
-    gens = []
-    for d in ci.degrees:
-        terms = {}
-        for e in monomials_of_degree(ci.n + 1, d):
-            c = rng.randint(-coeff_bound, coeff_bound)
-            if c:
-                terms[e] = Fraction(c)
-        if not terms:
-            terms[(d,) + (0,) * ci.n] = Fraction(1)
-        gens.append(MultiPoly(variables, terms))
-    return HomIdeal.from_polys(variables, gens)
 
 
 def ci_grid(max_n, max_r, max_degree):

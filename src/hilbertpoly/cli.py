@@ -31,14 +31,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import CrossCheckFailed, PolyParseError, parse_poly
-from .chern import (
-    CompleteIntersection,
-    character_table,
-    ci_hilbert_series_oracle,
-    euler_top,
-    hilbert_poly_from_characters,
-    hilbert_poly_hrr,
-)
+# grobner, the largest module, first: compiled while the fewest other
+# objects are held, it keeps the import's peak memory low
 from .grobner import (
     INFINITE,
     ResourceCapExceeded,
@@ -48,6 +42,14 @@ from .grobner import (
     membership_via_hilbert,
     parse_ideal_file,
     ideal_file_text,
+)
+from .chern import (
+    CompleteIntersection,
+    character_table,
+    ci_hilbert_series_oracle,
+    euler_top,
+    hilbert_poly_from_characters,
+    hilbert_poly_hrr,
 )
 from .partitions import parse_partition
 from .reductions import (

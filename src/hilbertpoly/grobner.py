@@ -22,6 +22,11 @@ Conventions
   dimension of the quotient); with generic data that is the geometric
   count.  It reads the count off the Hilbert-series numerator of the
   leading-term ideal, the integer series the Hilbert data comes from.
+* After the run the Hilbert data are integer work: the numerator by
+  hilbert_series_monomial's recursion on Bigatti's pivot, which sorts
+  out divisors only at its entry, and the Hilbert polynomial as (D-1)!
+  times it, an integer coefficient list, with one Fraction per
+  coefficient and an integer regularity scan.
 * Inside the Groebner core and the Hilbert-series recursion an exponent
   vector is one Python int (_Packing): fields with a guard bit each,
   laid out so that integer comparison is the monomial order.  Products
@@ -56,7 +61,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .arith import ANY_DEGREE, CrossCheckFailed, MultiPoly, UniPoly, binom_poly, parse_poly
+from .arith import ANY_DEGREE, CrossCheckFailed, MultiPoly, UniPoly, parse_poly
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -568,14 +573,29 @@ def hilbert_series_monomial(exps, nvars):
     """Numerator Q(t) with HS_{S/L}(t) = Q(t)/(1-t)^nvars for the monomial
     ideal L generated by the given exponent vectors; the recursion runs
     on integer coefficient lists and on grevlex-packed monomials, whose
-    top field is the degree.  It only lowers exponents, so the width that
-    holds the generators holds every node."""
+    top field is the degree.  It only lowers exponents and no node has
+    more generators than the entry, so fields that hold the generators'
+    degrees and count to len(exps) hold every node.
+
+    Each node holds the minimal generators of L, ascending, and splits
+    on Bigatti's pivot (JPAA 119, 1997), the variable x that lies in the
+    most of them: Q(L) = Q(L + (x)) + t * Q(L : x).  Only the entry
+    minimalizes.  L + (x) is generated by x and the generators without
+    x, already minimal.  L : x is generated by the g / x of the g with x,
+    an antichain as the g are, and the generators without x, none of
+    which divides a g / x (it would divide g); so the one change is that
+    a generator without x that some g / x divides drops out.  A node
+    whose generators share no variable multiplies by each 1 - t^deg."""
     exps = list(exps)
-    pk = _Packing(GREVLEX, nvars, _bits_for(max(map(sum, exps), default=0)))
-    guard, exp_guard, ones = pk.guard, pk.exp_guard, pk.ones
-    # the guard bit of each variable's field -> the variable as a monomial
-    units = {1 << s + pk.bits: pk.pack(tuple(int(i == v) for i in range(nvars)))
+    # a field of bits + 1 bits counts 2^(bits+1) - 1 > len(exps)
+    # generators without a carry
+    pk = _Packing(GREVLEX, nvars, max(_bits_for(max(map(sum, exps), default=0)),
+                                      len(exps).bit_length() - 1))
+    guard, exp_guard, ones, bits = pk.guard, pk.exp_guard, pk.ones, pk.bits
+    # the low bit of a variable's field -> the variable as a monomial
+    units = {s: pk.pack(tuple(int(i == v) for i in range(nvars)))
              for v, s in enumerate(pk.shifts)}
+    field_mask = (1 << bits + 1) - 1
 
     def rec(gens):
         if not gens:
@@ -583,14 +603,13 @@ def hilbert_series_monomial(exps, nvars):
         if not gens[0]:  # the unit monomial, which is then the only one
             return []
         # the guard of a field of g + ones is set where g's exponent is
-        # not zero; find a variable shared by some pair of generators
-        nonzero = [(g + ones) & exp_guard for g in gens]
-        for a, b in itertools.combinations(nonzero, 2):
-            pivot = a & b
-            if pivot:
-                pivot &= -pivot  # the first variable they share
-                break
-        else:
+        # not zero; shifted to the field's low bit, the supports sum to
+        # the number of generators that each variable lies in
+        supports = [((g + ones) & exp_guard) >> bits for g in gens]
+        total = sum(supports)
+        counts = {s: (total >> s) & field_mask for s in units}
+        s = max(counts, key=counts.get)
+        if counts[s] < 2:
             # pairwise coprime: multiply by each 1 - t^d in place
             q = [1]
             for g in gens:
@@ -599,11 +618,19 @@ def hilbert_series_monomial(exps, nvars):
                 for k in range(len(q) - 1, d - 1, -1):
                     q[k] -= q[k - d]
             return q
-        unit = units[pivot]
-        q = rec(_minimal_monomials(
-            [unit] + [g for g, m in zip(gens, nonzero) if not m & pivot], guard))
-        colon = rec(_minimal_monomials(
-            [g - unit if m & pivot else g for g, m in zip(gens, nonzero)], guard))
+        unit, pivot = units[s], 1 << s
+        without, divided = [], []
+        for g, m in zip(gens, supports):
+            if m & pivot:
+                divided.append(g - unit)
+            else:
+                without.append(g)
+        # a divisor is not larger than its multiple
+        kept = [g for g in without
+                if all((g - d) & guard for d in divided[:bisect.bisect_right(divided, g)])]
+        bisect.insort(without, unit)
+        q = rec(without)
+        colon = rec(sorted(kept + divided))
         q += [0] * (len(colon) + 1 - len(q))  # q + t * colon
         for k, c in enumerate(colon, 1):
             q[k] += c
@@ -622,16 +649,6 @@ class HilbertData:
     hilbert_polynomial: UniPoly
     index_of_regularity: int
 
-    def hilbert_function(self, k):
-        """dim of the degree-k graded piece, read off the series."""
-        if k < 0:
-            return 0
-        value = _expand_series(self.series_numerator.coeffs, self.nvars, k)[k]
-        if value.denominator != 1 or value < 0:
-            raise CrossCheckFailed("Hilbert function value %s in degree %d "
-                                   "is not a natural number" % (value, k))
-        return int(value)
-
 
 def _cancel_one_minus_t(q):
     """(qbar, k) with q = (1-t)^k * qbar and qbar(1) != 0, or ([], 0)
@@ -648,22 +665,43 @@ def _cancel_one_minus_t(q):
 
 
 def _hilbert_data_from_numerator(q, nvars):
+    """HilbertData of the numerator q over (1-t)^nvars, in integers.
+
+    With q = (1-t)^k * qbar and D = nvars - k, the polynomial is
+    p(T) = sum_j qbar_j C(T + D-1-j, D-1).  N = (D-1)! times it is the
+    integer polynomial sum_j qbar_j prod_{i=1}^{D-1} (T - j + i), built
+    as a coefficient list; each p_k is one Fraction of it over N, and
+    the regularity scan compares N h(k) with N p(k) as ints.  p = 0 for
+    D <= 0."""
     qbar, cancelled = _cancel_one_minus_t(q)
     if not qbar:
         return HilbertData(nvars, q, UniPoly(), 0)
     D = nvars - cancelled
-    poly = UniPoly()
+    scaled = []  # N p, lowest degree first
     if D > 0:
+        scaled = [0] * D
         for j, c in enumerate(qbar):
-            if c:
-                poly = poly + c * binom_poly(D - 1 - j, D - 1)
+            if not c:
+                continue
+            f = [c]
+            for i in range(1, D):
+                a = i - j  # f times (T + a)
+                f = [a * f[0]] + [f[e - 1] + a * f[e] for e in range(1, len(f))] + [f[-1]]
+            scaled = [x + y for x, y in zip(scaled, f)]
+    N = math.factorial(D - 1) if D > 0 else 1
+
+    def scaled_at(k):
+        v = 0
+        for c in reversed(scaled):
+            v = v * k + c
+        return v
 
     # function and polynomial agree for all k > deg(qbar); scan downwards
     reg = len(qbar)
     hvals = _expand_series(qbar, D, reg)
-    while reg > 0 and hvals[reg - 1] == poly(reg - 1):
+    while reg > 0 and N * hvals[reg - 1] == scaled_at(reg - 1):
         reg -= 1
-    return HilbertData(nvars, q, poly, reg)
+    return HilbertData(nvars, q, UniPoly([Fraction(c, N) for c in scaled]), reg)
 
 
 def _expand_series(q, D, upto):

@@ -80,13 +80,6 @@ def parse_dimacs(text):
     return CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
 
 
-def dimacs_text(phi):
-    out = ["p cnf %d %d" % (phi.num_vars, len(phi.clauses))]
-    for clause in phi.clauses:
-        out.append(" ".join(str(l) for l in clause) + " 0")
-    return "\n".join(out) + "\n"
-
-
 # a clause of k positive literals expands to 2^k terms; sat_to_ideal
 # refuses k above this, 4096 terms, before it forms any product
 MAX_CLAUSE_POSITIVES = 12

@@ -16,16 +16,22 @@ Schur values from bialternants, the dual sequence (-1)^i c_i by
 signs, the zero count of a staircase from the box under its pure powers, the
 leads of a Groebner basis by a scan of each element's terms under the
 oracle's own grevlex key, division by 1 - t in Fraction arithmetic,
+the binomial polynomials C(T+shift, n) as Fraction UniPoly products,
+Hilbert polynomials as Fraction sums of them and Hilbert functions as
+binomial sums over the series numerator, series numerators of
+monomial ideals by inclusion-exclusion over subsets of generators,
 the derivatives of a polynomial in
 adapted coordinates from substituting the change of coordinates
 symbolically, the reduced row echelon form
 from Gauss-Jordan elimination in Fraction arithmetic, the Euler
 characteristics of a one-row graded presentation from its Hilbert
 polynomial, and a polynomial through given points by Lagrange
-interpolation."""
+interpolation.  Test inputs come from here too: seeded generic
+complete-intersection ideals and DIMACS text."""
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,7 +39,7 @@ from functools import lru_cache
 from hilbertpoly import linalg
 from hilbertpoly.arith import ANY_DEGREE, CrossCheckFailed, MultiPoly, UniPoly
 from hilbertpoly.chern import todd_class
-from hilbertpoly.grobner import INFINITE, HomIdeal, hilbert_data
+from hilbertpoly.grobner import INFINITE, HomIdeal, hilbert_data, monomials_of_degree
 from hilbertpoly.partitions import enumerate_partitions
 from hilbertpoly.symfun import delta_b, delta_det
 
@@ -266,6 +272,81 @@ def divide_by_one_minus_t(p):
         acc += c
         out.append(acc)
     return UniPoly(out)
+
+
+@lru_cache(maxsize=None)
+def binom_poly(shift, n):
+    """The degree-n polynomial (T+shift)(T+shift-1)...(T+shift-n+1)/n!,
+    in Fraction UniPoly arithmetic.
+
+    Takes the value C(k+shift, n) at integer T = k.  Memoised; a UniPoly
+    is immutable.
+    """
+    if n < 0:
+        raise ValueError("n must be a natural number")
+    p = UniPoly.constant(1)
+    t = UniPoly.variable()
+    for k in range(n):
+        p = p * (t + (shift - k))
+    return p * Fraction(1, math.factorial(n))
+
+
+def series_coefficient(q, D, k):
+    """Coefficient of t^k in q(t)/(1-t)^D for a UniPoly q, as the sum of
+    q_j C(k-j+D-1, D-1) over j <= k; q's own coefficient for D <= 0."""
+    if D <= 0:
+        return q.coefficient(k)
+    return sum(q.coefficient(j) * math.comb(k - j + D - 1, D - 1) for j in range(k + 1))
+
+
+def hilbert_function(data, k):
+    """dim of the degree-k graded piece of HilbertData, read off its
+    series numerator by series_coefficient; CrossCheckFailed unless it
+    is a natural number."""
+    if k < 0:
+        return 0
+    value = Fraction(series_coefficient(data.series_numerator, data.nvars, k))
+    if value.denominator != 1 or value < 0:
+        raise CrossCheckFailed("Hilbert function value %s in degree %d "
+                               "is not a natural number" % (value, k))
+    return int(value)
+
+
+def hilbert_data_by_fractions(q, nvars):
+    """(Hilbert polynomial, index of regularity) of the numerator q over
+    (1-t)^nvars in Fraction arithmetic: the factors 1 - t divided out by
+    divide_by_one_minus_t, leaving qbar over (1-t)^D; the polynomial
+    sum_j qbar_j binom_poly(D-1-j, D-1), 0 for D <= 0; the regularity
+    scanned down from len(qbar) while series_coefficient(qbar, D, k)
+    equals p(k).  No numerator of a monomial ideal has D < 0; for one
+    that does, the scan reads qbar's own coefficients."""
+    qbar, D = q, nvars
+    while qbar and qbar(1) == 0:
+        qbar = divide_by_one_minus_t(qbar)
+        D -= 1
+    if not qbar:
+        return UniPoly(), 0
+    p = UniPoly()
+    if D > 0:
+        for j, c in enumerate(qbar.coeffs):
+            p = p + c * binom_poly(D - 1 - j, D - 1)
+    reg = len(qbar.coeffs)
+    while reg > 0 and series_coefficient(qbar, D, reg - 1) == p(reg - 1):
+        reg -= 1
+    return p, reg
+
+
+def hilbert_numerator_by_inclusion_exclusion(exps):
+    """Numerator Q(t) over (1-t)^nvars of S/L, L generated by the given
+    exponent vectors: sum over all subsets S of them, the empty one
+    included, of (-1)^|S| t^deg lcm(S), by inclusion-exclusion on the
+    multiples of each generator."""
+    coeffs = {}
+    for r in range(len(exps) + 1):
+        for subset in itertools.combinations(exps, r):
+            degree = sum(map(max, zip(*subset))) if subset else 0
+            coeffs[degree] = coeffs.get(degree, 0) + (-1) ** r
+    return UniPoly([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
 
 
 def standard_monomial_count(lts, nvars):
@@ -677,3 +758,29 @@ def interpolate(points, degree_bound):
         if poly(x) != y:
             raise ValueError("points are not on a degree-%d polynomial" % degree_bound)
     return poly
+
+
+def dimacs_text(phi):
+    """DIMACS text of a CnfFormula, which parse_dimacs reads back."""
+    out = ["p cnf %d %d" % (phi.num_vars, len(phi.clauses))]
+    for clause in phi.clauses:
+        out.append(" ".join(str(l) for l in clause) + " 0")
+    return "\n".join(out) + "\n"
+
+
+def generic_ci_ideal(ci, seed=0, coeff_bound=5):
+    """Explicit dense homogeneous forms of the prescribed degrees with
+    pseudo-random small integer coefficients (pinned by seed)."""
+    rng = random.Random(seed)
+    variables = tuple("x%d" % i for i in range(ci.n + 1))
+    gens = []
+    for d in ci.degrees:
+        terms = {}
+        for e in monomials_of_degree(ci.n + 1, d):
+            c = rng.randint(-coeff_bound, coeff_bound)
+            if c:
+                terms[e] = Fraction(c)
+        if not terms:
+            terms[(d,) + (0,) * ci.n] = Fraction(1)
+        gens.append(MultiPoly(variables, terms))
+    return HomIdeal.from_polys(variables, gens)

@@ -18,7 +18,6 @@ from hilbertpoly.chern import (
     ci_hilbert_series_oracle,
     euler_top,
     character_table,
-    generic_ci_ideal,
     hilbert_poly_from_characters,
     hilbert_poly_hrr,
     projective_character,
@@ -58,6 +57,7 @@ from oracles import (
     dual_sequence,
     elementary_symmetric_values,
     formal_chern,
+    generic_ci_ideal,
     ring_delta,
     schur_eval,
     series_inverse,

@@ -9,11 +9,11 @@ from hilbertpoly.arith import (
     MultiPoly,
     PolyParseError,
     UniPoly,
-    binom_poly,
     parse_poly,
 )
 from oracles import (
     TruncSeries,
+    binom_poly,
     divide_by_one_minus_t,
     series_exp,
     series_inverse,

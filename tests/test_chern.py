@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hilbertpoly.arith import CrossCheckFailed, UniPoly, binom_poly
+from hilbertpoly.arith import CrossCheckFailed, UniPoly
 from hilbertpoly.chern import (
     CompleteIntersection,
     chern_cone_normal,
@@ -13,7 +13,6 @@ from hilbertpoly.chern import (
     ci_grid,
     ci_hilbert_series_oracle,
     euler_top,
-    generic_ci_ideal,
     hilbert_poly_from_characters,
     hilbert_poly_hrr,
     projective_character,
@@ -25,8 +24,10 @@ from hilbertpoly.symfun import d_coeff, delta_coeff, delta_det
 
 from oracles import (
     TruncSeries,
+    binom_poly,
     chern_classes_by_series,
     euler_char_twist,
+    generic_ci_ideal,
     interpolate,
     ring_delta,
     todd_value,

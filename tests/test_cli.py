@@ -27,10 +27,11 @@ from hilbertpoly.cli import (
 from hilbertpoly.reductions import (
     BRUTEFORCE_MAX_VARS,
     MAX_CLAUSE_POSITIVES,
-    dimacs_text,
     parse_dimacs,
 )
 from hilbertpoly.symfun import b_sequence
+
+from oracles import dimacs_text
 
 
 def run_cli(*argv):

@@ -9,10 +9,10 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import hilbertpoly
-from hilbertpoly.arith import CrossCheckFailed, MultiPoly, UniPoly, binom_poly, parse_poly
+from hilbertpoly.arith import CrossCheckFailed, MultiPoly, UniPoly, parse_poly
 from hilbertpoly.grobner import (
     GREVLEX,
     HilbertData,
@@ -35,10 +35,16 @@ from hilbertpoly.grobner import (
     _FieldOverflow,
     _Packing,
     _cancel_one_minus_t,
+    _hilbert_data_from_numerator,
     _revlex_order,
 )
 from oracles import (
+    binom_poly,
     divide_by_one_minus_t,
+    generic_ci_ideal,
+    hilbert_data_by_fractions,
+    hilbert_function,
+    hilbert_numerator_by_inclusion_exclusion,
     leading_exponents,
     normal_form_by_scan,
     order_key,
@@ -361,12 +367,12 @@ def test_hilbert_data_without_asserts():
         import sys
         from hilbertpoly.arith import parse_poly
         from hilbertpoly.grobner import HomIdeal, count_zero_dim, hilbert_data
-        from oracles import euler_quotient, ideal_to_graded_matrix
+        from oracles import euler_quotient, hilbert_function, ideal_to_graded_matrix
         v = ("x0", "x1", "x2", "x3")
         cubic = [parse_poly(p, v) for p in ["x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"]]
         data = hilbert_data(HomIdeal.from_polys(v, cubic))
         print(sys.flags.optimize, data.hilbert_polynomial.to_text("k"),
-              [data.hilbert_function(k) for k in range(5)], data.index_of_regularity,
+              [hilbert_function(data, k) for k in range(5)], data.index_of_regularity,
               [euler_quotient(ideal_to_graded_matrix(cubic), d) for d in (-1, 2)],
               [count_zero_dim([parse_poly(p, ("x", "y")) for p in system])
                for system in (["x^2 - 1", "y^3 - y"], ["x*y - y"])])
@@ -466,8 +472,8 @@ def test_hilbert_function_agrees_with_polynomial_beyond_regularity():
     for I in corpus:
         data = hilbert_data(I)
         for k in range(data.index_of_regularity, data.index_of_regularity + 6):
-            assert data.hilbert_function(k) == data.hilbert_polynomial(k)
-            assert hilbert_function_direct(I, k) == data.hilbert_function(k)
+            assert hilbert_function(data, k) == data.hilbert_polynomial(k)
+            assert hilbert_function_direct(I, k) == hilbert_function(data, k)
 
 
 def test_non_natural_hilbert_function_is_cross_check_failure():
@@ -475,7 +481,7 @@ def test_non_natural_hilbert_function_is_cross_check_failure():
     data = HilbertData(nvars=1, series_numerator=half, hilbert_polynomial=half,
                        index_of_regularity=0)
     with pytest.raises(CrossCheckFailed, match="not a natural number"):
-        data.hilbert_function(0)
+        hilbert_function(data, 0)
 
 
 def test_hilbert_degree_equals_dimension():
@@ -695,12 +701,12 @@ def test_hilbert_data_zero_dimensional_quotient():
     I = ideal("x0 x1", "x0^2", "x1^2")
     data = hilbert_data(I)
     assert data.hilbert_polynomial == UniPoly()
-    assert [data.hilbert_function(k) for k in range(5)] == [1, 2, 1, 0, 0]
+    assert [hilbert_function(data, k) for k in range(5)] == [1, 2, 1, 0, 0]
     assert data.index_of_regularity == 3
 
 
 def test_regularity_agreement_on_wider_corpus():
-    from hilbertpoly.chern import CompleteIntersection, generic_ci_ideal
+    from hilbertpoly.chern import CompleteIntersection
     from hilbertpoly.reductions import CnfFormula, sat_to_ideal
     corpus = [
         ideal("x0 x1 x2", "x0^2*x2 - x1^3"),
@@ -714,7 +720,7 @@ def test_regularity_agreement_on_wider_corpus():
             assert data.hilbert_polynomial(k) == hilbert_function_direct(I, k)
         if data.index_of_regularity > 0:
             k = data.index_of_regularity - 1
-            assert data.hilbert_polynomial(k) != data.hilbert_function(k)
+            assert data.hilbert_polynomial(k) != hilbert_function(data, k)
 
 
 # -- the default order of hilbert_data, leads only, integer cancellation
@@ -734,7 +740,7 @@ def _sat_corpus():
 
 
 def _generic_ci_corpus():
-    from hilbertpoly.chern import CompleteIntersection, generic_ci_ideal
+    from hilbertpoly.chern import CompleteIntersection
     return [generic_ci_ideal(CompleteIntersection(n, degrees), seed=s)
             for n, degrees in ((2, (2,)), (3, (2, 2)), (3, (3,)), (4, (2, 2)), (4, (2, 3)))
             for s in range(2)]
@@ -785,7 +791,7 @@ def homogeneous_ideals(draw):
 def test_hilbert_data_same_under_the_chosen_order(I):
     data = _hilbert_data_routes_agree(I)
     for k in range(data.index_of_regularity + 2):
-        assert data.hilbert_function(k) == hilbert_function_direct(I, k)
+        assert hilbert_function(data, k) == hilbert_function_direct(I, k)
 
 
 @given(st.one_of(small_system(), sat_shaped_system().map(lambda case: case[0])),
@@ -810,7 +816,7 @@ def test_chosen_order_and_minimal_leads_on_the_corpora():
 
 
 def test_order_rule():
-    from hilbertpoly.chern import CompleteIntersection, generic_ci_ideal
+    from hilbertpoly.chern import CompleteIntersection
     from hilbertpoly.reductions import CnfFormula, sat_to_ideal
     for I in _sat_corpus():
         n = len(I.variables)
@@ -866,3 +872,85 @@ def test_integer_cancellation_matches_division_oracle(coeffs, k):
         assert sum(qbar) != 0 and cancelled >= k
     else:
         assert (qbar, cancelled) == ([], 0)
+
+
+# -- Hilbert data in integers, and the pivot recursion
+
+
+@given(st.lists(st.integers(-6, 6), max_size=8), st.integers(0, 3), st.integers(0, 8))
+@example([], 0, 3)  # q = 0
+@example([2, -1, 3], 3, 2)  # D < 0
+@example([1, 1], 2, 2)  # D = 0
+@settings(max_examples=300, deadline=None)
+def test_hilbert_data_from_numerator_matches_fraction_oracle(coeffs, k, nvars):
+    q = UniPoly(coeffs)
+    for _ in range(k):
+        q = q * UniPoly([1, -1])
+    polynomial, regularity = hilbert_data_by_fractions(q, nvars)
+    assert _hilbert_data_from_numerator(q, nvars) == HilbertData(nvars, q, polynomial, regularity)
+
+
+def test_hilbert_data_does_no_unipoly_arithmetic(monkeypatch):
+    corpus = _sat_corpus()[::3] + _generic_ci_corpus()[::2] + [
+        ideal("x0 x1 x2", "x0*x2 - x1^2"), ideal("x0 x1", "x0^2", "x1^2"), ideal("x0 x1 x2")]
+    expected = [hilbert_data(I) for I in corpus]
+
+    def refuse(*args):
+        pytest.fail("UniPoly arithmetic in hilbert_data")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__call__"):
+        monkeypatch.setattr(UniPoly, name, refuse)
+    assert [hilbert_data(I) for I in corpus] == expected
+
+
+@st.composite
+def sat_shaped_leads(draw):
+    """Exponent vectors in 6-8 variables shaped like the leads of a SAT
+    ideal: squares of some variables and squarefree products, at most
+    12 in all."""
+    n = draw(st.integers(6, 8))
+    squares = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    products = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
+                             max_size=12 - len(squares)))
+    exps = [tuple(2 * (i == v) for i in range(n)) for v in squares]
+    exps += [tuple(int(i in support) for i in range(n)) for support in products]
+    return n, draw(st.permutations(exps))
+
+
+@given(sat_shaped_leads())
+@settings(max_examples=100, deadline=None)
+def test_series_numerator_matches_inclusion_exclusion(case):
+    n, exps = case
+    assert hilbert_series_monomial(exps, n) == hilbert_numerator_by_inclusion_exclusion(exps)
+
+
+def test_series_recursion_minimalizes_only_at_the_entry(monkeypatch):
+    # the variables x0, x1 and x2 each lie in two or more generators, so
+    # the recursion pivots; neither branch sorts out divisors again
+    exps = [(2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 0, 2, 0), (1, 1, 0, 0, 0),
+            (0, 1, 1, 0, 0), (1, 0, 1, 1, 0), (0, 0, 1, 0, 1), (1, 0, 0, 0, 1)]
+    calls = []
+    minimal = hilbertpoly.grobner._minimal_monomials
+
+    def counted(monos, guard):
+        calls.append(1)
+        return minimal(monos, guard)
+
+    monkeypatch.setattr(hilbertpoly.grobner, "_minimal_monomials", counted)
+    assert hilbert_series_monomial(exps, 5) == hilbert_numerator_by_inclusion_exclusion(exps)
+    assert len(calls) == 1
+
+
+def test_series_numerator_past_one_packed_field_of_generators():
+    # x0 * y for 512 variables y, in 514 variables with x1 in none: x0
+    # lies in 512 generators, one more than a field of the degree's
+    # 8 + 1 bits counts.  There a packed count would read 0 for x0 and
+    # carry 1 into x1, no count would reach 2, and the node would
+    # multiply as if coprime; the entry widens the fields to 9 + 1 bits.
+    # S/(x0 J) is S/(x0) extended by (S/J)(-1), J = (y's).
+    nvars = 514
+    exps = [tuple(int(i in (0, v)) for i in range(nvars)) for v in range(2, nvars)]
+    assert len(exps) == 512 and _Packing(GREVLEX, nvars, 8).bits == 8
+    expected = UniPoly([1, -1]) + UniPoly([0] + [(-1) ** k * math.comb(512, k)
+                                                 for k in range(513)])
+    assert hilbert_series_monomial(exps, nvars) == expected

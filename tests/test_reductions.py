@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from hilbertpoly.arith import MultiPoly, UniPoly, binom_poly, parse_poly
+from hilbertpoly.arith import MultiPoly, UniPoly, parse_poly
 from hilbertpoly.grobner import (
     HomIdeal,
     ResourceCapExceeded,
@@ -17,13 +17,19 @@ from hilbertpoly.reductions import (
     MAX_CLAUSE_POSITIVES,
     CnfFormula,
     count_sat_bruteforce,
-    dimacs_text,
     parse_dimacs,
     sat_to_ideal,
 )
 from hilbertpoly.transversality import InputInstance, input_condition_at
 
-from oracles import GradedMatrix, euler_quotient, ideal_to_graded_matrix, interpolate
+from oracles import (
+    GradedMatrix,
+    binom_poly,
+    dimacs_text,
+    euler_quotient,
+    ideal_to_graded_matrix,
+    interpolate,
+)
 
 
 def test_cnf_normalization():

@@ -68,8 +68,6 @@ ONLY_TESTS_REACH = {
     "src/hilbertpoly/transversality.py:in_Q_lambda",
     "src/hilbertpoly/transversality.py:in_schubert_variety",
     "src/hilbertpoly/transversality.py:input_condition_at",
-    "src/hilbertpoly/reductions.py:dimacs_text",
-    "src/hilbertpoly/chern.py:generic_ci_ideal",
 }
 
 
