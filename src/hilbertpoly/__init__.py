@@ -6,7 +6,7 @@ Modules
 -------
 arith           exact multivariate and univariate polynomials over Q
 linalg          exact rational linear algebra
-partitions      partitions, containment, jump sequences, nested-pair counts
+partitions      partitions, jump sequences, nested-pair counts
 symfun          Delta determinants, the Todd recurrence over any ring,
                 delta tables
 grobner         Buchberger bases, Hilbert series/polynomials, zero counting,

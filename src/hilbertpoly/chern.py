@@ -45,7 +45,7 @@ from functools import lru_cache
 
 from .arith import CrossCheckFailed, UniPoly
 from .partitions import partitions_in_strip
-from .symfun import delta_det, scaled_delta_table, scaling_factor, todd_sequence
+from .symfun import delta_det, delta_table, scaling_factor, todd_sequence
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def hilbert_poly_from_characters(m, n, chars):
     built from it as one Fraction."""
     coeffs = []
     for k in range(m + 1):
-        scaled = sum(value * chars[mu] for mu, value in scaled_delta_table(m, k, n))
+        scaled = sum(value * chars[mu] for mu, value in delta_table(m, k, n))
         if scaled.denominator != 1:
             raise CrossCheckFailed("scaled coefficient p_%d not integral" % k)
         coeffs.append(Fraction(scaled, scaling_factor(k, m) * math.factorial(k)))

@@ -58,7 +58,7 @@ from .reductions import (
     parse_dimacs,
     sat_to_ideal,
 )
-from .symfun import delta_table, delta_table_pairs, todd_poly
+from .symfun import delta_table, delta_table_pairs, scaling_factor, todd_poly
 from .transversality import (
     Flag,
     InputInstance,
@@ -255,10 +255,10 @@ def cmd_delta(args):
                    required=("m", "k", "n"))
     _check_m("delta", kv["m"])
     _check_pairs("delta", delta_table_pairs(kv["m"], kv["k"], kv["n"]))
-    table = delta_table(kv["m"], kv["k"], kv["n"])
-    entries = [{"mu": list(mu.parts), "value": _q(value)}
-               for mu, value in sorted(table.items(),
-                                       key=lambda kv2: (kv2[0].size, kv2[0].parts))]
+    N = scaling_factor(kv["k"], kv["m"])
+    entries = [{"mu": list(mu.parts), "value": _q(Fraction(value, N))}
+               for mu, value in sorted(delta_table(kv["m"], kv["k"], kv["n"]),
+                                       key=lambda entry: (entry[0].size, entry[0].parts))]
     _emit({"m": kv["m"], "k": kv["k"], "n": kv["n"], "entries": entries}, args)
     return EXIT_OK
 

@@ -41,21 +41,6 @@ class Partition:
             raise IndexError("parts are 1-indexed")
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
-    def conjugate(self):
-        """Transpose of the Young diagram."""
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
-
-    def contains(self, other):
-        """True when other fits inside self componentwise (zero-padded)."""
-        n = max(self.length, other.length)
-        return all(other.part(i) <= self.part(i) for i in range(1, n + 1))
-
     def __iter__(self):
         return iter(self.parts)
 
@@ -96,11 +81,6 @@ def jumps(lam, n, m):
     if not all(sigma[i] < sigma[i + 1] for i in range(m)):
         raise CrossCheckFailed("jump sequence %s is not increasing" % (sigma,))
     return sigma
-
-
-def partition_from_jumps(sigma, n, m):
-    """Inverse of jumps."""
-    return Partition(sorted((n - m + i - sigma[i] for i in range(m + 1)), reverse=True))
 
 
 def enumerate_partitions(size, max_part=None, max_len=None, containing=None):

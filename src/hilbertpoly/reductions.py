@@ -131,12 +131,13 @@ def sat_to_ideal(phi):
     return HomIdeal.from_polys(variables, gens)
 
 
-# the most variables count_sat_bruteforce enumerates by default
+# the most variables count_sat_bruteforce enumerates
 BRUTEFORCE_MAX_VARS = 24
 
 
-def count_sat_bruteforce(phi, guard=BRUTEFORCE_MAX_VARS):
-    """Exhaustive model count; refuses instances beyond the guard size."""
-    if phi.num_vars > guard:
+def count_sat_bruteforce(phi):
+    """Exhaustive model count; refuses instances of more than
+    BRUTEFORCE_MAX_VARS variables."""
+    if phi.num_vars > BRUTEFORCE_MAX_VARS:
         raise ValueError("instance too large for exhaustive counting")
     return sum(1 for mask in range(1 << phi.num_vars) if phi.satisfied_by(mask))

@@ -19,9 +19,8 @@ variety and each value is immutable: b_sequence (a tuple for each K),
 its cleared form (integer numerators b_i D and one denominator D, for
 each K), delta_b (Delta_lam(b) by lam), the coefficients k a_k of the
 Todd recurrence for each m, todd_poly (a MultiPoly), delta_coeff
-(delta^{m,k}_mu, a Fraction), delta_table (a read-only mapping from mu,
-checked for integrality once per table) and scaled_delta_table (the
-same entries times N(k,m), as pairs (mu, int)).
+(delta^{m,k}_mu, a Fraction) and delta_table (a tuple of pairs
+(mu, N(k,m) delta^{m,k}_mu), each scaled entry checked to be an int).
 
 A Jacobi-Trudi determinant of a sequence of ints, such as the cleared
 b-sequence, the binomials of d_coeff or the Chern numbers of a complete
@@ -33,7 +32,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 from . import linalg
 from .arith import CrossCheckFailed, MultiPoly
@@ -237,25 +235,18 @@ def delta_table_pairs(m, k, n):
 
 @lru_cache(maxsize=None)
 def delta_table(m, k, n):
-    """delta^{m,k}_mu for every mu with |mu| <= m-k and mu_1 <= n-m, as a
-    read-only mapping from mu; each entry times N(k,m) is checked to be
-    an integer."""
+    """(mu, N(k,m) delta^{m,k}_mu) for every mu with |mu| <= m-k and
+    mu_1 <= n-m, by size and then in the order of partitions_in_strip;
+    each scaled entry is checked to be an integer and kept as an int."""
     if not 0 <= k <= m <= n:
         raise ValueError("need 0 <= k <= m <= n")
     N = scaling_factor(k, m)
-    entries = {}
+    entries = []
     for size in range(m - k + 1):
         for mu in partitions_in_strip(size, n - m):
             value = delta_coeff(m, k, mu)
-            if (N * value).denominator != 1:
+            scaled = N * value
+            if scaled.denominator != 1:
                 raise CrossCheckFailed("scaled entry %s -> %s not integral" % (mu, value))
-            entries[mu] = value
-    return MappingProxyType(entries)
-
-
-@lru_cache(maxsize=None)
-def scaled_delta_table(m, k, n):
-    """(mu, N(k,m) delta^{m,k}_mu) for every entry of delta_table(m, k, n),
-    in its order, each scaled entry an int (delta_table checks that)."""
-    N = scaling_factor(k, m)
-    return tuple((mu, int(N * value)) for mu, value in delta_table(m, k, n).items())
+            entries.append((mu, int(scaled)))
+    return tuple(entries)

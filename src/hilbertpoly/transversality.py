@@ -35,7 +35,7 @@ from functools import cached_property
 
 from . import linalg
 from .arith import CrossCheckFailed, frac
-from .partitions import is_admissible, jumps, partition_from_jumps
+from .partitions import is_admissible, jumps
 
 
 @dataclass(frozen=True)
@@ -184,12 +184,6 @@ def _zero(inst, x):
     return x
 
 
-def input_condition_at(inst, x):
-    """Rank of the Jacobian at a zero is at least n-m (the kernel is at
-    most (m+1)-dimensional)."""
-    return linalg.rank(jacobian_at(inst, _zero(inst, x))) >= inst.n - inst.m
-
-
 def _gauss_point(inst, jac):
     """Kernel of the Jacobian jac at a zero, or None when it is not
     (m+1)-dimensional, that is when the rank of jac is not n-m (x is not
@@ -257,44 +251,6 @@ def in_cell(A, flag, mu):
     """Cell membership through the echelon zero pattern of the chart."""
     sigma = jumps(mu, flag.n, A.dim)
     return _on_cell(schubert_cell_coords(A, flag, mu), sigma)
-
-
-def dimension_jumps(A, flag):
-    """Jump positions sigma from the raw dimension counts dim(A cap F_j),
-    computed by ranks of stacked spans (no charts involved)."""
-    n, m = flag.n, A.dim
-    cols = linalg.transpose(flag.basis)
-    span = [list(r) for r in A.span_matrix]
-    sigma = []
-    want = 1
-    for j in range(n + 1):
-        rk = linalg.rank(span + cols[:j + 1])
-        cone_dim = (m + 1) + (j + 1) - rk
-        if cone_dim >= want and len(sigma) <= m:
-            sigma.append(j)
-            want += 1
-    if len(sigma) != m + 1:
-        raise CrossCheckFailed("intersection dimensions did not reach m+1")
-    return tuple(sigma)
-
-
-def cell_partition_of(A, flag):
-    """The unique admissible mu with A in e_mu(flag)."""
-    n, m = flag.n, A.dim
-    return partition_from_jumps(dimension_jumps(A, flag), n, m)
-
-
-def in_schubert_variety(A, flag, lam):
-    """Omega_lam membership: dim(A cap F_{sigma_i}) >= i for all i."""
-    n, m = flag.n, A.dim
-    sigma = jumps(lam, n, m)
-    cols = linalg.transpose(flag.basis)
-    span = [list(r) for r in A.span_matrix]
-    for i, s in enumerate(sigma):
-        rk = linalg.rank(span + cols[:s + 1])
-        if (m + 1) + (s + 1) - rk < i + 1:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,13 @@ adapted coordinates from substituting the change of coordinates
 symbolically, the reduced row echelon form
 from Gauss-Jordan elimination in Fraction arithmetic, the Euler
 characteristics of a one-row graded presentation from its Hilbert
-polynomial, and a polynomial through given points by Lagrange
-interpolation.  Test inputs come from here too: seeded generic
-complete-intersection ideals and DIMACS text."""
+polynomial, a polynomial through given points by Lagrange
+interpolation, the Schubert conditions by ranks of stacked spans (the
+dimension jumps of a point of G(m,n) against a flag, its cell partition
+and Schubert-variety membership, with no chart), the Jacobian rank
+condition at a zero, and the conjugate and containment of partitions.
+Test inputs come from here too: seeded generic complete-intersection
+ideals and DIMACS text."""
 
 import itertools
 import math
@@ -40,8 +44,9 @@ from hilbertpoly import linalg
 from hilbertpoly.arith import ANY_DEGREE, CrossCheckFailed, MultiPoly, UniPoly
 from hilbertpoly.chern import todd_class
 from hilbertpoly.grobner import INFINITE, HomIdeal, hilbert_data, monomials_of_degree
-from hilbertpoly.partitions import enumerate_partitions
+from hilbertpoly.partitions import Partition, enumerate_partitions, jumps
 from hilbertpoly.symfun import delta_b, delta_det
+from hilbertpoly.transversality import _zero, jacobian_at
 
 
 def b_prefix_by_inversion(K):
@@ -383,6 +388,72 @@ def substituted_derivatives(f, L, x):
     return grad, hess
 
 
+def input_condition_at(inst, x):
+    """Rank of the Jacobian at a zero is at least n-m (the kernel is at
+    most (m+1)-dimensional)."""
+    return linalg.rank(jacobian_at(inst, _zero(inst, x))) >= inst.n - inst.m
+
+
+def dimension_jumps(A, flag):
+    """Jump positions sigma from the raw dimension counts dim(A cap F_j),
+    computed by ranks of stacked spans (no charts involved)."""
+    n, m = flag.n, A.dim
+    cols = linalg.transpose(flag.basis)
+    span = [list(r) for r in A.span_matrix]
+    sigma = []
+    want = 1
+    for j in range(n + 1):
+        rk = linalg.rank(span + cols[:j + 1])
+        cone_dim = (m + 1) + (j + 1) - rk
+        if cone_dim >= want and len(sigma) <= m:
+            sigma.append(j)
+            want += 1
+    if len(sigma) != m + 1:
+        raise CrossCheckFailed("intersection dimensions did not reach m+1")
+    return tuple(sigma)
+
+
+def partition_from_jumps(sigma, n, m):
+    """Inverse of jumps."""
+    return Partition(sorted((n - m + i - sigma[i] for i in range(m + 1)), reverse=True))
+
+
+def cell_partition_of(A, flag):
+    """The unique admissible mu with A in e_mu(flag)."""
+    n, m = flag.n, A.dim
+    return partition_from_jumps(dimension_jumps(A, flag), n, m)
+
+
+def in_schubert_variety(A, flag, lam):
+    """Omega_lam membership: dim(A cap F_{sigma_i}) >= i for all i."""
+    n, m = flag.n, A.dim
+    sigma = jumps(lam, n, m)
+    cols = linalg.transpose(flag.basis)
+    span = [list(r) for r in A.span_matrix]
+    for i, s in enumerate(sigma):
+        rk = linalg.rank(span + cols[:s + 1])
+        if (m + 1) + (s + 1) - rk < i + 1:
+            return False
+    return True
+
+
+def conjugate(lam):
+    """Transpose of the Young diagram."""
+    if not lam.parts:
+        return Partition()
+    cols = [0] * lam.parts[0]
+    for p in lam.parts:
+        for j in range(p):
+            cols[j] += 1
+    return Partition(cols)
+
+
+def contains(lam, mu):
+    """True when mu fits inside lam componentwise (zero-padded)."""
+    n = max(lam.length, mu.length)
+    return all(mu.part(i) <= lam.part(i) for i in range(1, n + 1))
+
+
 class TruncSeries:
     """Univariate power series over Q truncated modulo h^K (order K, K
     coefficients).  Mixing different orders in one operation is an
@@ -566,7 +637,7 @@ def rref_by_fractions(rows):
 def todd_terms(m):
     """The pairs (lam, Delta_{lam'}(b)) over |lam| = m whose coefficient
     Delta_{lam'}(b) is nonzero, in enumerate_partitions order."""
-    terms = ((lam, delta_b(lam.conjugate())) for lam in enumerate_partitions(m))
+    terms = ((lam, delta_b(conjugate(lam))) for lam in enumerate_partitions(m))
     return tuple((lam, coeff) for lam, coeff in terms if coeff)
 
 

@@ -44,7 +44,6 @@ from hilbertpoly.transversality import (
     Flag,
     GrassPoint,
     InputInstance,
-    dimension_jumps,
     gauss_point,
     in_cell,
     random_flag,
@@ -54,6 +53,9 @@ from hilbertpoly.transversality import (
 from oracles import (
     TruncSeries,
     b_prefix_by_inversion,
+    conjugate,
+    contains,
+    dimension_jumps,
     dual_sequence,
     elementary_symmetric_values,
     formal_chern,
@@ -193,7 +195,7 @@ def test_acceptance_7_symmetric_function_identities():
             gamma = [Fraction(v) for v in rng.sample(range(-20, 21), m)]
             e = tuple(elementary_symmetric_values(gamma, 2 * m + 2))
             lam = rng.choice(enumerate_partitions(rng.randint(0, m), max_part=m))
-            assert delta_det(lam, e) == schur_eval(lam.conjugate(), gamma)
+            assert delta_det(lam, e) == schur_eval(conjugate(lam), gamma)
 
         for _ in range(100):  # dual and inverse Delta identities
             K = 13
@@ -202,7 +204,7 @@ def test_acceptance_7_symmetric_function_identities():
             cinv = tuple(series_inverse(TruncSeries(K, vals)).coeffs)
             lam = rng.choice(enumerate_partitions(rng.randint(0, 5)))
             assert delta_det(lam, dual_sequence(c)) == (-1) ** lam.size * delta_det(lam, c)
-            assert delta_det(lam, cinv) == delta_det(lam.conjugate(), dual_sequence(c))
+            assert delta_det(lam, cinv) == delta_det(conjugate(lam), dual_sequence(c))
 
         for _ in range(100):  # Cauchy, graded via an auxiliary jet variable
             m = rng.randint(1, 4)
@@ -213,7 +215,7 @@ def test_acceptance_7_symmetric_function_identities():
                 for gi in gamma:
                     prod = prod * TruncSeries.from_coeffs(m + 1, [1, bj * gi])
             k = rng.randint(0, m)
-            lhs = sum((schur_eval(lam.conjugate(), beta) * schur_eval(lam, gamma)
+            lhs = sum((schur_eval(conjugate(lam), beta) * schur_eval(lam, gamma)
                        for lam in enumerate_partitions(k, max_part=m, max_len=m)),
                       Fraction(0))
             assert lhs == prod[k]
@@ -227,7 +229,7 @@ def test_acceptance_7_symmetric_function_identities():
             rhs = Fraction(0)
             for j in range(lam.size + 1):
                 for mu in enumerate_partitions(j, max_len=m):
-                    if lam.contains(mu):
+                    if contains(lam, mu):
                         rhs += (d_coeff(lam, mu, m) * beta ** (lam.size - mu.size)
                                 * schur_eval(mu, gamma))
             assert lhs == rhs

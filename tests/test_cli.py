@@ -157,6 +157,15 @@ def test_membership_command(tmp_path):
     assert report["in_ideal"] is False and report["him_decide"] is False
 
 
+def test_membership_when_y_is_a_variable_of_the_ideal(tmp_path):
+    ideal = tmp_path / "xy.ideal"
+    ideal.write_text("vars: x y\nx^2 - y^2\n")
+    for poly, member in (("x^2 - y^2", True), ("x^2", False)):
+        code, report = run_json("membership", str(ideal), poly)
+        assert code == EXIT_OK and report["agreement"] is True
+        assert report["in_ideal"] is member and report["him_decide"] is member
+
+
 def test_membership_checks_its_input_before_any_groebner_run(tmp_path, monkeypatch):
     from hilbertpoly import grobner
 
@@ -224,6 +233,14 @@ def test_trans_command(tmp_path):
     assert report["on_cell"] is True  # the dense cell
     assert report["transversal"] is True
     assert report["seed"] == 3
+
+
+def test_trans_refuses_variables_other_than_x0_to_xn(tmp_path, capsys):
+    inst = tmp_path / "xyz.ideal"
+    inst.write_text("vars: x y z\nx*z - y^2\n")
+    assert run_cli("trans", str(inst), "1,1,1", "[1]") == (EXIT_PARSE, "")
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse" and "x0..x2" in err["detail"]
 
 
 def test_trans_command_off_cell_with_explicit_m(tmp_path):
@@ -520,11 +537,10 @@ def test_ci_grid_reports_independent_of_order():
     from hilbertpoly.chern import chern_cone_normal, chern_tangent, ci_grid
     from hilbertpoly.partitions import _nested, partitions_in_strip
     from hilbertpoly.symfun import (
-        _cleared_b, _todd_log_coeffs, b_sequence, delta_b, delta_coeff, delta_table,
-        scaled_delta_table)
+        _cleared_b, _todd_log_coeffs, b_sequence, delta_b, delta_coeff, delta_table)
 
     for cache in (delta_b, _cleared_b, b_sequence, _todd_log_coeffs, delta_coeff,
-                  delta_table, scaled_delta_table, _nested, partitions_in_strip,
+                  delta_table, _nested, partitions_in_strip,
                   chern_tangent, chern_cone_normal):
         cache.cache_clear()
     argvs = [["ci", "n=%d" % ci.n, "degrees=" + ",".join(map(str, ci.degrees))]

@@ -22,6 +22,7 @@ from hilbertpoly.grobner import (
     ResourceCapExceeded,
     buchberger,
     count_zero_dim,
+    fresh_variable,
     hilbert_data,
     hilbert_function_direct,
     hilbert_series_monomial,
@@ -572,6 +573,29 @@ def test_membership_rejects_bad_inputs():
         membership_via_hilbert(I, parse_poly("3", ("x0", "x1")))
     with pytest.raises(ValueError):
         membership_via_hilbert(I, parse_poly("x0 + 1", ("x0", "x1")))
+
+
+def test_membership_when_y_is_a_variable_of_the_ideal():
+    # the fresh variable adjoined is then y2, or y3 past a y2
+    I = ideal("x y", "x^2 - y^2")
+    assert fresh_variable(I.variables) == "y2"
+    assert fresh_variable(("y", "y2")) == "y3"
+    for text, member in (("x^2 - y^2", True), ("x^2", False)):
+        g = parse_poly(text, I.variables)
+        assert membership_via_hilbert(I, g) == in_ideal(g, I) == member
+
+
+def test_hilbert_routes_refuse_an_inhomogeneous_ideal():
+    I = ideal("x0 x1", "x0^2 - x1")
+    with pytest.raises(ValueError, match="homogeneous"):
+        hilbert_data(I)
+    with pytest.raises(ValueError, match="homogeneous"):
+        hilbert_function_direct(I, 2)
+
+
+def test_ideal_refuses_a_generator_over_other_variables():
+    with pytest.raises(ValueError, match="wrong variables"):
+        HomIdeal(("x0", "x1"), (parse_poly("x0*x2", ("x0", "x1", "x2")),))
 
 
 @given(small_system(), st.lists(small_poly(), min_size=3, max_size=3), st.booleans(),

@@ -20,7 +20,7 @@ from hilbertpoly.reductions import (
     parse_dimacs,
     sat_to_ideal,
 )
-from hilbertpoly.transversality import InputInstance, input_condition_at
+from hilbertpoly.transversality import InputInstance
 
 from oracles import (
     GradedMatrix,
@@ -28,6 +28,7 @@ from oracles import (
     dimacs_text,
     euler_quotient,
     ideal_to_graded_matrix,
+    input_condition_at,
     interpolate,
 )
 

@@ -59,16 +59,17 @@ ROOT = os.path.dirname(TESTS)
 
 # Public top-level functions and classes of src/, scripts/ and bench/
 # that nothing there uses: the Groebner API that the scan oracles of
-# tests/oracles.py check, and helpers still to be moved to the oracles
-# or given a caller.
+# tests/oracles.py check, and in_Q_lambda, the degeneracy-locus rank test
+# that the counting route is to call.
 ONLY_TESTS_REACH = {
     "src/hilbertpoly/grobner.py:buchberger",
     "src/hilbertpoly/grobner.py:normal_form",
-    "src/hilbertpoly/transversality.py:cell_partition_of",
     "src/hilbertpoly/transversality.py:in_Q_lambda",
-    "src/hilbertpoly/transversality.py:in_schubert_variety",
-    "src/hilbertpoly/transversality.py:input_condition_at",
 }
+
+# Public methods and properties of public classes of src/ whose name
+# nothing in src/, scripts/ or bench/ reads outside the method's own body.
+METHODS_ONLY_TESTS_REACH = set()
 
 
 def _referenced_names(node):
@@ -79,28 +80,52 @@ def _referenced_names(node):
             yield sub.attr
 
 
+def _trees(*tops):
+    for top in tops:
+        for dirpath, _, names in os.walk(os.path.join(ROOT, top)):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    path = os.path.join(dirpath, name)
+                    with open(path) as fh:
+                        yield os.path.relpath(path, ROOT), ast.parse(fh.read(), filename=path)
+
+
 def test_public_helpers_that_only_tests_reach():
     # a public top-level definition is used when its name is read
     # outside its own body anywhere in src/, scripts/ or bench/; a new
     # helper that only tests reach, or a listed one that gains a caller
     # or moves, changes the set
     refs, own, defs = Counter(), Counter(), []
-    for top in ("src", "scripts", "bench"):
-        for dirpath, _, names in os.walk(os.path.join(ROOT, top)):
-            for name in sorted(names):
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, name)
-                with open(path) as fh:
-                    tree = ast.parse(fh.read(), filename=path)
-                refs.update(_referenced_names(tree))
-                for node in tree.body:
-                    if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                            and not node.name.startswith("_")):
-                        defs.append((os.path.relpath(path, ROOT), node.name))
-                        own.update(n for n in _referenced_names(node) if n == node.name)
+    for path, tree in _trees("src", "scripts", "bench"):
+        refs.update(_referenced_names(tree))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defs.append((path, node.name))
+                own.update(n for n in _referenced_names(node) if n == node.name)
     unused = {"%s:%s" % (path, name) for path, name in defs if refs[name] == own[name]}
     assert unused == ONLY_TESTS_REACH
+
+
+def test_public_methods_that_only_tests_reach():
+    # the same rule for the public methods and properties of the public
+    # classes of src/: a method is used when its name is read outside its
+    # own body anywhere in src/, scripts/ or bench/
+    refs, own, defs = Counter(), Counter(), []
+    for path, tree in _trees("src", "scripts", "bench"):
+        refs.update(_referenced_names(tree))
+        if not path.startswith("src"):
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")):
+                    defs.append((cls.name, node.name))
+                    own.update(n for n in _referenced_names(node) if n == node.name)
+    unused = {"%s.%s" % (cls, name) for cls, name in defs if refs[name] == own[name]}
+    assert unused == METHODS_ONLY_TESTS_REACH
 
 
 INPUTS = {

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hilbertpoly import linalg
-from hilbertpoly.arith import parse_poly
+from hilbertpoly import linalg, symfun
+from hilbertpoly.arith import CrossCheckFailed, parse_poly
 from hilbertpoly.partitions import Partition, enumerate_partitions
 from hilbertpoly.symfun import (
     b_sequence,
@@ -16,7 +16,6 @@ from hilbertpoly.symfun import (
     delta_table,
     delta_table_pairs,
     newton_power_sums,
-    scaled_delta_table,
     scaling_factor,
     todd_poly,
 )
@@ -25,6 +24,8 @@ from oracles import (
     TruncSeries,
     b_prefix_by_inversion,
     complete_homogeneous_values,
+    conjugate,
+    contains,
     delta_coeffs_by_cauchy_binet,
     dual_sequence,
     elementary_symmetric_values,
@@ -97,7 +98,7 @@ def test_delta_inverse_identity():
         cinv = tuple(series_inverse(TruncSeries(K, vals)).coeffs)
         for k in range(7):
             for lam in enumerate_partitions(k):
-                assert delta_det(lam, cinv) == delta_det(lam.conjugate(), dual_sequence(c))
+                assert delta_det(lam, cinv) == delta_det(conjugate(lam), dual_sequence(c))
 
 
 def test_giambelli():
@@ -111,7 +112,7 @@ def test_giambelli():
             e = tuple(elementary_symmetric_values(gamma, 2 * m + 1))
             for k in range(m + 1):
                 for lam in enumerate_partitions(k, max_part=m):
-                    assert delta_det(lam, e) == schur_eval(lam.conjugate(), gamma)
+                    assert delta_det(lam, e) == schur_eval(conjugate(lam), gamma)
 
 
 # -- Bernoulli numbers and the b-sequence
@@ -267,7 +268,7 @@ def test_cauchy_identity():
                 prod = prod * TruncSeries.from_coeffs(m + 1, [1, bj * gi])
         for k in range(m + 1):
             lhs = sum(
-                (schur_eval(lam.conjugate(), beta) * schur_eval(lam, gamma)
+                (schur_eval(conjugate(lam), beta) * schur_eval(lam, gamma)
                  for lam in enumerate_partitions(k, max_part=m, max_len=m)),
                 Fraction(0))
             assert lhs == prod[k]
@@ -285,7 +286,7 @@ def test_schur_shift_expansion():
             rhs = Fraction(0)
             for j in range(lam.size + 1):
                 for mu in enumerate_partitions(j, max_len=m):
-                    if lam.contains(mu):
+                    if contains(lam, mu):
                         rhs += (d_coeff(lam, mu, m) * beta ** (lam.size - mu.size)
                                 * schur_eval(mu, gamma))
             assert lhs == rhs
@@ -313,7 +314,7 @@ def test_d_coeff_is_the_full_binomial_determinant(m):
             bottoms = [mu.part(j) + m + 1 - j for j in range(1, m + 1)]
             full = linalg.det([[math.comb(t, u) for u in bottoms] for t in tops])
             assert d_coeff(lam, mu, m) == full, (lam, mu, m)
-            seen.add(lam.contains(mu))
+            seen.add(contains(lam, mu))
     assert seen == {True, False}
 
 
@@ -334,15 +335,14 @@ def test_delta_coeff_examples():
 
 
 def test_delta_table_quadric_values():
-    table = delta_table(2, 0, 3)
-    assert table[Partition()] == 1
-    assert table[Partition([1])] == Fraction(-2, 3)
-    assert table[Partition([1, 1])] == Fraction(1, 6)
+    # N(0, 2) = 144 times delta^{2,0}_mu = 1, -2/3, 1/6
+    assert delta_table(2, 0, 3) == (
+        (Partition(), 144), (Partition([1]), -96), (Partition([1, 1]), 24))
 
 
 def test_delta_table_respects_ambient_bound():
     table = delta_table(2, 0, 3)
-    assert Partition([2]) not in table  # mu_1 <= n-m = 1
+    assert Partition([2]) not in [mu for mu, _ in table]  # mu_1 <= n-m = 1
 
 
 @pytest.mark.parametrize("ns", [(4, 6), (6, 4)])
@@ -354,21 +354,36 @@ def test_delta_table_filters_memoised_coefficients(ns):
         entries = delta_table(m, k, n)
         expected = {mu for size in range(m - k + 1)
                     for mu in enumerate_partitions(size) if mu.part(1) <= n - m}
-        assert set(entries) == expected
-        for mu, value in entries.items():
-            assert value == delta_coeff.__wrapped__(m, k, mu)
+        assert {mu for mu, _ in entries} == expected
+        for mu, value in entries:
+            assert value == scaling_factor(k, m) * delta_coeff.__wrapped__(m, k, mu)
 
 
 def test_scaled_delta_table_is_the_table_times_N():
+    # the entries by size, each size in enumerate_partitions order, each
+    # an int N(k,m) delta^{m,k}_mu
     for m in range(9):
         for k in range(m + 1):
             N = scaling_factor(k, m)
             for n in range(m, m + 4):
                 table = delta_table(m, k, n)
-                scaled = scaled_delta_table(m, k, n)
-                assert [mu for mu, _ in scaled] == list(table)
-                for mu, value in scaled:
-                    assert type(value) is int and value == N * table[mu], (m, k, n, mu)
+                assert [mu for mu, _ in table] == [
+                    mu for size in range(m - k + 1)
+                    for mu in enumerate_partitions(size, max_part=n - m)]
+                for mu, value in table:
+                    assert type(value) is int and value == N * delta_coeff(m, k, mu), \
+                        (m, k, n, mu)
+
+
+def test_delta_table_refuses_a_scaled_entry_that_is_not_an_integer(monkeypatch):
+    N = scaling_factor(1, 3)
+    delta_table.cache_clear()
+    monkeypatch.setattr(symfun, "delta_coeff", lambda m, k, mu: Fraction(1, 7 * N))
+    with pytest.raises(CrossCheckFailed, match="not integral"):
+        delta_table(3, 1, 5)
+    monkeypatch.setattr(symfun, "delta_coeff", lambda m, k, mu: Fraction(1, N))
+    assert {value for _, value in delta_table(3, 1, 5)} == {1}
+    delta_table.cache_clear()
 
 
 def test_delta_coeff_matches_cauchy_binet_oracle():
@@ -386,7 +401,7 @@ def test_delta_table_pairs_counts_the_pairs_of_the_table():
         for k in range(m + 1):
             for n in range(m, m + 4):
                 pairs = sum(len(enumerate_partitions(m - k, max_len=max(m, 1), containing=mu))
-                            for mu in delta_table(m, k, n))
+                            for mu, _ in delta_table(m, k, n))
                 assert delta_table_pairs(m, k, n) == pairs, (m, k, n)
     for mkn in [(2, 3, 3), (2, -1, 3), (-1, 0, 0), (3, 0, 2)]:
         with pytest.raises(ValueError):
@@ -398,11 +413,11 @@ def test_delta_table_entries_are_read_only():
     # would change every later table of the same (m, k, n)
     table = delta_table(2, 0, 3)
     with pytest.raises(TypeError):
-        table[Partition([1])] = 0
+        table[1] = (Partition([1]), 0)
     with pytest.raises(TypeError):
-        del table[Partition()]
+        del table[0]
     assert delta_table(2, 0, 3) is table
-    assert table[Partition([1])] == Fraction(-2, 3)
+    assert table[1] == (Partition([1]), -96)
 
 
 @pytest.mark.parametrize("mkn", [(2, 3, 3), (2, -1, 3), (-1, 0, 0), (3, 0, 2)])
@@ -423,5 +438,5 @@ def test_scaled_delta_integrality():
     for m in range(7):
         for k in range(m + 1):
             N = scaling_factor(k, m)
-            for mu, value in delta_table(m, k, m).items():
-                assert (N * value).denominator == 1
+            for mu, value in delta_table(m, k, m):
+                assert type(value) is int and Fraction(value, N) == delta_coeff(m, k, mu)

@@ -11,20 +11,25 @@ from hilbertpoly.transversality import (
     Flag,
     GrassPoint,
     InputInstance,
-    cell_partition_of,
-    dimension_jumps,
     gauss_point,
     in_Q_lambda,
     in_cell,
-    in_schubert_variety,
-    input_condition_at,
     jacobian_at,
     random_flag,
     schubert_cell_coords,
     transversal_at,
     transversality_report,
 )
-from oracles import TruncSeries, series_inverse, substituted_derivatives
+from oracles import (
+    TruncSeries,
+    cell_partition_of,
+    contains,
+    dimension_jumps,
+    in_schubert_variety,
+    input_condition_at,
+    series_inverse,
+    substituted_derivatives,
+)
 
 X3 = ("x0", "x1", "x2")
 X4 = ("x0", "x1", "x2", "x3")
@@ -101,6 +106,17 @@ def test_gauss_point_ranks_no_kernel(monkeypatch):
     A = gauss_point(CONIC, (1, 1, 1))
     assert calls == []
     assert A == GrassPoint(A.span_matrix) and A.dim == 1
+
+
+@pytest.mark.parametrize("text, variables, m, detail", [
+    ("x*z - y^2", ("x", "y", "z"), 1, "must live in x0..x2"),
+    ("x0*x2 - x1", X3, 1, "must be homogeneous"),
+    ("x0*x2 - x1^2", X3, -1, "need 0 <= m <= n"),
+    ("x0*x2 - x1^2", X3, 3, "need 0 <= m <= n"),
+])
+def test_input_instance_refuses_a_bad_system(text, variables, m, detail):
+    with pytest.raises(ValueError, match=detail):
+        InputInstance(polys=(parse_poly(text, variables),), n=2, m=m)
 
 
 def test_singular_flag_basis_is_refused():
@@ -327,7 +343,7 @@ def test_cell_implies_schubert_varieties_of_subpartitions():
         A = random_grass_point(rng, n, m)
         mu = cell_partition_of(A, flag)
         for lam in admissible_partitions(n, m):
-            if mu.contains(lam):
+            if contains(mu, lam):
                 assert in_schubert_variety(A, flag, lam)
 
 
