@@ -194,15 +194,21 @@ class MultiPoly:
         return MultiPoly(self.variables, terms)
 
     def eval_point(self, values):
-        """Evaluate at a rational point (sequence aligned with variables)."""
-        values = [frac(v) for v in values]
+        """Evaluate at a rational point (sequence aligned with variables)
+        of ints and Fractions; the value is an exact Fraction, and a float
+        coordinate raises TypeError, as frac does."""
+        values = [v if type(v) is Fraction else frac(v) for v in values]
         if len(values) != len(self.variables):
             raise ValueError("point has wrong length")
-        total = Fraction(0)
+        if not self.terms:
+            return Fraction(0)
+        total = 0
         for exp, c in self.terms.items():
             t = c
             for v, e in zip(values, exp):
-                if e:
+                if e == 1:
+                    t *= v
+                elif e:
                     t *= v ** e
             total += t
         return total

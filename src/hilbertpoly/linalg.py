@@ -2,16 +2,24 @@
 kernel, RREF and products.
 
 Matrices are lists of rows whose entries are ints or Fractions.  Every
-elimination and product works on integer rows and builds each rational
-it returns with one Fraction.  There are two eliminations: rank and det
-share one fraction-free Bareiss elimination (Bareiss 1968), and rref is
-the one Gauss-Jordan elimination, also fraction-free, which solve runs
-on the augmented matrix [a | b] of a matrix right-hand side b, inverse
-as solve(a, I), and kernel on the matrix itself.  mat_mul takes integer
-dot products of cleared rows and cleared columns.  Bareiss takes a
-matrix of ints as given, and its det is then an int; any other matrix,
-like every input of rref and mat_mul, has each row's denominators
+elimination and product works on integer rows; an int entry goes in as
+it is, and only a row with a Fraction of denominator above 1 is scaled
+by the lcm of its denominators.  There are two eliminations: rank and
+det share one fraction-free Bareiss elimination (Bareiss 1968), and
+rref is the one Gauss-Jordan elimination, also fraction-free, which
+solve runs on the augmented matrix [a | b] of a matrix right-hand side
+b, inverse as solve(a, I), and kernel on the matrix itself.  mat_mul
+takes integer dot products of cleared rows and cleared columns.
+Bareiss takes a matrix of ints as given, and its det is then an int;
+any other matrix, like every input of rref and mat_mul, has its rows
 cleared first.
+
+Every entry that rref, solve, inverse, kernel and mat_mul return is an
+int when it is an integer and a Fraction otherwise, as det's value is
+for a matrix of ints.  det, solve and inverse raise ValueError("matrix
+is not square") on a non-square matrix, solve raises ValueError when b
+does not have one row per row of a, and mat_mul when the rows of a are
+not as long as b has rows.
 """
 
 from __future__ import annotations
@@ -22,19 +30,34 @@ from fractions import Fraction
 
 
 def _cleared(rows):
-    """Rational rows of ints or Fractions (both carry numerator and
-    denominator) as integer rows, each times the lcm of its
-    denominators; returns (integer rows, lcms)."""
+    """Rational rows of ints or Fractions as integer rows, each times
+    the lcm of its denominators; returns (integer rows, lcms).  Int
+    entries pass through with no lcm, and a row of denominator 1 is
+    copied, a Fraction in it as its numerator."""
     out, dens = [], []
     for row in rows:
         # one lcm at a time: math.lcm(*generator) raised the peak memory
         # of a 231-report `ci` pass by about 0.3 MiB
         den = 1
         for x in row:
-            den = math.lcm(den, x.denominator)
+            if type(x) is not int and x.denominator != 1:
+                den = math.lcm(den, x.denominator)
         dens.append(den)
-        out.append([x.numerator * (den // x.denominator) for x in row])
+        if den == 1:
+            out.append([x if type(x) is int else x.numerator for x in row])
+        else:
+            out.append([x * den if type(x) is int else x.numerator * (den // x.denominator)
+                         for x in row])
     return out, dens
+
+
+def _quotient(x, d):
+    """x / d for ints x and d != 0: an int when d divides x, else a
+    Fraction."""
+    if d == 1:
+        return x
+    q, r = divmod(x, d)
+    return Fraction(x, d) if r else q
 
 
 def _bareiss(rows):
@@ -75,10 +98,14 @@ def rank(rows):
     return _bareiss(rows)[0]
 
 
-def det(rows):
-    """Determinant of a square rational matrix."""
+def _check_square(rows):
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix is not square")
+
+
+def det(rows):
+    """Determinant of a square rational matrix."""
+    _check_square(rows)
     return _bareiss(rows)[1]
 
 
@@ -110,8 +137,8 @@ def rref(rows):
                 g = math.gcd(*row)
                 a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
-    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)]
-    red += [[Fraction(0)] * nc for _ in range(nr - len(pivots))]
+    red = [[_quotient(x, row[c]) for x in row] for row, c in zip(a, pivots)]
+    red += [[0] * nc for _ in range(nr - len(pivots))]
     return red, pivots
 
 
@@ -127,8 +154,8 @@ def kernel(rows, ncols=None):
     for f in range(ncols):
         if f in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [0] * ncols
+        v[f] = 1
         for r, p in enumerate(pivots):
             v[p] = -red[r][f]
         basis.append(v)
@@ -138,7 +165,10 @@ def kernel(rows, ncols=None):
 def solve(a, b):
     """x with a x = b for a square nonsingular a and a matrix b (one
     column per right-hand side), from the rref of [a | b]."""
+    _check_square(a)
     n = len(a)
+    if len(b) != n:
+        raise ValueError("right-hand side has %d rows, expected %d" % (len(b), n))
     red, pivots = rref([list(row) + list(rhs) for row, rhs in zip(a, b)])
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
@@ -155,8 +185,10 @@ def mat_mul(a, b):
     """Product of rational matrices in integers: row i of a and column j
     of b, cleared of denominators d_i and e_j, give the entry
     (row . column) / (d_i e_j)."""
+    if any(len(row) != len(b) for row in a):
+        raise ValueError("inner dimensions differ")
     (rows, ds), (cols, es) = _cleared(a), _cleared(zip(*b))
-    return [[Fraction(sum(map(operator.mul, r, c)), d * e) for c, e in zip(cols, es)]
+    return [[_quotient(sum(map(operator.mul, r, c)), d * e) for c, e in zip(cols, es)]
             for r, d in zip(rows, ds)]
 
 

@@ -20,6 +20,11 @@ to the cell.
 The partials behind J(x) and H_f(x) are polynomials built once per
 InputInstance and cached on it (gradients, hessians), so a second
 report on the same instance, at any point and flag, only evaluates them.
+A second partial that is a constant (all of them for a form of degree
+at most 2) is read once per instance, and only the others are evaluated
+at x.  The linear algebra returns an int for every integral entry, so a
+report passes integers between its steps without Fractions; the chart
+it reports is made of Fractions.
 
 The decision is exposed as separate pieces (smoothness, cell
 membership, the tangency verdict) rather than as one bare implication,
@@ -34,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .arith import CrossCheckFailed, frac
+from .arith import CrossCheckFailed, MultiPoly, frac
 from .partitions import is_admissible, jumps
 
 
@@ -94,7 +99,8 @@ class InputInstance:
     is the variety under study.
 
     The first and second partials of the f_i are built once per instance,
-    on first use; equality and hashing compare the fields only."""
+    on first use, and so are the values of the constant second partials;
+    equality and hashing compare the fields only."""
 
     polys: tuple
     n: int
@@ -128,6 +134,18 @@ class InputInstance:
         """Matrix i holds the second partials of f_i."""
         return tuple(tuple(tuple(g.partial(v) for v in self.variables) for g in row)
                      for row in self.gradients)
+
+    @cached_property
+    def hessian_entries(self):
+        """The hessians with each constant entry read as its value (an
+        int when integral) and every other entry left a polynomial."""
+        def entry(h):
+            if any(any(e) for e in h.terms):
+                return h
+            c = next(iter(h.terms.values()), 0)  # its one term, if any
+            return c.numerator if c.denominator == 1 else c
+        return tuple(tuple(tuple(map(entry, row)) for row in hessian)
+                     for hessian in self.hessians)
 
 
 @dataclass(frozen=True)
@@ -174,6 +192,12 @@ def _at(polys, x):
 
 def jacobian_at(inst, x):
     return _at(inst.gradients, x)
+
+
+def _hessian_at(inst, i, x):
+    """Hessian of f_i at x: only its non-constant entries are evaluated."""
+    return [[h.eval_point(x) if isinstance(h, MultiPoly) else h for h in row]
+            for row in inst.hessian_entries[i]]
 
 
 def _zero(inst, x):
@@ -225,8 +249,8 @@ def in_Q_lambda(inst, x, flag, lam):
 
 
 def schubert_cell_coords(A, flag, mu):
-    """Chart matrix alpha_mu(A) of shape (n-m) x (m+1), or None when A
-    lies outside the chart domain U_mu."""
+    """Chart matrix alpha_mu(A) of shape (n-m) x (m+1), of Fractions, or
+    None when A lies outside the chart domain U_mu."""
     n = flag.n
     m = A.dim
     sigma = jumps(mu, n, m)
@@ -237,7 +261,7 @@ def schubert_cell_coords(A, flag, mu):
     except ValueError:  # Bsig is singular
         return None
     rest = [j for j in range(n + 1) if j not in sigma]
-    return tuple(tuple(E[i][j] for i in range(m + 1)) for j in rest)
+    return tuple(tuple(frac(E[i][j]) for i in range(m + 1)) for j in rest)
 
 
 def _on_cell(chart, sigma):
@@ -311,7 +335,7 @@ def transversality_report(inst, x, flag, mu):
     U = linalg.mat_mul(L, [[int(i == a) for a in range(m + 1)] for i in range(m + 1)] + H1)
     rhs = []
     for s in rows_pick:
-        HU = linalg.mat_mul(_at(inst.hessians[s], x), U)
+        HU = linalg.mat_mul(_hessian_at(inst, s, x), U)
         rhs.append([-v for row in linalg.mat_mul(linalg.transpose(U), HU) for v in row])
     second = linalg.solve(J2, rhs)
     # the cell's tangent directions are the unit matrices at the free

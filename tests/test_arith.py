@@ -250,6 +250,21 @@ def test_floats_are_refused():
     # a float's binary expansion is not the exact value it stands for
     for build in (lambda: UniPoly([0.5]), lambda: UniPoly([1])(0.5),
                   lambda: MultiPoly(("x",), {(1,): 0.5}),
-                  lambda: MultiPoly.constant(("x",), 0.5)):
+                  lambda: MultiPoly.constant(("x",), 0.5),
+                  lambda: MultiPoly.variable(("x",), "x").eval_point([0.5]),
+                  lambda: MultiPoly.zero(("x",)).eval_point([0.5])):
         with pytest.raises(TypeError, match="int or a Fraction"):
             build()
+
+
+def test_eval_point_is_an_exact_fraction():
+    # ints, Fractions and a mix of both; the zero polynomial too
+    p = parse_poly("x^2*y - 3*x + 1/2", ("x", "y"))
+    for point, value in (([2, 5], Fraction(29, 2)),
+                         ([Fraction(1, 2), Fraction(3)], Fraction(-1, 4)),
+                         ([Fraction(-1), 0], Fraction(7, 2))):
+        assert p.eval_point(point) == value and type(p.eval_point(point)) is Fraction
+    zero = MultiPoly.zero(("x", "y")).eval_point([1, 2])
+    assert zero == 0 and type(zero) is Fraction
+    with pytest.raises(ValueError, match="wrong length"):
+        p.eval_point([1])

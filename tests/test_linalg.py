@@ -194,3 +194,40 @@ def test_empty_and_degenerate_shapes():
         kernel([])
     with pytest.raises(ValueError):
         det([[1, 2]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: inverse([[1, 0, 0], [0, 1, 0]]), "not square"),
+    (lambda: inverse([[1, 2], [3, 4], [5, 6]]), "not square"),
+    (lambda: solve([[1, 0, 0], [0, 1, 0]], [[1], [2]]), "not square"),
+    (lambda: solve([[1, 0], [0, 1]], [[1], [2], [3]]), "right-hand side has 3 rows"),
+    (lambda: mat_mul([[1, 2]], [[1, 2]]), "inner dimensions"),
+], ids=["inverse-2x3", "inverse-3x2", "solve-2x3", "solve-rhs-rows", "mat_mul-1x2-1x2"])
+def test_shape_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def _integral_entries_are_ints(rows):
+    return all(type(x) is int for row in rows for x in row
+               if Fraction(x).denominator == 1)
+
+
+@given(squares(), st.lists(entries, min_size=10, max_size=10), st.integers(1, 2))
+@example([[Fraction(1, 2), 0], [0, 2]], [Fraction(1)] * 10, 1)
+@settings(max_examples=80, deadline=None)
+def test_integral_results_are_ints(a, rhs, k):
+    # every entry that solve, inverse, kernel, rref and mat_mul return is
+    # an int when it is an integer, whatever the types of the input
+    n = len(a)
+    b = [rhs[k * i:k * (i + 1)] for i in range(n)]
+    red, _ = rref(a)
+    basis = kernel(a, ncols=n)
+    assert _integral_entries_are_ints(red) and _integral_entries_are_ints(basis)
+    for v in basis:
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+    if det(a) != 0:
+        x, inv = solve(a, b), inverse(a)
+        assert mat_mul(a, x) == b and mat_mul(inv, a) == identity(n)
+        for result in (x, inv, mat_mul(a, x), mat_mul(inv, a), mat_mul(a, inv)):
+            assert _integral_entries_are_ints(result)

@@ -524,6 +524,61 @@ def test_twisted_cubic_flags_on_the_codimension_one_cell():
     assert True in verdicts and False in verdicts
 
 
+# the nodal cubic: its second partials have degree 1, so its Hessian
+# changes from point to point; the node is (0, 0, 1), at t = 1 and -1
+NODAL_CUBIC = InputInstance(polys=(parse_poly("x1^2*x2 - x0^3 - x0^2*x2", X3),), n=2, m=1)
+
+
+def nodal_cubic_jet_transversal(t0, flag):
+    """Oracle: on the nodal cubic (t^2 - 1, t^3 - t, 1), mu=(1),
+    transversality at t0 means the constrained chart slot (j=0, i=0)
+    moves to first order along the curve."""
+    t = jet(t0, 1)
+    rows = [[t * t - 1, t * t * t - t, jet(1)], [2 * t, 3 * t * t - 1, jet(0)]]
+    return jet_chart(rows, flag, Partition([1]), 2, 1)[0][0][1] != 0
+
+
+def test_nodal_cubic_with_non_constant_hessians_agrees_with_jets():
+    # F_0 lies on the tangent line at a smooth point x, and is x itself
+    # in every fourth trial
+    mu = Partition([1])
+    assert any(any(e) for row in NODAL_CUBIC.hessians[0] for h in row for e in h.terms)
+    rng = random.Random(2718)
+    verdicts = []
+    for trial in range(16):
+        t0 = Fraction(1)
+        while t0 in (1, -1):
+            t0 = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        x = (t0 ** 2 - 1, t0 ** 3 - t0, 1)
+        v = (2 * t0, 3 * t0 ** 2 - 1, 0)
+        s = 0 if trial % 4 == 0 else Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        f0 = tuple(a + s * b for a, b in zip(x, v))
+        while True:
+            cols = [f0] + [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(2)]
+            basis = [[Fraction(cols[j][i]) for j in range(3)] for i in range(3)]
+            if det(basis) != 0:
+                flag = Flag.from_basis(basis)
+                if in_cell(gauss_point(NODAL_CUBIC, x), flag, mu):
+                    break
+        rep = transversality_report(NODAL_CUBIC, x, flag, mu)
+        assert rep["smooth"] and rep["on_cell"] and rep["needed"] == 2
+        assert rep["transversal"] == nodal_cubic_jet_transversal(t0, flag)
+        verdicts.append(rep["transversal"])
+    assert True in verdicts and False in verdicts
+
+
+def test_conic_report_evaluates_only_the_non_constant_partials(monkeypatch):
+    # one zero test and three gradient entries; the nine Hessian entries
+    # of a quadric are constants, read once per instance
+    inst = InputInstance(polys=CONIC.polys, n=2, m=1)
+    calls = []
+    real = MultiPoly.eval_point
+    monkeypatch.setattr(MultiPoly, "eval_point", lambda f, x: calls.append(f) or real(f, x))
+    rep = transversality_report(inst, (1, 1, 1), CONIC_FLAG, Partition([1]))
+    assert rep["span_dim"] == 2 and len(calls) == 4
+    assert inst.hessian_entries == (((0, 0, 1), (0, -2, 0), (1, 0, 0)),)
+
+
 def test_transversality_report_fields():
     rep = transversality_report(CONIC, (1, 1, 1), CONIC_FLAG, Partition([1]))
     assert rep["smooth"] and rep["on_cell"] and rep["transversal"]
