@@ -117,19 +117,10 @@ def _cap(text):
     return int(text)
 
 
-def _q(x):
-    """Rationals as 'p/q' strings; integers stay machine integers."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return "%d/%d" % (x.numerator, x.denominator)
-    return x
-
-
 def _poly_report(p):
     return {
         "text": p.to_text(),
-        "coefficients": [_q(p.coefficient(k)) for k in range(max(p.degree, 0) + 1)],
+        "coefficients": [str(p.coefficient(k)) for k in range(max(p.degree, 0) + 1)],
         "degree": p.degree,
     }
 
@@ -201,8 +192,8 @@ def cmd_hilbert(args):
         "projective_dimension": m,
     }
     if m >= 0:
-        report["geometric_degree"] = _q(math.factorial(m) * p.coefficient(m))
-        report["arithmetic_genus"] = _q((-1) ** m * (p.coefficient(0) - 1))
+        report["geometric_degree"] = str(math.factorial(m) * p.coefficient(m))
+        report["arithmetic_genus"] = str((-1) ** m * (p.coefficient(0) - 1))
     _emit(report, args)
     return EXIT_OK
 
@@ -256,7 +247,7 @@ def cmd_delta(args):
     _check_m("delta", kv["m"])
     _check_pairs("delta", delta_table_pairs(kv["m"], kv["k"], kv["n"]))
     N = scaling_factor(kv["k"], kv["m"])
-    entries = [{"mu": list(mu.parts), "value": _q(Fraction(value, N))}
+    entries = [{"mu": list(mu.parts), "value": str(Fraction(value, N))}
                for mu, value in sorted(delta_table(kv["m"], kv["k"], kv["n"]),
                                        key=lambda entry: (entry[0].size, entry[0].parts))]
     _emit({"m": kv["m"], "k": kv["k"], "n": kv["n"], "entries": entries}, args)
@@ -362,12 +353,12 @@ def cmd_trans(args):
     out = {
         "n": n, "m": m, "mu": str(mu),
         "flag": {"source": "file" if args.flag else "seed", "file": args.flag,
-                 "basis": [[_q(v) for v in row] for row in flag.basis]},
-        "point": [_q(v) for v in report["point"]],
+                 "basis": [[str(v) for v in row] for row in flag.basis]},
+        "point": [str(v) for v in report["point"]],
         "smooth": report["smooth"],
         "on_cell": report["on_cell"],
         "chart": None if report["chart"] is None else
-            [[_q(v) for v in row] for row in report["chart"]],
+            [[str(v) for v in row] for row in report["chart"]],
         "span_dim": report["span_dim"],
         "needed": report["needed"],
         "transversal": report["transversal"],

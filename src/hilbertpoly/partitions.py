@@ -41,9 +41,6 @@ class Partition:
             raise IndexError("parts are 1-indexed")
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
-    def __iter__(self):
-        return iter(self.parts)
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
 

@@ -117,10 +117,6 @@ class InputInstance:
             raise ValueError("need 0 <= m <= n")
 
     @property
-    def r(self):
-        return len(self.polys)
-
-    @property
     def variables(self):
         return tuple("x%d" % i for i in range(self.n + 1))
 
@@ -287,6 +283,7 @@ def transversality_report(inst, x, flag, mu):
     and stops there."""
     n, m = inst.n, inst.m
     x = _zero(inst, x)
+    sigma = jumps(mu, n, m)  # raises for a partition that is not admissible
     report = {"point": x, "mu": mu, "smooth": False, "on_cell": False,
               "chart": None, "span_dim": None, "needed": (n - m) * (m + 1),
               "transversal": None}
@@ -295,7 +292,6 @@ def transversality_report(inst, x, flag, mu):
     if A is None:
         return report
     report["smooth"] = True
-    sigma = jumps(mu, n, m)
     chart = schubert_cell_coords(A, flag, mu)
     if not _on_cell(chart, sigma):
         return report

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -275,6 +276,20 @@ def test_trans_at_a_node_is_not_smooth(tmp_path):
     assert report["transversal"] is None
     code, report = run_json("trans", str(inst), "1,0,-1", "[]")
     assert code == EXIT_OK and report["smooth"] is True
+
+
+@pytest.mark.parametrize("text, point, options", [
+    (CONIC, "1,1,1", ["--m", "0"]),
+    (NODE, "0,0,1", []),
+    (CONIC, "1,1,1", []),
+], ids=["conic-m0", "node", "conic-smooth"])
+def test_trans_inadmissible_partition_is_parse_error(tmp_path, capsys, text, point, options):
+    # at a singular point as at a smooth one
+    inst = tmp_path / "curve.ideal"
+    inst.write_text(text)
+    assert run_cli("trans", str(inst), point, "[7]", *options) == (EXIT_PARSE, "")
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse" and "not admissible" in err["detail"]
 
 
 def test_trans_with_a_flag_file(tmp_path):
@@ -570,6 +585,39 @@ def test_ci_and_delta_reports_are_pinned():
                                                 "n=%d" % n)).encode())
     assert digest.hexdigest() == (
         "ecb5c9a1090c2ce957103e866aab44e140e49c50b1e56ac55f30386e85b1233b")
+
+
+def test_trans_reports_are_pinned(tmp_path, monkeypatch):
+    # the exit code and report of trans on the conic at five points
+    # (1, t, t^2): under three seeds for mu = [], and for mu = [1] with
+    # flag files whose F_0 = x + s x' lies on the tangent line (s = 0 puts
+    # F_0 at x) and whose F_1, spanned by F_0 and (0, 0, 1), is never that
+    # line, as no seeded flag puts [1] on the cell.  The flag file's name
+    # is part of the report, so it is named relative to the working
+    # directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "conic.ideal").write_text(CONIC)
+    digest, verdicts = hashlib.sha256(), set()
+    for t in (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3)):
+        point = "1,%s,%s" % (t, t * t)
+        for seed in range(3):
+            code, out = run_cli("--seed", str(seed), "trans", "conic.ideal", point, "[]")
+            assert code == EXIT_OK
+            digest.update(("%d%s" % (code, out)).encode())
+        for s in (0, 1, Fraction(-3, 2)):
+            f0 = (1, t + s, t * t + 2 * t * s)
+            (tmp_path / "tangent.flag").write_text(
+                "".join("%s %d %d\n" % (v, i == 2, i == 1) for i, v in enumerate(f0)))
+            code, out = run_cli("trans", "conic.ideal", point, "[1]", "--flag", "tangent.flag")
+            report = json.loads(out)
+            assert code == EXIT_OK and report["on_cell"] is True
+            # F_0 on the conic (s = 0) is the one tangency
+            assert report["transversal"] is (s != 0)
+            verdicts.add(report["transversal"])
+            digest.update(("%d%s" % (code, out)).encode())
+    assert verdicts == {True, False}
+    assert digest.hexdigest() == (
+        "7ab5cd47561da561bf894322d16e0f6939a9ca0a496e76ad4faff585cc6e6e65")
 
 
 def _conic_tangency_report():

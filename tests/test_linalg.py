@@ -142,6 +142,12 @@ def test_integer_matrices_skip_clearing(a):
 
 
 @given(st.one_of(matrices(), singular_squares()))
+# a free column left of a later pivot p != prev, which the step scales by
+# p / prev; a zero leading column; equal pivots; a rank-deficient rectangle
+@example([[1, 2, 3], [2, 4, 9]])
+@example([[0, 1, 2], [0, 3, 4]])
+@example([[1000, 0, 0], [0, 1000, 0], [0, 0, 1000]])
+@example([[1, 2, 3, 4], [2, 4, 6, 8], [1, 0, 1, 0]])
 @settings(max_examples=100, deadline=None)
 def test_rref_matches_fraction_gauss_jordan(a):
     # matrices() draws empty shapes too: no rows, and rows of no entries
@@ -173,7 +179,7 @@ def test_singular_matrix_raises(a):
 
 
 def test_zero_row_and_rank_deficient_inverse_are_singular():
-    # a row that cancels to zero in the elimination has content 0
+    # zero rows, given or left by the elimination
     for a in ([[1, 2], [0, 0]], [[0, 0], [1, 2]], [[1, 2], [2, 4]],
               [[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 3]]):
         with pytest.raises(ValueError, match="singular matrix"):

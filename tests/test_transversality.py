@@ -623,3 +623,14 @@ def test_redundant_generator_gives_same_report():
     rep = transversality_report(doubled_line, (1, 4, 0), flag, Partition([1]))
     assert rep == transversality_report(LINE, (1, 4, 0), flag, Partition([1]))
     assert rep["on_cell"] and rep["transversal"] is False
+
+
+def test_inadmissible_partition_raises_at_a_singular_point():
+    # mu is checked before the smoothness test, and after the point is
+    # found to be a zero: at the node as at a smooth point
+    flag = Flag.from_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for x in ((0, 0, 1), (-1, 0, 1)):
+        with pytest.raises(ValueError, match="not admissible"):
+            transversality_report(NODAL_CUBIC, x, flag, Partition([7]))
+    with pytest.raises(ValueError, match="not a zero"):
+        transversality_report(NODAL_CUBIC, (1, 1, 1), flag, Partition([7]))
