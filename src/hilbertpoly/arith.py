@@ -1,5 +1,9 @@
-"""Exact arithmetic substrate: sparse multivariate polynomials and dense
-univariate polynomials, both over Q.
+"""Exact arithmetic substrate over Q: sparse multivariate polynomials
+with ring arithmetic, and dense univariate polynomials as values.
+
+A UniPoly is a Hilbert polynomial or series numerator that a route
+builds once from a coefficient list; it is then only compared, printed
+and read coefficient by coefficient, so it has no arithmetic.
 
 Values are immutable after construction; every operation is a pure
 function, so they are safe to share between threads.
@@ -65,10 +69,6 @@ class MultiPoly:
     # -- constructors
 
     @classmethod
-    def zero(cls, variables):
-        return cls(variables, {})
-
-    @classmethod
     def constant(cls, variables, c):
         variables = tuple(variables)
         return cls(variables, {(0,) * len(variables): frac(c)})
@@ -112,17 +112,11 @@ class MultiPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = frac(other)
             if not c:
-                return MultiPoly.zero(self.variables)
+                return MultiPoly(self.variables, {})
             return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
         other = self._coerce(other)
         if other is None:
@@ -135,18 +129,6 @@ class MultiPoly:
         return MultiPoly(self.variables, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a natural number")
-        result = MultiPoly.constant(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def __bool__(self):
         return bool(self.terms)
@@ -174,9 +156,6 @@ class MultiPoly:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def coefficient(self, exp):
-        return self.terms.get(tuple(exp), Fraction(0))
 
     # -- calculus / substitution
 
@@ -265,30 +244,15 @@ class MultiPoly:
 
 _NUM_FACTOR = re.compile(r"^(\d+)(?:/(\d+))?$")
 _VAR_FACTOR = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(\d+))?$")
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 
-def _variable_sort_key(name):
-    m = re.fullmatch(r"x(\d+)", name)
-    if m:
-        return (0, int(m.group(1)), name)
-    if name == "y":
-        return (1, 0, name)
-    return (2, 0, name)
-
-
-def parse_poly(text, variables=None):
-    """Parse the polynomial text format; inverse of MultiPoly.to_text.
-
-    With variables=None the variable list is inferred from the text
-    (x0 < x1 < ... < y).
-    """
+def parse_poly(text, variables):
+    """Parse the polynomial text format over the given variable list;
+    inverse of MultiPoly.to_text.  A variable not in the list raises
+    PolyParseError."""
     s = "".join(text.split())
     if not s:
         raise PolyParseError("empty polynomial text")
-    if variables is None:
-        names = set(_NAME.findall(s))
-        variables = sorted(names, key=_variable_sort_key)
     variables = tuple(variables)
 
     # split into signed terms on top-level + and -
@@ -344,21 +308,14 @@ def parse_poly(text, variables=None):
 
 
 class UniPoly:
-    """Dense univariate polynomial over Q; coefficient index = degree."""
+    """Dense univariate polynomial over Q as a value: coefficient index =
+    degree, no trailing zeros, no arithmetic."""
 
     def __init__(self, coeffs=()):
         coeffs = [frac(c) for c in coeffs]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def constant(cls, c):
-        return cls([c])
-
-    @classmethod
-    def variable(cls):
-        return cls([0, 1])
 
     @property
     def degree(self):
@@ -367,58 +324,6 @@ class UniPoly:
 
     def coefficient(self, k):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def _coerce(self, other):
-        if isinstance(other, UniPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([other])
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coefficient(i) + other.coefficient(i) for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        x = frac(x)
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
 
     def __bool__(self):
         return bool(self.coeffs)

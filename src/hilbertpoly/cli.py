@@ -5,18 +5,19 @@ with --output text); the seed is always echoed.  Reports carrying more
 than one computation route include an ``agreement`` field, and any
 disagreement turns into exit status 2.
 
-Exit codes: 0 ok, 2 cross-route disagreement, 3 resource cap hit,
-4 parse error.  Usage errors (an unknown command, a missing argument, a
-negative cap) are parse errors, with the JSON error "parse" on stderr;
---help exits 0.  A failed internal cross-check (CrossCheckFailed) also
-exits 2, with the JSON error "cross-check" on stderr and no report.  The
-closed-form commands ci, characters, delta and todd refuse an m above
-MAX_M, ci and delta more than MAX_DELTA_PAIRS pairs of delta-table
-work, ci a series degree above MAX_SERIES_DEGREE, and reduce-sat a
-formula of more than BRUTEFORCE_MAX_VARS variables or with a clause of
-more than MAX_CLAUSE_POSITIVES positive literals, before doing any
-work: exit 3, with the JSON error "resource-cap".  So does trans for an
-input polynomial of degree above --max-degree; without --m it takes the
+Exit codes: 0 ok, 2 cross-route disagreement, 3 resource cap hit, 4
+parse error.  Usage errors (an unknown command, a missing argument, a
+key=value key given twice, a negative cap) are parse errors, with the
+JSON error "parse" on stderr; --help exits 0.  A failed internal
+cross-check (CrossCheckFailed) also exits 2, with the JSON error
+"cross-check" on stderr and no report.  The closed-form commands ci,
+characters, delta and todd refuse an m above MAX_M, ci and delta more
+than MAX_DELTA_PAIRS pairs of delta-table work, ci a series degree above
+MAX_SERIES_DEGREE, and reduce-sat a formula of more than
+BRUTEFORCE_MAX_VARS variables or with a clause of more than
+MAX_CLAUSE_POSITIVES positive literals, before doing any work: exit 3,
+with the JSON error "resource-cap".  So does trans for an input
+polynomial of degree above --max-degree; without --m it takes the
 dimension from the Hilbert polynomial, under both Groebner caps.
 """
 
@@ -126,7 +127,8 @@ def _poly_report(p):
 
 
 def _parse_kv(tokens, spec, required=()):
-    """Parse positional key=value tokens against {key: converter}."""
+    """Parse positional key=value tokens against {key: converter}; a
+    key given twice is refused."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
@@ -134,6 +136,8 @@ def _parse_kv(tokens, spec, required=()):
         key, _, value = tok.partition("=")
         if key not in spec:
             raise CliParseError("unknown key %r" % key)
+        if key in out:
+            raise CliParseError("repeated key %r" % key)
         out[key] = spec[key](value)
     for key in required:
         if key not in out:

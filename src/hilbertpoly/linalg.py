@@ -7,9 +7,10 @@ taken as it is, and any other has each row with a Fraction of
 denominator above 1 scaled by the lcm of its denominators.  There is
 one elimination, fraction-free Bareiss (Bareiss 1968).  rank and det
 run its forward sweep; rref carries the sweep on to the rows above each
-pivot, which is fraction-free Gauss-Jordan, and solve runs rref on the
-augmented matrix [a | b] of a matrix right-hand side b, inverse as
-solve(a, I), and kernel on the matrix itself.  mat_mul takes integer
+pivot, which is fraction-free Gauss-Jordan, and kernel runs rref on the
+matrix itself.  solve runs the same sweep on the augmented matrix
+[a | b] of a matrix right-hand side b and divides only b's block by the
+common pivot, and inverse is solve(a, I).  mat_mul takes integer
 dot products of cleared rows and cleared columns.
 
 det is an int for a matrix of ints and a Fraction for any other.  Every
@@ -165,15 +166,18 @@ def kernel(rows, ncols=None):
 
 def solve(a, b):
     """x with a x = b for a square nonsingular a and a matrix b (one
-    column per right-hand side), from the rref of [a | b]."""
+    column per right-hand side), by fraction-free Gauss-Jordan on
+    [a | b]."""
     _check_square(a)
     n = len(a)
     if len(b) != n:
         raise ValueError("right-hand side has %d rows, expected %d" % (len(b), n))
-    red, pivots = rref([list(row) + list(rhs) for row, rhs in zip(a, b)])
+    aug = _integer([list(row) + list(rhs) for row, rhs in zip(a, b)])[0]
+    pivots, _, last = _eliminate(aug, True)
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
-    return [row[n:] for row in red]
+    # the block of a is now last times the identity: only b's is divided
+    return [[_quotient(x, last) for x in row[n:]] for row in aug]
 
 
 def inverse(a):

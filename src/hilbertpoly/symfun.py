@@ -132,17 +132,6 @@ def _formal_chern(m):
     return [MultiPoly.constant(names, 1)] + [MultiPoly.variable(names, x) for x in names]
 
 
-@lru_cache(maxsize=None)
-def _todd_log_coeffs(m):
-    """k a_k for k = 0..m, where log(t/(1 - e^{-t})) = sum a_k t^k.
-    Differentiating the logarithm gives k a_k = k b_k - sum_{j<k} j a_j b_{k-j}."""
-    b = b_sequence(m)
-    ka = [Fraction(0)]
-    for n in range(1, m + 1):
-        ka.append(n * b[n] - sum(ka[j] * b[n - j] for j in range(1, n)))
-    return tuple(ka)
-
-
 def todd_sequence(c):
     """T_0, T_1, ..., T_m at c = [1, c_1, ..., c_m] over any commutative
     ring that holds the rationals: the tangent Chern numbers of a
@@ -152,11 +141,12 @@ def todd_sequence(c):
     Q(t) = t/(1 - e^{-t}) = sum b_k t^k (Hirzebruch, Topological Methods
     in Algebraic Geometry, section 1): with log Q = sum a_k t^k it is
     exp(sum_k a_k p_k), whose graded parts satisfy
-    n T_n = sum_{k<=n} k a_k p_k T_{n-k}.
+    n T_n = sum_{k<=n} k a_k p_k T_{n-k}.  Since t (log Q)' =
+    1 - t/(e^t - 1) = 1 - Q(-t), k a_k = (-1)^(k+1) b_k for k >= 1.
     """
     m = len(c) - 1
     p = newton_power_sums(c)
-    ka = _todd_log_coeffs(m)
+    ka = [bk if k % 2 else -bk for k, bk in enumerate(b_sequence(m))]
     zero = c[0] - c[0]
     todd = [c[0]]
     for n in range(1, m + 1):

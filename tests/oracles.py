@@ -16,7 +16,7 @@ Schur values from bialternants, the dual sequence (-1)^i c_i by
 signs, the zero count of a staircase from the box under its pure powers, the
 leads of a Groebner basis by a scan of each element's terms under the
 oracle's own grevlex key, division by 1 - t in Fraction arithmetic,
-the binomial polynomials C(T+shift, n) as Fraction UniPoly products,
+the binomial polynomials C(T+shift, n) as products of Fraction lists,
 Hilbert polynomials as Fraction sums of them and Hilbert functions as
 binomial sums over the series numerator, series numerators of
 monomial ideals by inclusion-exclusion over subsets of generators,
@@ -70,7 +70,7 @@ def _mul_trunc(f, g, maxdeg):
 def _elementary_polys(tvars):
     """e_0..e_m as polynomials in the t variables."""
     m = len(tvars)
-    es = [MultiPoly.constant(tvars, 1)] + [MultiPoly.zero(tvars)] * m
+    es = [MultiPoly.constant(tvars, 1)] + [MultiPoly(tvars, {})] * m
     for i in range(m):
         ti = MultiPoly.variable(tvars, tvars[i])
         for k in range(min(i + 1, m), 0, -1):
@@ -88,7 +88,7 @@ def symmetric_to_elementary(g, tvars, cvars):
     es = _elementary_polys(tvars)
     m = len(tvars)
     work = g
-    out = MultiPoly.zero(cvars)
+    out = MultiPoly(cvars, {})
     while work:
         lead = max(work.terms)  # tuple comparison = lex with t1 > t2 > ...
         coeff = work.terms[lead]
@@ -100,7 +100,7 @@ def symmetric_to_elementary(g, tvars, cvars):
             mult = lead[i] - (lead[i + 1] if i + 1 < m else 0)
             if mult:
                 cexp[i] = mult
-                eprod = eprod * es[i + 1] ** mult
+                eprod = math.prod([es[i + 1]] * mult, start=eprod)
         out = out + MultiPoly(cvars, {tuple(cexp): coeff})
         work = work - coeff * eprod
     return out
@@ -118,7 +118,7 @@ def todd_direct(m):
     b = b_sequence(m)
     prod = MultiPoly.constant(tvars, 1)
     for i in range(m):
-        fi = MultiPoly.zero(tvars)
+        fi = MultiPoly(tvars, {})
         for k in range(m + 1):
             exp = tuple(k if j == i else 0 for j in range(m))
             fi = fi + MultiPoly(tvars, {exp: b[k]})
@@ -192,7 +192,7 @@ def normal_form_by_scan(f, divisors, order):
     key = order_key(order)
     leads = [(max(g.terms, key=key), g) for g in divisors if g]
     work = f
-    rem = MultiPoly.zero(variables)
+    rem = MultiPoly(variables, {})
     while work:
         exp = max(work.terms, key=key)
         term = MultiPoly(variables, {exp: work.terms[exp]})
@@ -265,10 +265,38 @@ def leading_exponents(basis, order):
     return [max(g.terms, key=key) for g in basis]
 
 
+def poly_mul(a, b):
+    """Product of two coefficient lists (index = degree); UniPoly has no
+    arithmetic, so the oracles multiply, sum and evaluate lists."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_sum(terms):
+    """Sum of c * p over pairs of a scalar c and a coefficient list p."""
+    out = []
+    for c, p in terms:
+        out += [0] * (len(p) - len(out))
+        for i, x in enumerate(p):
+            out[i] += c * x
+    return out
+
+
+def poly_value(p, x):
+    """Value at x of a coefficient list, by Horner's rule."""
+    total = Fraction(0)
+    for c in reversed(p):
+        total = total * x + c
+    return total
+
+
 def divide_by_one_minus_t(p):
     """Exact division of a UniPoly by (1 - t), in Fraction arithmetic;
     requires p(1) == 0."""
-    if p(1) != 0:
+    if poly_value(p.coeffs, 1) != 0:
         raise ValueError("not divisible by 1-t")
     # p = (1-t) q  =>  q_k = sum_{j<=k} p_j
     out = []
@@ -282,18 +310,17 @@ def divide_by_one_minus_t(p):
 @lru_cache(maxsize=None)
 def binom_poly(shift, n):
     """The degree-n polynomial (T+shift)(T+shift-1)...(T+shift-n+1)/n!,
-    in Fraction UniPoly arithmetic.
+    as a UniPoly built from a product of Fraction coefficient lists.
 
     Takes the value C(k+shift, n) at integer T = k.  Memoised; a UniPoly
     is immutable.
     """
     if n < 0:
         raise ValueError("n must be a natural number")
-    p = UniPoly.constant(1)
-    t = UniPoly.variable()
+    p = [Fraction(1, math.factorial(n))]
     for k in range(n):
-        p = p * (t + (shift - k))
-    return p * Fraction(1, math.factorial(n))
+        p = poly_mul(p, [shift - k, 1])
+    return UniPoly(p)
 
 
 def series_coefficient(q, D, k):
@@ -326,19 +353,17 @@ def hilbert_data_by_fractions(q, nvars):
     equals p(k).  No numerator of a monomial ideal has D < 0; for one
     that does, the scan reads qbar's own coefficients."""
     qbar, D = q, nvars
-    while qbar and qbar(1) == 0:
+    while qbar.coeffs and poly_value(qbar.coeffs, 1) == 0:
         qbar = divide_by_one_minus_t(qbar)
         D -= 1
-    if not qbar:
+    if not qbar.coeffs:
         return UniPoly(), 0
-    p = UniPoly()
-    if D > 0:
-        for j, c in enumerate(qbar.coeffs):
-            p = p + c * binom_poly(D - 1 - j, D - 1)
+    p = poly_sum((c, binom_poly(D - 1 - j, D - 1).coeffs)
+                 for j, c in enumerate(qbar.coeffs)) if D > 0 else []
     reg = len(qbar.coeffs)
-    while reg > 0 and series_coefficient(qbar, D, reg - 1) == p(reg - 1):
+    while reg > 0 and series_coefficient(qbar, D, reg - 1) == poly_value(p, reg - 1):
         reg -= 1
-    return p, reg
+    return UniPoly(p), reg
 
 
 def hilbert_numerator_by_inclusion_exclusion(exps):
@@ -377,7 +402,7 @@ def substituted_derivatives(f, L, x):
     n = len(L) - 1
     zvars = tuple("z%d" % i for i in range(n + 1))
     lin = {f.variables[i]: sum((L[i][k] * MultiPoly.variable(zvars, zvars[k])
-                                for k in range(n + 1)), MultiPoly.zero(zvars))
+                                for k in range(n + 1)), MultiPoly(zvars, {}))
            for i in range(n + 1)}
     fz = substitute(f, lin)
     if not isinstance(fz, MultiPoly):  # a constant f substitutes to a Fraction
@@ -603,7 +628,7 @@ def substitute(f, mapping):
         for name, e in zip(f.variables, exp):
             if e:
                 v = mapping[name]
-                t = t * (series_pow(v, e) if isinstance(v, TruncSeries) else v ** e)
+                t = t * (series_pow(v, e) if isinstance(v, TruncSeries) else math.prod([v] * e))
         total = total + t
     return total
 
@@ -792,7 +817,7 @@ def euler_quotient(gm, d, variables=None, **caps):
     elif variables is None:
         raise ValueError("empty presentation needs an explicit variable list")
     ideal = HomIdeal.from_polys(variables, gens)
-    value = hilbert_data(ideal, **caps).hilbert_polynomial(d)
+    value = poly_value(hilbert_data(ideal, **caps).hilbert_polynomial.coeffs, d)
     if value.denominator != 1:
         raise CrossCheckFailed("Euler characteristic %s of twist %d is not an "
                                "integer" % (value, d))
@@ -815,20 +840,20 @@ def interpolate(points, degree_bound):
         raise ValueError("need %d distinct nodes, got %d"
                          % (degree_bound + 1, len(seen)))
     nodes = sorted(seen)[:degree_bound + 1]
-    poly = UniPoly()
+    poly = []
     for xi in nodes:
-        basis = UniPoly.constant(1)
+        basis = [Fraction(1)]
         denom = Fraction(1)
         for xj in nodes:
             if xj == xi:
                 continue
-            basis = basis * UniPoly([-xj, 1])
+            basis = poly_mul(basis, [-xj, 1])
             denom *= xi - xj
-        poly = poly + basis * (seen[xi] / denom)
+        poly = poly_sum([(1, poly), (seen[xi] / denom, basis)])
     for x, y in seen.items():
-        if poly(x) != y:
+        if poly_value(poly, x) != y:
             raise ValueError("points are not on a degree-%d polynomial" % degree_bound)
-    return poly
+    return UniPoly(poly)
 
 
 def dimacs_text(phi):

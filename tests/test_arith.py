@@ -15,6 +15,7 @@ from oracles import (
     TruncSeries,
     binom_poly,
     divide_by_one_minus_t,
+    poly_value,
     series_exp,
     series_inverse,
     substitute,
@@ -33,7 +34,7 @@ def test_difference_of_squares():
 
 def test_mul_by_zero_absorbs():
     f = P("3*x^2*y - y^3")
-    assert f * MultiPoly.zero(XY) == MultiPoly.zero(XY)
+    assert f * MultiPoly(XY, {}) == MultiPoly(XY, {})
 
 
 def test_cancellation():
@@ -51,7 +52,7 @@ def test_is_homogeneous():
     v = ("x0", "x1", "x2")
     assert parse_poly("x0^2 + x1*x2", v).is_homogeneous() == 2
     assert parse_poly("x0 + x1^2", v).is_homogeneous() is None
-    assert MultiPoly.zero(v).is_homogeneous() == ANY_DEGREE
+    assert MultiPoly(v, {}).is_homogeneous() == ANY_DEGREE
 
 
 def test_partial_derivative():
@@ -111,11 +112,6 @@ def test_text_roundtrip(f):
 def test_parse_whitespace_insensitive():
     v = ("x0", "x1", "x2")
     assert parse_poly(" 3/2 * x0^2*x1   -x2^3 ", v) == parse_poly("3/2*x0^2*x1-x2^3", v)
-
-
-def test_parse_infers_variables():
-    f = parse_poly("x1*y - x0")
-    assert f.variables == ("x0", "x1", "y")
 
 
 def test_parse_builds_one_multipoly(monkeypatch):
@@ -220,18 +216,18 @@ def test_binom_poly_example():
 
 
 def test_binom_poly_degree_zero():
-    assert binom_poly(5, 0) == UniPoly.constant(1)
+    assert binom_poly(5, 0) == UniPoly([1])
 
 
 def test_binom_poly_point_value():
-    assert binom_poly(3, 3)(0) == 1
+    assert poly_value(binom_poly(3, 3).coeffs, 0) == 1
 
 
 @given(st.integers(0, 8), st.integers(0, 12))
 @settings(max_examples=60)
 def test_binom_poly_matches_binomials(n, t):
     import math
-    assert binom_poly(n, n)(t) == math.comb(t + n, n)
+    assert poly_value(binom_poly(n, n).coeffs, t) == math.comb(t + n, n)
 
 
 def test_unipoly_divide_by_one_minus_t():
@@ -248,11 +244,11 @@ def test_unipoly_text():
 
 def test_floats_are_refused():
     # a float's binary expansion is not the exact value it stands for
-    for build in (lambda: UniPoly([0.5]), lambda: UniPoly([1])(0.5),
+    for build in (lambda: UniPoly([0.5]),
                   lambda: MultiPoly(("x",), {(1,): 0.5}),
                   lambda: MultiPoly.constant(("x",), 0.5),
                   lambda: MultiPoly.variable(("x",), "x").eval_point([0.5]),
-                  lambda: MultiPoly.zero(("x",)).eval_point([0.5])):
+                  lambda: MultiPoly(("x",), {}).eval_point([0.5])):
         with pytest.raises(TypeError, match="int or a Fraction"):
             build()
 
@@ -264,7 +260,7 @@ def test_eval_point_is_an_exact_fraction():
                          ([Fraction(1, 2), Fraction(3)], Fraction(-1, 4)),
                          ([Fraction(-1), 0], Fraction(7, 2))):
         assert p.eval_point(point) == value and type(p.eval_point(point)) is Fraction
-    zero = MultiPoly.zero(("x", "y")).eval_point([1, 2])
+    zero = MultiPoly(("x", "y"), {}).eval_point([1, 2])
     assert zero == 0 and type(zero) is Fraction
     with pytest.raises(ValueError, match="wrong length"):
         p.eval_point([1])

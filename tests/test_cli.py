@@ -438,6 +438,8 @@ def test_resource_cap_exit_code(tmp_path):
     (("--max-basis", "-1", "todd", "2"), "--max-basis"),
     (("--max-degree", "-3", "todd", "2"), "--max-degree"),
     (("--max-degree", "many", "todd", "2"), "--max-degree"),
+    (("ci", "n=3", "degrees=2", "n=5"), "repeated key 'n'"),
+    (("delta", "m=3", "k=1", "n=5", "m=4"), "repeated key 'm'"),
 ])
 def test_usage_error_is_parse_error(capsys, argv, detail):
     code, out = run_cli(*argv)
@@ -552,9 +554,9 @@ def test_ci_grid_reports_independent_of_order():
     from hilbertpoly.chern import chern_cone_normal, chern_tangent, ci_grid
     from hilbertpoly.partitions import _nested, partitions_in_strip
     from hilbertpoly.symfun import (
-        _cleared_b, _todd_log_coeffs, b_sequence, delta_b, delta_coeff, delta_table)
+        _cleared_b, b_sequence, delta_b, delta_coeff, delta_table)
 
-    for cache in (delta_b, _cleared_b, b_sequence, _todd_log_coeffs, delta_coeff,
+    for cache in (delta_b, _cleared_b, b_sequence, delta_coeff,
                   delta_table, _nested, partitions_in_strip,
                   chern_tangent, chern_cone_normal):
         cache.cache_clear()
@@ -937,7 +939,7 @@ def test_ideal_file_parser_raises_only_value_errors(text):
 
 
 @given(st.text(alphabet=_POLY_ALPHABET, max_size=40),
-       st.sampled_from([None, ("x0", "x1"), ("x0", "x1", "y")]))
+       st.sampled_from([("x0", "x1"), ("x0", "x1", "y"), ("x0", "x1", "x2", "x3", "y")]))
 @settings(max_examples=300, deadline=None)
 def test_poly_parser_raises_only_value_errors(text, variables):
     from hilbertpoly.arith import parse_poly

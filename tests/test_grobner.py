@@ -49,6 +49,9 @@ from oracles import (
     leading_exponents,
     normal_form_by_scan,
     order_key,
+    poly_mul,
+    poly_sum,
+    poly_value,
     reduced_basis_by_scan,
     spoly,
     standard_monomial_count,
@@ -75,7 +78,7 @@ def test_buchberger_hand_example():
 
 
 def test_buchberger_zero_ideal():
-    assert buchberger([MultiPoly.zero(("x",))]) == []
+    assert buchberger([MultiPoly(("x",), {})]) == []
 
 
 def test_buchberger_redundant_generator():
@@ -296,10 +299,10 @@ def test_regular_sequence_has_no_reduction_to_zero(monkeypatch, n, degrees):
              for d in degrees]
     data = hilbert_data(HomIdeal.from_polys(variables, forms))
     # a regular sequence of these degrees has numerator prod (1 - t^d)
-    numerator = UniPoly([1])
+    numerator = [1]
     for d in degrees:
-        numerator = numerator * UniPoly([1] + [0] * (d - 1) + [-1])
-    assert data.series_numerator == numerator
+        numerator = poly_mul(numerator, [1] + [0] * (d - 1) + [-1])
+    assert data.series_numerator == UniPoly(numerator)
     assert len(remainders) > len(degrees)
     assert all(remainders)
 
@@ -389,7 +392,7 @@ def test_hilbert_data_without_asserts():
 
 
 def test_series_numerator_free_ring():
-    assert hilbert_series_monomial([], 3) == UniPoly.constant(1)
+    assert hilbert_series_monomial([], 3) == UniPoly([1])
 
 
 def test_series_numerator_single_variable():
@@ -455,7 +458,8 @@ def test_hilbert_hypersurface():
                       {tuple(d if i == j else 0 for i in range(n + 1)): 1
                        for j in range(n + 1)})
         data = hilbert_data(HomIdeal.from_polys(variables, [f]))
-        assert data.hilbert_polynomial == binom_poly(n, n) - binom_poly(n - d, n)
+        assert data.hilbert_polynomial == UniPoly(poly_sum(
+            [(1, binom_poly(n, n).coeffs), (-1, binom_poly(n - d, n).coeffs)]))
 
 
 def test_hilbert_twisted_cubicish_conic():
@@ -473,7 +477,7 @@ def test_hilbert_function_agrees_with_polynomial_beyond_regularity():
     for I in corpus:
         data = hilbert_data(I)
         for k in range(data.index_of_regularity, data.index_of_regularity + 6):
-            assert hilbert_function(data, k) == data.hilbert_polynomial(k)
+            assert hilbert_function(data, k) == poly_value(data.hilbert_polynomial.coeffs, k)
             assert hilbert_function_direct(I, k) == hilbert_function(data, k)
 
 
@@ -513,11 +517,11 @@ def test_count_positive_dimensional_is_infinite():
 def test_count_empty_system():
     # no equations: the point of affine 0-space, or all of a larger space
     assert count_zero_dim([], nvars=0) == 1
-    assert count_zero_dim([MultiPoly.zero(())]) == 1
+    assert count_zero_dim([MultiPoly((), {})]) == 1
     assert count_zero_dim([MultiPoly.constant((), 1)]) == 0
     assert count_zero_dim([], nvars=2) == INFINITE
     assert count_zero_dim([]) == INFINITE
-    assert count_zero_dim([MultiPoly.zero(("x",))], nvars=0) == INFINITE
+    assert count_zero_dim([MultiPoly(("x",), {})], nvars=0) == INFINITE
 
 
 def test_count_product_system():
@@ -605,7 +609,7 @@ def test_in_ideal_matches_scan_membership(gens, cofactors, combination, f):
     # f is a combination of the generators, which lies in the ideal, or
     # a random polynomial
     if combination:
-        f = sum((c * g for c, g in zip(cofactors, gens)), MultiPoly.zero(XYZ))
+        f = sum((c * g for c, g in zip(cofactors, gens)), MultiPoly(XYZ, {}))
     caps = dict(max_basis=30, max_degree=10)
     try:
         member = in_ideal(f, HomIdeal.from_polys(XYZ, gens), **caps)
@@ -741,10 +745,10 @@ def test_regularity_agreement_on_wider_corpus():
     for I in corpus:
         data = hilbert_data(I)
         for k in range(data.index_of_regularity, data.index_of_regularity + 6):
-            assert data.hilbert_polynomial(k) == hilbert_function_direct(I, k)
+            assert poly_value(data.hilbert_polynomial.coeffs, k) == hilbert_function_direct(I, k)
         if data.index_of_regularity > 0:
             k = data.index_of_regularity - 1
-            assert data.hilbert_polynomial(k) != hilbert_function(data, k)
+            assert poly_value(data.hilbert_polynomial.coeffs, k) != hilbert_function(data, k)
 
 
 # -- the default order of hilbert_data, leads only, integer cancellation
@@ -876,7 +880,7 @@ def test_explicit_order_is_respected(monkeypatch):
 
 def _oracle_cancel(q):
     k = 0
-    while q and q(1) == 0:
+    while q.coeffs and poly_value(q.coeffs, 1) == 0:
         q = divide_by_one_minus_t(q)
         k += 1
     return q, k
@@ -885,9 +889,9 @@ def _oracle_cancel(q):
 @given(st.lists(st.integers(-5, 5), max_size=6), st.integers(0, 5))
 @settings(max_examples=200, deadline=None)
 def test_integer_cancellation_matches_division_oracle(coeffs, k):
-    q = UniPoly(coeffs)
     for _ in range(k):
-        q = q * UniPoly([1, -1])
+        coeffs = poly_mul(coeffs, [1, -1])
+    q = UniPoly(coeffs)
     qbar, cancelled = _cancel_one_minus_t(q)
     assert all(type(c) is int for c in qbar)
     expected, expected_k = _oracle_cancel(q)
@@ -907,24 +911,11 @@ def test_integer_cancellation_matches_division_oracle(coeffs, k):
 @example([1, 1], 2, 2)  # D = 0
 @settings(max_examples=300, deadline=None)
 def test_hilbert_data_from_numerator_matches_fraction_oracle(coeffs, k, nvars):
-    q = UniPoly(coeffs)
     for _ in range(k):
-        q = q * UniPoly([1, -1])
+        coeffs = poly_mul(coeffs, [1, -1])
+    q = UniPoly(coeffs)
     polynomial, regularity = hilbert_data_by_fractions(q, nvars)
     assert _hilbert_data_from_numerator(q, nvars) == HilbertData(nvars, q, polynomial, regularity)
-
-
-def test_hilbert_data_does_no_unipoly_arithmetic(monkeypatch):
-    corpus = _sat_corpus()[::3] + _generic_ci_corpus()[::2] + [
-        ideal("x0 x1 x2", "x0*x2 - x1^2"), ideal("x0 x1", "x0^2", "x1^2"), ideal("x0 x1 x2")]
-    expected = [hilbert_data(I) for I in corpus]
-
-    def refuse(*args):
-        pytest.fail("UniPoly arithmetic in hilbert_data")
-
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__call__"):
-        monkeypatch.setattr(UniPoly, name, refuse)
-    assert [hilbert_data(I) for I in corpus] == expected
 
 
 @st.composite
@@ -975,6 +966,6 @@ def test_series_numerator_past_one_packed_field_of_generators():
     nvars = 514
     exps = [tuple(int(i in (0, v)) for i in range(nvars)) for v in range(2, nvars)]
     assert len(exps) == 512 and _Packing(GREVLEX, nvars, 8).bits == 8
-    expected = UniPoly([1, -1]) + UniPoly([0] + [(-1) ** k * math.comb(512, k)
-                                                 for k in range(513)])
+    expected = UniPoly(poly_sum([(1, [1, -1]), (1, [0] + [(-1) ** k * math.comb(512, k)
+                                                          for k in range(513)])]))
     assert hilbert_series_monomial(exps, nvars) == expected

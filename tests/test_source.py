@@ -1,11 +1,11 @@
 """Rules the package source keeps."""
 
 import ast
+import json
 import os
 import re
 import subprocess
 import sys
-from collections import Counter
 
 import pytest
 
@@ -57,93 +57,122 @@ def test_package_imports_no_test_code():
 
 ROOT = os.path.dirname(TESTS)
 
-# Public top-level functions and classes of src/, scripts/ and bench/
-# that nothing there uses: the Groebner API that the scan oracles of
-# tests/oracles.py check, and in_Q_lambda, the degeneracy-locus rank test
-# that the counting route is to call.
-ONLY_TESTS_REACH = {
-    "src/hilbertpoly/grobner.py:buchberger",
-    "src/hilbertpoly/grobner.py:normal_form",
-    "src/hilbertpoly/transversality.py:in_Q_lambda",
-}
-
-# Public methods and properties of public classes of src/ whose name
-# nothing in src/, scripts/ or bench/ reads outside the method's own body.
-METHODS_ONLY_TESTS_REACH = set()
-
-
-def _referenced_names(node):
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-
-
-def _trees(*tops):
-    for top in tops:
-        for dirpath, _, names in os.walk(os.path.join(ROOT, top)):
-            for name in sorted(names):
-                if name.endswith(".py"):
-                    path = os.path.join(dirpath, name)
-                    with open(path) as fh:
-                        yield os.path.relpath(path, ROOT), ast.parse(fh.read(), filename=path)
-
-
-def test_public_helpers_that_only_tests_reach():
-    # a public top-level definition is used when its name is read
-    # outside its own body anywhere in src/, scripts/ or bench/; a new
-    # helper that only tests reach, or a listed one that gains a caller
-    # or moves, changes the set
-    refs, own, defs = Counter(), Counter(), []
-    for path, tree in _trees("src", "scripts", "bench"):
-        refs.update(_referenced_names(tree))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defs.append((path, node.name))
-                own.update(n for n in _referenced_names(node) if n == node.name)
-    unused = {"%s:%s" % (path, name) for path, name in defs if refs[name] == own[name]}
-    assert unused == ONLY_TESTS_REACH
-
-
-def test_public_methods_that_only_tests_reach():
-    # the same rule for the public methods and properties of the public
-    # classes of src/: a method is used when its name is read outside its
-    # own body anywhere in src/, scripts/ or bench/
-    refs, own, defs = Counter(), Counter(), []
-    for path, tree in _trees("src", "scripts", "bench"):
-        refs.update(_referenced_names(tree))
-        if not path.startswith("src"):
-            continue
-        for cls in tree.body:
-            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
-                continue
-            for node in cls.body:
-                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not node.name.startswith("_")):
-                    defs.append((cls.name, node.name))
-                    own.update(n for n in _referenced_names(node) if n == node.name)
-    unused = {"%s.%s" % (cls, name) for cls, name in defs if refs[name] == own[name]}
-    assert unused == METHODS_ONLY_TESTS_REACH
-
-
 INPUTS = {
     "conic.ideal": "vars: x0 x1 x2\nx0*x2 - x1^2\n",
     "points.ideal": "vars: x y\nx^2 - 1\ny^3 - y\n",
     "small.cnf": "p cnf 3 2\n1 -2 0\n2 3 0\n",
+    "flag.txt": "0 1 0\n1 0 0\n0 0 1\n",
+}
+
+# Each argv runs a command under its default options: every command of
+# the CLI, run by test_same_output_under_python_O and by the trace below.
+COMMANDS = [
+    ["ci", "n=4", "degrees=2"], ["ci", "n=2", "degrees=3,3,3"],
+    ["characters", "n=4", "degrees=2"], ["delta", "m=3", "k=1", "n=5"], ["todd", "4"],
+    ["hilbert", "conic.ideal"], ["reduce-sat", "small.cnf"], ["count", "points.ideal"],
+    ["membership", "conic.ideal", "-x0*x2+x1^2"], ["trans", "conic.ideal", "1,1,1", "[1]"],
+]
+
+# The traffic of the routes, run in a fresh process under sys.setprofile
+# so that calls made while importing count too: cli.main on COMMANDS and
+# on the options that change what runs, each script of scripts/ at the
+# arguments of tests/test_scripts.py, and the first inputs of each bench
+# workload for one seed (bench/ is only read).  It prints the (file, first
+# line, name) of every code object of the package that was entered.
+TRACE_ROUTES = r"""
+import contextlib, io, json, os, random, runpy, sys
+
+root, commands = sys.argv[1], json.loads(sys.argv[2])
+package = os.path.join(root, "src", "hilbertpoly") + os.sep
+entered = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(package):
+        entered.add((os.path.basename(code.co_filename), code.co_firstlineno, code.co_name))
+
+sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
+sys.setprofile(profile)
+from hilbertpoly import cli
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in commands + [
+            ["--max-basis", "1", "count", "points.ideal"],
+            ["--output", "text", "ci", "n=3", "degrees=2"],
+            ["reduce-sat", "small.cnf", "--out", "sat.ideal"],
+            ["trans", "conic.ideal", "1,1,1", "[1]", "--flag", "flag.txt"],
+            ["no-such-command"]]:
+        cli.main(argv)
+    os.chdir(root)
+    for script, args in [("run_ci_grid.py", ["3", "2", "2"]),
+                         ("run_sat_corpus.py", ["3", "4", "1"]),
+                         ("run_transversality_sweep.py", ["2", "0"])]:
+        sys.argv = [script] + args
+        try:
+            runpy.run_path(os.path.join("scripts", script), run_name="__main__")
+        except SystemExit as exc:
+            if exc.code:
+                raise
+    from workloads import WORKLOADS
+    for make in WORKLOADS.values():
+        workload = make()
+        for inp in workload.inputs(random.Random(0))[:3]:
+            if workload.check(inp, workload.run(inp)):
+                raise SystemExit("a bench answer is wrong")
+sys.setprofile(None)
+print(json.dumps(sorted(entered)))
+"""
+
+# Every def of src/ that the traffic above never enters, with the reason
+# it stays.
+NOT_RUN_BY_ROUTES = {
+    "grobner.buchberger": "the library's Groebner API; the scan oracles check it",
+    "grobner._autoreduce": "buchberger's interreduction",
+    "grobner.normal_form": "the library's Groebner API; the scan oracles check it",
+    "grobner._packed_normal_form": "normal_form's reduction",
+    "transversality.in_Q_lambda": "the rank test that the counting route is to call",
+    "transversality.Flag.dual_matrix": "the dual rows that in_Q_lambda reads",
+    "transversality.GrassPoint.__post_init__": "the checked constructor; routes use _of_kernel",
+    **dict.fromkeys([
+        "arith.MultiPoly.__repr__", "arith.UniPoly.__repr__", "partitions.Partition.__repr__",
+        "arith.MultiPoly.__eq__", "arith.MultiPoly.__hash__", "arith.UniPoly.__hash__",
+        "arith.UniPoly.__bool__"], "the value protocol: shown, compared, hashed and tested"),
 }
 
 
-@pytest.mark.parametrize("argv", [
-    ["ci", "n=4", "degrees=2"],
-    ["ci", "n=2", "degrees=3,3,3"],
-    ["hilbert", "conic.ideal"],
-    ["reduce-sat", "small.cnf"],
-    ["count", "points.ideal"],
-    ["membership", "conic.ideal", "-x0*x2+x1^2"],
-    ["trans", "conic.ideal", "1,1,1", "[1]"],
-], ids=lambda argv: " ".join(argv))
+def _defs(tree, prefix=()):
+    """(first line, name, qualified name) of every def under the node,
+    nested ones and those of classes included; the first line of a
+    decorated def is that of its first decorator, as in its code object."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            line = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            yield line, node.name, prefix + (node.name,)
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _defs(node, prefix + (node.name,) if named else prefix)
+
+
+def test_src_keeps_only_what_its_routes_run(tmp_path):
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    run = subprocess.run([sys.executable, "-c", TRACE_ROUTES, ROOT, json.dumps(COMMANDS)],
+                         cwd=tmp_path, env=dict(os.environ, PYTHONHASHSEED="0"),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-3000:]
+    entered = {tuple(x) for x in json.loads(run.stdout)}
+    never = set()
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                tree = ast.parse(fh.read())
+            never |= {"%s.%s" % (name[:-3], ".".join(qual)) for line, short, qual in _defs(tree)
+                      if (name, line, short) not in entered}
+    listed = set(NOT_RUN_BY_ROUTES)
+    assert never == listed, "not run: %s; listed but run: %s" % (
+        sorted(never - listed), sorted(listed - never))
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv))
 def test_same_output_under_python_O(tmp_path, argv):
     # python -O strips assert statements and sets __debug__ to False;
     # no command may answer differently for it
