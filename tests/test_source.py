@@ -140,19 +140,26 @@ NOT_RUN_BY_ROUTES = {
 }
 
 
-def _defs(tree, prefix=()):
-    """(first line, name, qualified name) of every def under the node,
-    nested ones and those of classes included; the first line of a
-    decorated def is that of its first decorator, as in its code object."""
+def _defs(tree, prefix=(), in_class=False):
+    """(first line, name, qualified name, is a method) of every def under
+    the node, nested ones and those of classes included; the first line of
+    a decorated def is that of its first decorator, as in its code object.
+    A method is a def whose nearest enclosing def or class is a class."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             line = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            yield line, node.name, prefix + (node.name,)
-        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        yield from _defs(node, prefix + (node.name,) if named else prefix)
+            yield line, node.name, prefix + (node.name,), in_class
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _defs(node, prefix + (node.name,), isinstance(node, ast.ClassDef))
+        else:
+            yield from _defs(node, prefix, in_class)
 
 
-def test_src_keeps_only_what_its_routes_run(tmp_path):
+@pytest.fixture(scope="module")
+def routes_trace(tmp_path_factory):
+    """({qualified name: is a method} of every def of src/, the set of
+    those that the traced traffic of the routes never enters)."""
+    tmp_path = tmp_path_factory.mktemp("routes")
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text)
     run = subprocess.run([sys.executable, "-c", TRACE_ROUTES, ROOT, json.dumps(COMMANDS)],
@@ -160,16 +167,40 @@ def test_src_keeps_only_what_its_routes_run(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr[-3000:]
     entered = {tuple(x) for x in json.loads(run.stdout)}
-    never = set()
+    methods, never = {}, set()
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
             with open(os.path.join(PACKAGE, name)) as fh:
                 tree = ast.parse(fh.read())
-            never |= {"%s.%s" % (name[:-3], ".".join(qual)) for line, short, qual in _defs(tree)
-                      if (name, line, short) not in entered}
-    listed = set(NOT_RUN_BY_ROUTES)
-    assert never == listed, "not run: %s; listed but run: %s" % (
-        sorted(never - listed), sorted(listed - never))
+            for line, short, qual, method in _defs(tree):
+                qual = "%s.%s" % (name[:-3], ".".join(qual))
+                methods[qual] = method
+                if (name, line, short) not in entered:
+                    never.add(qual)
+    return methods, never
+
+
+def _check_not_run(routes_trace, methods):
+    # every def of the kind that no route runs, private ones and dunders
+    # included, is deleted or listed in NOT_RUN_BY_ROUTES with its reason;
+    # a listed name that a route runs, or that is no def, comes off the list
+    kind, never = routes_trace
+    found = {qual for qual in never if kind[qual] == methods}
+    listed = {qual for qual in NOT_RUN_BY_ROUTES if kind.get(qual, False) == methods}
+    assert found == listed, "not run: %s; listed but run or gone: %s" % (
+        sorted(found - listed), sorted(listed - found))
+
+
+def test_public_helpers_that_only_tests_reach(routes_trace):
+    # the defs outside classes (module functions and those nested in
+    # them) that no route runs, against the trace
+    _check_not_run(routes_trace, methods=False)
+
+
+def test_public_methods_that_only_tests_reach(routes_trace):
+    # the defs of classes that no route runs, dunders included, against
+    # the trace
+    _check_not_run(routes_trace, methods=True)
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv))
