@@ -1,6 +1,14 @@
 """Exact arithmetic substrate over Q: sparse multivariate polynomials
 with ring arithmetic, and dense univariate polynomials as values.
 
+A MultiPoly coefficient is an int when it is an integer and a Fraction
+otherwise, the rule linalg's results keep: every constructor and
+operation stores it so, and a float, whose binary expansion is not the
+exact value it stands for, raises TypeError.  3 == Fraction(3) and both
+hash and print alike, so equality, hashing and to_text do not depend on
+the form a coefficient came in.  eval_point works in integers and
+returns a Fraction.
+
 A UniPoly is a Hilbert polynomial or series numerator that a route
 builds once from a coefficient list; it is then only compared, printed
 and read coefficient by coefficient, so it has no arithmetic.
@@ -11,6 +19,7 @@ function, so they are safe to share between threads.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -21,6 +30,12 @@ ANY_DEGREE = "any"
 
 class PolyParseError(ValueError):
     """Raised when polynomial text cannot be parsed."""
+
+
+class InputError(ValueError):
+    """A well-formed input that the computation is not defined on: an
+    inhomogeneous ideal where a homogeneous one is needed, a point that
+    is no zero of the system, a negative order."""
 
 
 class CrossCheckFailed(ArithmeticError):
@@ -39,6 +54,17 @@ def frac(x) -> Fraction:
     raise TypeError("expected an int or a Fraction, got %r" % (x,))
 
 
+def _coefficient(x):
+    """An int or a Fraction as a MultiPoly coefficient: an int when it
+    is an integer, else the Fraction.  Anything else raises TypeError,
+    as in frac."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError("expected an int or a Fraction, got %r" % (x,))
+
+
 # ---------------------------------------------------------------------------
 # Multivariate polynomials
 
@@ -47,8 +73,9 @@ class MultiPoly:
     """Sparse multivariate polynomial over Q.
 
     ``terms`` maps exponent tuples (length = number of variables) to
-    nonzero rational coefficients.  No zero coefficient is ever stored,
-    so equality is structural.
+    nonzero rational coefficients, each an int when it is an integer and
+    a Fraction otherwise.  No zero coefficient is ever stored, so
+    equality is structural.
     """
 
     def __init__(self, variables, terms):
@@ -56,29 +83,31 @@ class MultiPoly:
         nv = len(self.variables)
         clean = {}
         for exp, c in terms.items():
-            c = frac(c)
+            if type(c) is not int:
+                c = _coefficient(c)
             if not c:
                 continue
             exp = tuple(exp)
-            if len(exp) != nv or any(e < 0 for e in exp):
+            if len(exp) != nv or min(exp, default=0) < 0:
                 raise ValueError("exponent vector %r does not fit %d variables" % (exp, nv))
             clean[exp] = c
         self.terms = clean
         self._hash = None
+        self._degrees = None
 
     # -- constructors
 
     @classmethod
     def constant(cls, variables, c):
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): frac(c)})
+        return cls(variables, {(0,) * len(variables): c})
 
     @classmethod
     def variable(cls, variables, name):
         variables = tuple(variables)
         i = variables.index(name)
         exp = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {exp: Fraction(1)})
+        return cls(variables, {exp: 1})
 
     # -- ring structure
 
@@ -98,7 +127,7 @@ class MultiPoly:
             return NotImplemented
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
+            terms[exp] = terms.get(exp, 0) + c
         return MultiPoly(self.variables, terms)
 
     __radd__ = __add__
@@ -114,7 +143,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = frac(other)
+            c = _coefficient(other)
             if not c:
                 return MultiPoly(self.variables, {})
             return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
@@ -125,7 +154,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+                terms[e] = terms.get(e, 0) + c1 * c2
         return MultiPoly(self.variables, terms)
 
     __rmul__ = __mul__
@@ -148,13 +177,19 @@ class MultiPoly:
 
     # -- queries
 
+    def degrees(self):
+        """The set of the total degrees of the terms, computed once."""
+        if self._degrees is None:
+            self._degrees = frozenset(map(sum, self.terms))
+        return self._degrees
+
     def is_homogeneous(self):
         """Common total degree of all terms, ANY_DEGREE for 0, None if mixed."""
         if not self.terms:
             return ANY_DEGREE
-        degs = {sum(e) for e in self.terms}
+        degs = self.degrees()
         if len(degs) == 1:
-            return degs.pop()
+            return next(iter(degs))
         return None
 
     # -- calculus / substitution
@@ -169,38 +204,53 @@ class MultiPoly:
             e = list(exp)
             e[i] -= 1
             e = tuple(e)
-            terms[e] = terms.get(e, Fraction(0)) + c * exp[i]
+            terms[e] = terms.get(e, 0) + c * exp[i]
         return MultiPoly(self.variables, terms)
 
     def eval_point(self, values):
         """Evaluate at a rational point (sequence aligned with variables)
         of ints and Fractions; the value is an exact Fraction, and a float
-        coordinate raises TypeError, as frac does."""
-        values = [v if type(v) is Fraction else frac(v) for v in values]
+        coordinate raises TypeError, as frac does.
+
+        The work is in integers: the point is X / D with integer X and D
+        the lcm of its denominators, the coefficients are c' / L with L
+        the lcm of theirs, and with top the largest term degree the value
+        is sum c' X^e D^(top - |e|) over L D^top, one division."""
         if len(values) != len(self.variables):
             raise ValueError("point has wrong length")
-        if not self.terms:
-            return Fraction(0)
+        D = 1
+        for v in values:
+            if type(v) is not int:
+                D = math.lcm(D, frac(v).denominator)
+        X = [v * D if type(v) is int else v.numerator * (D // v.denominator) for v in values]
+        L = 1
+        for c in self.terms.values():
+            if type(c) is not int:
+                L = math.lcm(L, c.denominator)
+        top = max(self.degrees(), default=0)
+        mixed = D != 1 and len(self.degrees()) > 1
         total = 0
         for exp, c in self.terms.items():
-            t = c
-            for v, e in zip(values, exp):
+            t = c * L if type(c) is int else c.numerator * (L // c.denominator)
+            for x, e in zip(X, exp):
                 if e == 1:
-                    t *= v
+                    t *= x
                 elif e:
-                    t *= v ** e
+                    t *= x ** e
+            if mixed:
+                t *= D ** (top - sum(exp))
             total += t
-        return total
+        return Fraction(total, L * D ** top)
 
     def set_variable(self, name, value):
         """Fix one variable to a rational value; drops it from the list."""
         i = self.variables.index(name)
-        value = frac(value)
+        value = _coefficient(value)
         newvars = self.variables[:i] + self.variables[i + 1:]
         terms = {}
         for exp, c in self.terms.items():
             e = exp[:i] + exp[i + 1:]
-            terms[e] = terms.get(e, Fraction(0)) + c * value ** exp[i]
+            terms[e] = terms.get(e, 0) + c * value ** exp[i]
         return MultiPoly(newvars, terms)
 
     def extend_variables(self, newvars):

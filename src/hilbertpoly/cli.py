@@ -6,11 +6,16 @@ than one computation route include an ``agreement`` field, and any
 disagreement turns into exit status 2.
 
 Exit codes: 0 ok, 2 cross-route disagreement, 3 resource cap hit, 4
-parse error.  Usage errors (an unknown command, a missing argument, a
-key=value key given twice, a negative cap) are parse errors, with the
-JSON error "parse" on stderr; --help exits 0.  A failed internal
-cross-check (CrossCheckFailed) also exits 2, with the JSON error
-"cross-check" on stderr and no report.  The closed-form commands ci,
+parse or input error.  Usage errors (an unknown command, a missing
+argument, a key=value key given twice, a negative cap) are parse
+errors, with the JSON error "parse" on stderr; --help exits 0.  An
+input that parses but that the command is not defined on (InputError:
+an inhomogeneous ideal for hilbert, membership or trans, a constant or
+inhomogeneous membership polynomial, a trans point that is the zero
+vector or no zero of the system, a negative todd m) also exits 4, with
+the JSON error "input".  A failed internal cross-check
+(CrossCheckFailed) also exits 2, with the JSON error "cross-check" on
+stderr and no report.  The closed-form commands ci,
 characters, delta and todd refuse an m above MAX_M, ci and delta more
 than MAX_DELTA_PAIRS pairs of delta-table work, ci a series degree above
 MAX_SERIES_DEGREE, and reduce-sat a formula of more than
@@ -31,7 +36,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import CrossCheckFailed, PolyParseError, parse_poly
+from .arith import CrossCheckFailed, InputError, PolyParseError, parse_poly
 # grobner, the largest module, first: compiled while the fewest other
 # objects are held, it keeps the import's peak memory low
 from .grobner import (
@@ -186,7 +191,7 @@ def _emit(report, args):
 def cmd_hilbert(args):
     ideal = parse_ideal_file(_read(args.ideal))
     if not ideal.homogeneous:
-        raise CliParseError("ideal file contains inhomogeneous polynomials")
+        raise InputError("ideal file contains inhomogeneous polynomials")
     data = hilbert_data(ideal, **_caps(args))
     p = data.hilbert_polynomial
     m = p.degree
@@ -260,7 +265,7 @@ def cmd_delta(args):
 
 def cmd_todd(args):
     if args.m < 0:
-        raise CliParseError("todd needs m >= 0, got %d" % args.m)
+        raise InputError("todd needs m >= 0, got %d" % args.m)
     _check_m("todd", args.m)
     _emit({"m": args.m, "todd": todd_poly(args.m).to_text()}, args)
     return EXIT_OK
@@ -340,7 +345,7 @@ def _read_flag(path, n):
 def cmd_trans(args):
     ideal = parse_ideal_file(_read(args.instance))
     n = len(ideal.variables) - 1
-    degree = max((sum(e) for g in ideal.generators for e in g.terms), default=0)
+    degree = max((max(g.degrees()) for g in ideal.generators), default=0)
     if degree > args.max_degree:
         raise ResourceCapExceeded("input degree %d exceeds %d" % (degree, args.max_degree))
     x = tuple(_rational(tok) for tok in args.point.split(","))
@@ -464,6 +469,10 @@ def main(argv=None):
         print(json.dumps({"schema": SCHEMA, "error": "cross-check",
                           "detail": str(exc)}), file=sys.stderr)
         return EXIT_DISAGREE
+    except InputError as exc:
+        print(json.dumps({"schema": SCHEMA, "error": "input",
+                          "detail": str(exc)}), file=sys.stderr)
+        return EXIT_PARSE
     except (CliParseError, PolyParseError, ValueError, OSError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": "parse",
                           "detail": str(exc)}), file=sys.stderr)

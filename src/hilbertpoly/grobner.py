@@ -37,7 +37,11 @@ Conventions
 * The field width is derived from the input degrees.  A guard bit is
   checked at every pack, every lcm and every new term; an overflow
   reruns the whole call at twice the width, so no exponent is ever
-  wrapped and the result does not depend on the width.
+  wrapped and the result does not depend on the width.  A J-pair's
+  multiple shift * G[x] checks only its lead: every field of a packed
+  monomial is at most its degree, grevlex is graded, so no term of
+  G[x] has a larger degree than its lead, and no field of the multiple
+  is larger than the degree of shift * lead.
 * The Groebner core works on primitive integer polynomials (content 1,
   positive leading coefficient) and reduces fraction-free; only the
   bases and remainders it returns are rational, and Groebner bases are
@@ -61,7 +65,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .arith import ANY_DEGREE, CrossCheckFailed, MultiPoly, UniPoly, parse_poly
+from .arith import ANY_DEGREE, CrossCheckFailed, InputError, MultiPoly, UniPoly, parse_poly
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -128,9 +132,7 @@ class _Packing:
     def pack(self, exp):
         if sum(exp) >> self.bits:
             raise _FieldOverflow
-        p = 0
-        for e, s in zip(exp, self.shifts):
-            p += e << s
+        p = sum(map(operator.lshift, exp, self.shifts))
         return p + ((p * self.sums_mul) & self.sums_mask)
 
     def unpack(self, p):
@@ -162,7 +164,7 @@ def _packed(order, polys, run, *args):
     """run(packing, *args) with fields that hold the product of any two
     terms of the polys, twice as wide each time a field overflows: the
     arithmetic is exact, so a rerun gives the same result."""
-    bits = _bits_for(max((sum(e) for f in polys for e in f.terms), default=0))
+    bits = _bits_for(max((max(f.degrees(), default=0) for f in polys), default=0))
     while True:
         try:
             return run(_Packing(order, len(polys[0].variables), bits), *args)
@@ -227,7 +229,10 @@ def ideal_file_text(ideal):
 
 def _clear_denominators(f):
     """(integer term dict, d) with the dict equal to d*f, d > 0 the
-    least common denominator of f's coefficients."""
+    least common denominator of f's coefficients: f's own terms and 1
+    when every coefficient is an int."""
+    if all(type(c) is int for c in f.terms.values()):
+        return f.terms, 1
     d = math.lcm(*(c.denominator for c in f.terms.values()))
     return {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()}, d
 
@@ -409,15 +414,17 @@ def _buchberger(pk, generators, max_basis, max_degree):
     is a product of two valid monomials, which fits in width bits."""
     guard, lcm = pk.guard, pk.lcm
     width = pk.top + pk.bits + 1  # the bits of a packed monomial
-    forms = sorted((_primitive_form(g, pk) for g in generators),
-                   key=lambda f: (max(map(pk.degree, f[0])), f[1]))
+    # a lead is the largest term, of the largest degree under grevlex,
+    # and the packed order compares degrees first: sorting by lead is
+    # sorting by (degree, lead)
+    forms = sorted((_primitive_form(g, pk) for g in generators), key=lambda f: f[1])
 
-    def check_degree(terms):
-        if max_degree is not None and max(map(pk.degree, terms)) > max_degree:
+    def check_degree(lead):
+        if max_degree is not None and pk.degree(lead) > max_degree:
             raise ResourceCapExceeded("degree exceeded %d" % max_degree)
 
-    for terms, _ in forms:
-        check_degree(terms)
+    for _, lead in forms:
+        check_degree(lead)
     held = len(forms)
     if max_basis is not None and held > max_basis:
         raise ResourceCapExceeded("basis size exceeded %d" % max_basis)
@@ -435,7 +442,7 @@ def _buchberger(pk, generators, max_basis, max_degree):
         holder[lp] = p
         reducers.append(_reducer(G[p], lp, base + u))
         active.append(reducers[p])
-        check_degree(G[p])
+        check_degree(lp)
         # With an element of lower index, p's multiple has the larger
         # signature.  Only the minimal leads lk of the earlier basis
         # are paired, as in F5C (Eder & Perry, JSC 2010): a lead that lk
@@ -500,9 +507,11 @@ def _buchberger(pk, generators, max_basis, max_degree):
                     break
             else:
                 shift = u - sigs[x]
-                r = {shift + e: c for e, c in G[x].items()}
-                if any(e & guard for e in r):
+                # every field of shift + e is at most the degree of
+                # shift + lead, so the lead's guard bits check them all
+                if (shift + lts[x]) & guard:
                     raise _FieldOverflow
+                r = {shift + e: c for e, c in G[x].items()}
                 r, _ = _normal_form(r, active, guard, base + u)
                 if not r:
                     syz.append(u)
@@ -747,7 +756,7 @@ def hilbert_data(ideal, order=None, max_basis=None, max_degree=None):
     minimal leads are computed.  Without an order, _revlex_order picks
     one from the generators."""
     if not ideal.homogeneous:
-        raise ValueError("hilbert_data needs a homogeneous ideal")
+        raise InputError("hilbert_data needs a homogeneous ideal")
     if order is None:
         order = _revlex_order(ideal)
     leads = minimal_leads(ideal.generators, order, max_basis=max_basis, max_degree=max_degree)
@@ -770,17 +779,20 @@ def hilbert_function_direct(ideal, k):
     """dim (S/I)_k by the rank of the span of monomial multiples of the
     generators; independent of any Groebner machinery."""
     if not ideal.homogeneous:
-        raise ValueError("needs a homogeneous ideal")
+        raise InputError("needs a homogeneous ideal")
     nvars = len(ideal.variables)
     monos = monomials_of_degree(nvars, k)
     col = {m: i for i, m in enumerate(monos)}
+    shifts = {}  # generator degree d -> the monomials of degree k - d
     rows = []
     for g in ideal.generators:
         d = g.is_homogeneous()
         if d is ANY_DEGREE or d > k:
             continue
-        for shift in monomials_of_degree(nvars, k - d):
-            row = [Fraction(0)] * len(monos)
+        if d not in shifts:
+            shifts[d] = monomials_of_degree(nvars, k - d)
+        for shift in shifts[d]:
+            row = [0] * len(monos)
             for e, c in g.terms.items():
                 row[col[tuple(map(operator.add, shift, e))]] = c
             rows.append(row)
@@ -828,9 +840,9 @@ def membership_via_hilbert(ideal, g, max_basis=None, max_degree=None):
     modulo the extended ideal, making the comparison conclusive)."""
     d = g.is_homogeneous()
     if d is None or d is ANY_DEGREE or d == 0:
-        raise ValueError("g must be non-constant homogeneous")
+        raise InputError("g must be non-constant homogeneous")
     if not ideal.homogeneous:
-        raise ValueError("needs a homogeneous ideal")
+        raise InputError("needs a homogeneous ideal")
     y = fresh_variable(ideal.variables)
     newvars = ideal.variables + (y,)
     ext = [p.extend_variables(newvars) for p in ideal.generators]

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .arith import CrossCheckFailed, MultiPoly, frac
+from .arith import CrossCheckFailed, InputError, MultiPoly, frac
 from .partitions import is_admissible, jumps
 
 
@@ -112,7 +112,7 @@ class InputInstance:
             if f.variables != variables:
                 raise ValueError("polynomials must live in x0..x%d" % self.n)
             if f.is_homogeneous() is None:
-                raise ValueError("polynomials must be homogeneous")
+                raise InputError("polynomials must be homogeneous")
         if not 0 <= self.m <= self.n:
             raise ValueError("need 0 <= m <= n")
 
@@ -134,12 +134,12 @@ class InputInstance:
     @cached_property
     def hessian_entries(self):
         """The hessians with each constant entry read as its value (an
-        int when integral) and every other entry left a polynomial."""
+        int when integral, as MultiPoly keeps it) and every other entry
+        left a polynomial."""
         def entry(h):
             if any(any(e) for e in h.terms):
                 return h
-            c = next(iter(h.terms.values()), 0)  # its one term, if any
-            return c.numerator if c.denominator == 1 else c
+            return next(iter(h.terms.values()), 0)  # its one term, if any
         return tuple(tuple(tuple(map(entry, row)) for row in hessian)
                      for hessian in self.hessians)
 
@@ -173,7 +173,7 @@ def normalize_point(x):
     x = [frac(v) for v in x]
     lead = next((v for v in x if v), None)
     if lead is None:
-        raise ValueError("zero vector is not a projective point")
+        raise InputError("zero vector is not a projective point")
     return tuple(v / lead for v in x)
 
 
@@ -200,7 +200,7 @@ def _zero(inst, x):
     """x normalized; raises unless it is a zero of the system."""
     x = normalize_point(x)
     if not is_zero_of(inst, x):
-        raise ValueError("point is not a zero of the system")
+        raise InputError("point is not a zero of the system")
     return x
 
 

@@ -199,7 +199,7 @@ def normal_form_by_scan(f, divisors, order):
         for lt, g in leads:
             if all(a <= b for a, b in zip(lt, exp)):
                 shift = tuple(b - a for a, b in zip(lt, exp))
-                quot = MultiPoly(variables, {shift: work.terms[exp] / g.terms[lt]})
+                quot = MultiPoly(variables, {shift: Fraction(work.terms[exp], g.terms[lt])})
                 work = work - quot * g
                 break
         else:
@@ -216,8 +216,8 @@ def spoly(f, g, order):
     lf = max(f.terms, key=key)
     lg = max(g.terms, key=key)
     u = tuple(max(a, b) for a, b in zip(lf, lg))
-    a = MultiPoly(variables, {tuple(p - q for p, q in zip(u, lf)): 1 / f.terms[lf]})
-    b = MultiPoly(variables, {tuple(p - q for p, q in zip(u, lg)): 1 / g.terms[lg]})
+    a = MultiPoly(variables, {tuple(p - q for p, q in zip(u, lf)): Fraction(1, f.terms[lf])})
+    b = MultiPoly(variables, {tuple(p - q for p, q in zip(u, lg)): Fraction(1, g.terms[lg])})
     return a * f - b * g
 
 
@@ -255,7 +255,7 @@ def _interreduce(basis, order):
             basis = others + ([r] if r else [])
             i = 0
     key = order_key(order)
-    return [g * (1 / g.terms[max(g.terms, key=key)]) for g in basis]
+    return [g * Fraction(1, g.terms[max(g.terms, key=key)]) for g in basis]
 
 
 def leading_exponents(basis, order):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,47 @@ def test_ring_axioms(f, g, h):
 @settings(max_examples=60)
 def test_text_roundtrip(f):
     assert parse_poly(f.to_text(), f.variables) == f
+
+
+coefficients = st.one_of(st.integers(-4, 4), small_fraction)
+term_dicts = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             coefficients, max_size=4)
+
+
+def _int_when_integral(f):
+    return all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+               for c in f.terms.values())
+
+
+@given(term_dicts, term_dicts, coefficients)
+@settings(max_examples=150)
+def test_integral_coefficients_are_ints(a, b, c):
+    # every constructor and operation stores a coefficient as an int
+    # exactly when it is an integer
+    f, g = MultiPoly(XY, a), MultiPoly(XY, b)
+    built = [f, g, MultiPoly.constant(XY, c), MultiPoly.variable(XY, "y"),
+             f + g, f + c, c + f, f - g, f - c, -f, f * g, f * c, c * f,
+             f.partial("x"), f.set_variable("x", c), f.extend_variables(("z", "y", "x")),
+             parse_poly(f.to_text(), XY)]
+    assert all(_int_when_integral(p) for p in built)
+    # the same polynomial with every coefficient held as a Fraction, as
+    # MultiPoly once held them, equals, hashes and prints alike
+    held = object.__new__(MultiPoly)
+    held.variables, held._hash = XY, None
+    held.terms = {e: Fraction(v) for e, v in f.terms.items()}
+    assert held == f and hash(held) == hash(f) and held.to_text() == f.to_text()
+    assert MultiPoly(XY, {e: Fraction(v) for e, v in a.items()}).terms == f.terms
+
+
+@given(term_dicts, st.lists(coefficients, min_size=2, max_size=2))
+@settings(max_examples=150)
+def test_eval_point_in_integers_is_the_rational_value(a, point):
+    # against term-by-term Fraction arithmetic
+    f = MultiPoly(XY, a)
+    value = sum((Fraction(c) * math.prod(Fraction(v) ** e for v, e in zip(point, exp))
+                 for exp, c in f.terms.items()), Fraction(0))
+    got = f.eval_point(point)
+    assert got == value and type(got) is Fraction
 
 
 def test_parse_whitespace_insensitive():
@@ -244,13 +286,18 @@ def test_unipoly_text():
 
 def test_floats_are_refused():
     # a float's binary expansion is not the exact value it stands for
+    x = MultiPoly.variable(("x", "y"), "x")
     for build in (lambda: UniPoly([0.5]),
                   lambda: MultiPoly(("x",), {(1,): 0.5}),
+                  lambda: MultiPoly(("x",), {(1,): 2.0}),
                   lambda: MultiPoly.constant(("x",), 0.5),
+                  lambda: x.set_variable("y", 1.0),
                   lambda: MultiPoly.variable(("x",), "x").eval_point([0.5]),
                   lambda: MultiPoly(("x",), {}).eval_point([0.5])):
         with pytest.raises(TypeError, match="int or a Fraction"):
             build()
+    with pytest.raises(TypeError, match="unsupported operand"):
+        x * 0.5
 
 
 def test_eval_point_is_an_exact_fraction():

@@ -33,6 +33,7 @@ from hilbertpoly.reductions import (
 from hilbertpoly.symfun import b_sequence
 
 from oracles import dimacs_text
+from test_source import INPUTS
 
 
 def run_cli(*argv):
@@ -79,15 +80,6 @@ def test_todd_command():
     code, report = run_json("todd", "2")
     assert code == EXIT_OK
     assert report["todd"] == "1/12*c1^2 + 1/12*c2"
-
-
-def test_todd_negative_m_is_parse_error(capsys):
-    code, out = run_cli("todd", "-1")
-    assert code == EXIT_PARSE
-    assert out == ""
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "parse"
-    assert "m >= 0" in err["detail"]
 
 
 def test_delta_command():
@@ -431,6 +423,31 @@ def test_resource_cap_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("argv, detail", [
+    (("todd", "-1"), "todd needs m >= 0"),
+    (("hilbert", "plane.ideal"), "contains inhomogeneous polynomials"),
+    (("membership", "conic.ideal", "3"), "g must be non-constant homogeneous"),
+    (("membership", "plane.ideal", "x0^2"), "needs a homogeneous ideal"),
+    (("trans", "conic.ideal", "1,1,2", "[]"), "point is not a zero of the system"),
+    (("trans", "conic.ideal", "0,0,0", "[]"), "zero vector is not a projective point"),
+    (("trans", "plane.ideal", "1,0,0", "[]"), "hilbert_data needs a homogeneous ideal"),
+    (("trans", "plane.ideal", "1,0,0", "[]", "--m", "1"), "polynomials must be homogeneous"),
+], ids=["todd", "hilbert", "membership-poly", "membership-ideal", "trans-not-a-zero",
+        "trans-zero-vector", "trans-dimension", "trans-instance"])
+def test_semantic_error_is_input_error(tmp_path, monkeypatch, capsys, argv, detail):
+    # an input that parses but that the command is not defined on exits
+    # with the parse code, under its own error kind
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "conic.ideal").write_text(CONIC)
+    (tmp_path / "plane.ideal").write_text("vars: x0 x1 x2\nx0*x2 - x1\n")
+    code, out = run_cli(*argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"schema": 1, "error": "input", "detail": err["detail"]}
+    assert detail in err["detail"]
+
+
+@pytest.mark.parametrize("argv, detail", [
     (("bogus",), "invalid choice"),
     ((), "required: command"),
     (("todd",), "required: m"),
@@ -620,6 +637,27 @@ def test_trans_reports_are_pinned(tmp_path, monkeypatch):
     assert verdicts == {True, False}
     assert digest.hexdigest() == (
         "7ab5cd47561da561bf894322d16e0f6939a9ca0a496e76ad4faff585cc6e6e65")
+
+
+def test_groebner_reports_are_pinned(tmp_path, monkeypatch):
+    # the exit code and stdout of every Groebner command on the input
+    # files of tests/test_source.py, in JSON and in text, under the
+    # default caps and under tight ones, hashed together: the reports
+    # of valid inputs, and the empty stdout of refused ones
+    monkeypatch.chdir(tmp_path)
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    commands = [["reduce-sat", "small.cnf"]]
+    for name in ("conic.ideal", "points.ideal"):
+        commands += [["hilbert", name], ["count", name]]
+        commands += [["membership", name, poly] for poly in (
+            "-x0*x2+x1^2", "x0^2*x2 - x0*x1^2", "3/2*x0*x2 - x1^2", "x0^3", "x^2 - 1")]
+    digest = hashlib.sha256()
+    for options in ([], ["--output", "text"], ["--max-basis", "1"], ["--max-degree", "2"]):
+        for argv in commands:
+            digest.update(("%d%s" % run_cli(*options, *argv)).encode())
+    assert digest.hexdigest() == (
+        "35e2a12d4f90fdef4e52bbeb62485ce88a93cb809b8783d1b4f28c67aa17bf58")
 
 
 def _conic_tangency_report():
@@ -826,7 +864,7 @@ _ARGV = st.one_of(
 def _documented_outcome(argv):
     """main(argv) with stdout and stderr captured.  It must exit 0 with
     a report on stdout and nothing on stderr, or exit 2, 3 or 4 with
-    nothing on stdout and the JSON error of its code on stderr; exit 2
+    nothing on stdout and a JSON error of its code on stderr; exit 2
     with a disagreement report fails.  Returns the code and stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -838,8 +876,8 @@ def _documented_outcome(argv):
     else:
         assert out.getvalue() == ""
         error = json.loads(err.getvalue())["error"]
-        assert error == {EXIT_DISAGREE: "cross-check", EXIT_RESOURCE: "resource-cap",
-                         EXIT_PARSE: "parse"}[code]
+        assert error in {EXIT_DISAGREE: ("cross-check",), EXIT_RESOURCE: ("resource-cap",),
+                         EXIT_PARSE: ("parse", "input")}[code]
     return code, out.getvalue()
 
 

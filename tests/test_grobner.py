@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -305,6 +306,24 @@ def test_regular_sequence_has_no_reduction_to_zero(monkeypatch, n, degrees):
     assert data.series_numerator == UniPoly(numerator)
     assert len(remainders) > len(degrees)
     assert all(remainders)
+
+
+def test_generic_ci_bases_are_pinned():
+    # the reduced basis, as text, and the minimal leads under the order
+    # hilbert_data picks, of dense forms shaped as the generic complete
+    # intersections of the benchmark, seeds 0-9, hashed together: a
+    # change of coefficient representation must not move a byte
+    from hilbertpoly.chern import CompleteIntersection
+    digest = hashlib.sha256()
+    for seed in range(10):
+        for n, degrees in [(4, (3, 3)), (5, (2, 2, 2)), (6, (2, 2, 2)), (5, (4, 3)),
+                           (6, (3, 3)), (6, (3, 2, 2)), (7, (2, 2, 2, 2))]:
+            I = generic_ci_ideal(CompleteIntersection(n, degrees), seed=seed)
+            for g in buchberger(I.generators):
+                digest.update((g.to_text() + "\n").encode())
+            digest.update(repr(minimal_leads(I.generators, _revlex_order(I))).encode())
+    assert digest.hexdigest() == (
+        "0f6e46443618cbe275a12e824f6ae18fc305a672ec70222ccd036012d8bbb56c")
 
 
 @st.composite

@@ -30,6 +30,40 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+# Every true division (/) of src/, as "module.def: expression", with the
+# reason its operands are not two ints: MultiPoly and linalg keep an
+# integral value as an int, and an int / int would be a float.
+DIVISIONS = {
+    "symfun.b_sequence: (-1) ** (j - 1) * bernoulli(j) / math.factorial(i)":
+        "bernoulli returns a Fraction",
+    "transversality.normalize_point: v / lead": "frac made every coordinate a Fraction",
+}
+
+
+def _divisions(node, where):
+    """(enclosing defs, expression) of every / under the node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _divisions(child, where + (child.name,))
+            continue
+        if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+            yield where, ast.unparse(child)
+        yield from _divisions(child, where)
+
+
+def test_true_divisions_in_package():
+    # floor division, Fraction(a, b) and linalg's _quotient stay exact;
+    # each true division is listed with the reason it cannot make a float
+    found = set()
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                tree = ast.parse(fh.read())
+            found |= {"%s: %s" % (".".join((name[:-3],) + where), expr)
+                      for where, expr in _divisions(tree, ())}
+    assert found == set(DIVISIONS)
+
+
 def test_package_imports_no_test_code():
     # the cross-check routes stay independent of the oracles that check
     # them: no module of the package imports oracles, conftest or any
