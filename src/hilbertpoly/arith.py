@@ -392,17 +392,18 @@ class UniPoly:
             return "0"
         pieces = []
         for k in range(self.degree, -1, -1):
-            c = self.coefficient(k)
-            if not c:
+            c = self.coeffs[k]
+            num, den = c.numerator, c.denominator
+            if not num:
                 continue
+            size = str(abs(num)) if den == 1 else "%d/%d" % (abs(num), den)
             if k == 0:
-                body = str(abs(c))
+                body = size
             else:
                 mono = var if k == 1 else "%s^%d" % (var, k)
-                body = mono if abs(c) == 1 else "%s*%s" % (abs(c), mono)
+                body = mono if size == "1" else "%s*%s" % (size, mono)
             if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
+                pieces.append(body if num > 0 else "-" + body)
             else:
-                pieces.append((" + " if c > 0 else " - ") + body)
+                pieces.append((" + " if num > 0 else " - ") + body)
         return "".join(pieces)
-

@@ -226,13 +226,18 @@ def cmd_ci(args):
     chars = hilbert_poly_from_characters(ci.m, ci.n, table)
     oracle = ci_hilbert_series_oracle(ci)
     agree = hrr == chars == oracle
+    # routes that agree hold one polynomial: it is rendered once
+    if agree:
+        shown = [_poly_report(hrr)] * 3
+    else:
+        shown = [_poly_report(p) for p in (hrr, chars, oracle)]
     report = {
         "n": ci.n,
         "degrees": list(ci.degrees),
         "dimension": ci.m,
-        "hilbert_hrr": _poly_report(hrr),
-        "hilbert_characters": _poly_report(chars),
-        "hilbert_series": _poly_report(oracle),
+        "hilbert_hrr": shown[0],
+        "hilbert_characters": shown[1],
+        "hilbert_series": shown[2],
         "characters": _character_map(table),
         "euler_top": euler_top(ci),
         "agreement": agree,

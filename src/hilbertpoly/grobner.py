@@ -38,10 +38,11 @@ Conventions
   checked at every pack, every lcm and every new term; an overflow
   reruns the whole call at twice the width, so no exponent is ever
   wrapped and the result does not depend on the width.  A J-pair's
-  multiple shift * G[x] checks only its lead: every field of a packed
-  monomial is at most its degree, grevlex is graded, so no term of
-  G[x] has a larger degree than its lead, and no field of the multiple
-  is larger than the degree of shift * lead.
+  multiple shift * G[x] needs no check of its own: its lead
+  shift * lt(G[x]) is the lcm of two leads, checked when the pair was
+  formed, and every field of a packed monomial is at most its degree;
+  grevlex is graded, so no term of G[x] has a larger degree than its
+  lead, and no field of the multiple is larger than the lcm's degree.
 * The Groebner core works on primitive integer polynomials (content 1,
   positive leading coefficient) and reduces fraction-free; only the
   bases and remainders it returns are rational, and Groebner bases are
@@ -507,10 +508,9 @@ def _buchberger(pk, generators, max_basis, max_degree):
                     break
             else:
                 shift = u - sigs[x]
-                # every field of shift + e is at most the degree of
-                # shift + lead, so the lead's guard bits check them all
-                if (shift + lts[x]) & guard:
-                    raise _FieldOverflow
+                # shift + lts[x] is the lcm that formed the pair, and
+                # lcm checked its guard bits; every field of shift + e is
+                # at most its degree, which is at most the lcm's
                 r = {shift + e: c for e, c in G[x].items()}
                 r, _ = _normal_form(r, active, guard, base + u)
                 if not r:

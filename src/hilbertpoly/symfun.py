@@ -15,16 +15,18 @@ b_{2j} = (-1)^{j-1} B_j / (2j)!).  Modern references instead attach the
 sign to the Bernoulli number; conversions must keep that in mind.
 
 Memoised for the life of the process, since none of them depends on a
-variety and each value is immutable: b_sequence (a tuple for each K),
-its cleared form (integer numerators b_i D and one denominator D, for
-each K), delta_b (Delta_lam(b) by lam), the coefficients k a_k of the
-Todd recurrence for each m, todd_poly (a MultiPoly), delta_coeff
+variety and each value is immutable: bernoulli (a Fraction for each n),
+b_sequence (a tuple for each K), its cleared form (integer numerators
+b_i D and one denominator D, for each K), the scaled Delta_lam(b) D^|lam|
+(an int for each lam), todd_poly (a MultiPoly), delta_coeff
 (delta^{m,k}_mu, a Fraction) and delta_table (a tuple of pairs
 (mu, N(k,m) delta^{m,k}_mu), each scaled entry checked to be an int).
 
 A Jacobi-Trudi determinant of a sequence of ints, such as the cleared
 b-sequence, the binomials of d_coeff or the Chern numbers of a complete
-intersection, is an int: linalg eliminates it without Fractions.
+intersection, is an int: linalg eliminates it without Fractions.  The
+Todd recurrence and the delta sums likewise run on integer numerators
+over one known denominator and divide once for each value.
 """
 
 from __future__ import annotations
@@ -43,12 +45,13 @@ def delta_det(lam, c):
     c_1, ...) of rationals, with c_i = 0 for i < 0.
 
     The largest index read is lam_1 + r - 1 <= |lam|; a read past the end
-    of c raises IndexError.  The empty partition gives c_0; padding lam
-    with zeros does not change the value.
+    of c raises IndexError.  The empty partition gives c_0 and a
+    partition of length 1 gives c_{lam_1}, as they are; padding lam with
+    zeros does not change the value.
     """
     r = lam.length
-    if r == 0:
-        return c[0]
+    if r <= 1:
+        return c[lam.part(1)] if r else c[0]
     rows = []
     for i in range(1, r + 1):
         first = lam.part(i) - i + 1
@@ -99,16 +102,17 @@ def _cleared_b(K):
 
 
 @lru_cache(maxsize=None)
-def delta_b(lam):
-    """Delta_lam(b) for the coefficients b of t/(1 - e^{-t}).
+def _scaled_delta_b(lam):
+    """Delta_lam(b) D^|lam| as an int, D the common denominator of
+    b_sequence(|lam|) (1 for the empty partition).
 
     No entry b_i of the determinant has i > lam_1 + len(lam) - 1 <= |lam|,
     so b_sequence(|lam|) holds every one of them.  The determinant is
     taken in integers, on the b_i D: each of its len(lam) rows is D
-    times a row of Delta_lam(b), and the empty partition reads b_0 D.
+    times a row of Delta_lam(b), and len(lam) <= |lam|.
     """
     nums, D = _cleared_b(lam.size)
-    return Fraction(delta_det(lam, nums), D ** max(lam.length, 1))
+    return delta_det(lam, nums) * D ** (lam.size - lam.length)
 
 
 def newton_power_sums(c):
@@ -143,18 +147,26 @@ def todd_sequence(c):
     exp(sum_k a_k p_k), whose graded parts satisfy
     n T_n = sum_{k<=n} k a_k p_k T_{n-k}.  Since t (log Q)' =
     1 - t/(e^t - 1) = 1 - Q(-t), k a_k = (-1)^(k+1) b_k for k >= 1.
+
+    The recurrence runs on S_n = n! D^n T_n, D the common denominator of
+    b_0..b_m, which the integer numerators b_k D take without Fractions
+    where the c_j are integers:
+    S_n = sum_k (-1)^(k+1) (b_k D) D^(k-1) (n-1)!/(n-k)! p_k S_{n-k}.
+    Each T_n is then S_n over n! D^n, one division.
     """
     m = len(c) - 1
     p = newton_power_sums(c)
-    ka = [bk if k % 2 else -bk for k, bk in enumerate(b_sequence(m))]
+    nums, D = _cleared_b(m)
     zero = c[0] - c[0]
-    todd = [c[0]]
+    scaled, todd = [c[0]], [c[0]]
     for n in range(1, m + 1):
         acc = zero
         for k in range(1, n + 1):
-            if ka[k]:  # a_k = 0 for odd k > 1
-                acc = acc + p[k] * ka[k] * todd[n - k]
-        todd.append(acc * Fraction(1, n))
+            if nums[k]:  # b_k = 0 for odd k > 1
+                weight = nums[k] * D ** (k - 1) * math.perm(n - 1, k - 1)
+                acc = acc + p[k] * (weight if k % 2 else -weight) * scaled[n - k]
+        scaled.append(acc)
+        todd.append(acc * Fraction(1, math.factorial(n) * D ** n))
     return tuple(todd)
 
 
@@ -203,15 +215,17 @@ def scaling_factor(k, m):
 @lru_cache(maxsize=None)
 def delta_coeff(m, k, mu):
     """delta^{m,k}_mu = (-1)^|mu| sum over lam of size m-k containing mu
-    of Delta_lam(b) d^m_{lam,mu}."""
+    of Delta_lam(b) d^m_{lam,mu}, summed in integers as the
+    Delta_lam(b) D^(m-k) and divided once."""
     if not 0 <= k <= m:
         raise ValueError("need 0 <= k <= m")
     if mu.size > m - k:
         raise ValueError("need |mu| <= m-k")
-    total = Fraction(0)
+    total = 0
     for lam in enumerate_partitions(m - k, max_len=max(m, 1), containing=mu):
-        total += delta_b(lam) * d_coeff(lam, mu, m)
-    return (-1) ** mu.size * total
+        total += _scaled_delta_b(lam) * d_coeff(lam, mu, m)
+    # every lam has size m-k, so D^(m-k) scales every term
+    return Fraction((-1) ** mu.size * total, _cleared_b(m - k)[1] ** (m - k))
 
 
 def delta_table_pairs(m, k, n):

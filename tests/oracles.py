@@ -45,7 +45,7 @@ from hilbertpoly.arith import ANY_DEGREE, CrossCheckFailed, MultiPoly, UniPoly
 from hilbertpoly.chern import todd_class
 from hilbertpoly.grobner import INFINITE, HomIdeal, hilbert_data, monomials_of_degree
 from hilbertpoly.partitions import Partition, enumerate_partitions, jumps
-from hilbertpoly.symfun import delta_b, delta_det
+from hilbertpoly.symfun import b_sequence, delta_det
 from hilbertpoly.transversality import _zero, jacobian_at
 
 
@@ -109,8 +109,6 @@ def symmetric_to_elementary(g, tvars, cvars):
 def todd_direct(m):
     """Todd polynomial from the graded-part definition: the degree-m part
     of prod_i f(t_i) with f(t) = t/(1 - e^{-t}), in elementary symmetrics."""
-    from hilbertpoly.symfun import b_sequence
-
     cvars = tuple("c%d" % i for i in range(1, m + 1))
     if m == 0:
         return MultiPoly.constant((), 1)
@@ -656,6 +654,13 @@ def rref_by_fractions(rows):
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(col)
     return a, pivots
+
+
+def delta_b(lam):
+    """Delta_lam(b) for the coefficients b of t/(1 - e^{-t}), as the
+    Fraction determinant of b_sequence(|lam|), which holds every entry
+    it reads."""
+    return delta_det(lam, b_sequence(max(lam.size, 1)))
 
 
 @lru_cache(maxsize=None)

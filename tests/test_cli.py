@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, event, given, settings
 import hilbertpoly
 from hilbertpoly import cli
 from hilbertpoly.arith import MultiPoly
+from hilbertpoly.chern import CompleteIntersection, ci_hilbert_series_oracle
 from hilbertpoly.cli import (
     EXIT_DISAGREE,
     EXIT_OK,
@@ -527,6 +528,11 @@ def test_disagreement_exit_code(monkeypatch):
     code, report = run_json("ci", "n=2", "degrees=3")
     assert code == EXIT_DISAGREE
     assert report["agreement"] is False
+    # a disagreeing report renders each route's own polynomial
+    oracle = ci_hilbert_series_oracle(CompleteIntersection(2, (3,))).to_text()
+    assert report["hilbert_hrr"]["text"] == "41"
+    assert report["hilbert_characters"]["text"] == oracle
+    assert report["hilbert_series"]["text"] == oracle
 
 
 def test_character_route_disagreement_exit_code(monkeypatch):
@@ -538,7 +544,10 @@ def test_character_route_disagreement_exit_code(monkeypatch):
     code, report = run_json("ci", "n=2", "degrees=3")
     assert code == EXIT_DISAGREE
     assert report["agreement"] is False
+    oracle = ci_hilbert_series_oracle(CompleteIntersection(2, (3,))).to_text()
+    assert report["hilbert_hrr"]["text"] == oracle
     assert report["hilbert_characters"]["text"] == "41"
+    assert report["hilbert_series"]["text"] == oracle
 
 
 def test_failed_cross_check_exit_code(monkeypatch, capsys):
@@ -571,9 +580,9 @@ def test_ci_grid_reports_independent_of_order():
     from hilbertpoly.chern import chern_cone_normal, chern_tangent, ci_grid
     from hilbertpoly.partitions import _nested, partitions_in_strip
     from hilbertpoly.symfun import (
-        _cleared_b, b_sequence, delta_b, delta_coeff, delta_table)
+        _cleared_b, _scaled_delta_b, b_sequence, delta_coeff, delta_table)
 
-    for cache in (delta_b, _cleared_b, b_sequence, delta_coeff,
+    for cache in (_scaled_delta_b, _cleared_b, b_sequence, delta_coeff,
                   delta_table, _nested, partitions_in_strip,
                   chern_tangent, chern_cone_normal):
         cache.cache_clear()

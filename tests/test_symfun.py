@@ -18,6 +18,7 @@ from hilbertpoly.symfun import (
     newton_power_sums,
     scaling_factor,
     todd_poly,
+    todd_sequence,
 )
 
 from oracles import (
@@ -26,6 +27,7 @@ from oracles import (
     complete_homogeneous_values,
     conjugate,
     contains,
+    delta_b,
     delta_coeffs_by_cauchy_binet,
     dual_sequence,
     elementary_symmetric_values,
@@ -35,6 +37,7 @@ from oracles import (
     series_inverse,
     todd_direct,
     todd_terms,
+    todd_value,
 )
 
 
@@ -53,6 +56,16 @@ def test_delta_single_row_is_ck():
     c = C(1, 7, -2, 9)
     assert delta_det(Partition([2]), c) == -2
     assert delta_det(Partition([3]), c) == 9
+    # a one-part partition reads c_k as it is, as the empty one reads c_0;
+    # a read past the end still raises IndexError
+    for c in (C(1, 7, -2, 9), (1, 7, -2, 9), (1, Fraction(1, 2), 0)):
+        for k in range(1, len(c)):
+            value = delta_det(Partition([k]), c)
+            assert value == c[k] and type(value) is type(c[k])
+        with pytest.raises(IndexError):
+            delta_det(Partition([len(c)]), c)
+    with pytest.raises(IndexError):
+        delta_det(Partition([2, 1]), (1, 3, 2))
 
 
 def test_delta_empty_partition():
@@ -164,12 +177,11 @@ def test_delta_b_scaled_integrality():
 
 
 def test_delta_b_builds_each_b_sequence_size_once():
-    from hilbertpoly import symfun
-    caches = (symfun.delta_b, symfun._cleared_b, b_sequence)
+    caches = (symfun._scaled_delta_b, symfun._cleared_b, b_sequence)
     for cache in caches:
         cache.cache_clear()
     M = 7
-    values = {lam: symfun.delta_b(lam) for size in range(M + 1)
+    values = {lam: symfun._scaled_delta_b(lam) for size in range(M + 1)
               for lam in enumerate_partitions(size)}
     # one cleared sequence, over one b_sequence, for each size 0..M,
     # however many lam share it
@@ -180,8 +192,12 @@ def test_delta_b_builds_each_b_sequence_size_once():
         symfun._cleared_b(K)
     for cache in (symfun._cleared_b, b_sequence):
         assert cache.cache_info().misses == M + 1  # the sizes were 0..M
+    # each value is the int Delta_lam(b) D^|lam|, D the denominator of
+    # the b-sequence of its size
     for lam, value in values.items():
-        assert value == delta_det(lam, b_sequence(max(lam.size, 1)))
+        assert type(value) is int
+        D = symfun._cleared_b(lam.size)[1]
+        assert value == delta_b(lam) * D ** lam.size
     for cache in caches:
         cache.cache_clear()
 
@@ -210,6 +226,19 @@ def test_todd_recurrence_matches_determinant_formula(m):
     c = formal_chern(m)
     formula = sum((coeff * ring_delta(lam, c) for lam, coeff in todd_terms(m)), c[0] - c[0])
     assert todd_poly(m) == formula
+
+
+def test_todd_sequence_at_rational_chern_numbers():
+    # the recurrence on n! D^n T_n, run at Fraction Chern numbers, against
+    # the determinantal formula of the oracle
+    rng = random.Random(31)
+    for m in range(9):
+        for _ in range(4):
+            c = [Fraction(1)] + rational_seq(rng, m)
+            td = todd_sequence(c)
+            assert len(td) == m + 1
+            for n in range(m + 1):
+                assert td[n] == todd_value(n, c), (c, n)
 
 
 def test_power_sums_at_roots():
