@@ -146,9 +146,8 @@ def todd_class(ci):
 
 def hilbert_poly_hrr(ci):
     """Hilbert polynomial with coefficients p_k = deg(h^k T_{m-k})/k!."""
-    td = todd_class(ci)
-    return UniPoly([Fraction(td[ci.m - k] * ci.degree, math.factorial(k))
-                    for k in range(ci.m + 1)])
+    return UniPoly([Fraction(t.numerator * ci.degree, t.denominator * math.factorial(k))
+                    for k, t in enumerate(reversed(todd_class(ci)))])
 
 
 def euler_top(ci):

@@ -590,11 +590,13 @@ def hilbert_series_monomial(exps, nvars):
     on Bigatti's pivot (JPAA 119, 1997), the variable x that lies in the
     most of them: Q(L) = Q(L + (x)) + t * Q(L : x).  Only the entry
     minimalizes.  L + (x) is generated by x and the generators without
-    x, already minimal.  L : x is generated by the g / x of the g with x,
-    an antichain as the g are, and the generators without x, none of
-    which divides a g / x (it would divide g); so the one change is that
-    a generator without x that some g / x divides drops out.  A node
-    whose generators share no variable multiplies by each 1 - t^deg."""
+    x, already minimal, and x is a nonzerodivisor modulo those, so
+    Q(L + (x)) is (1 - t) times their Q: x enters no subtree.  L : x is
+    generated by the g / x of the g with x, an antichain as the g are,
+    and the generators without x, none of which divides a g / x (it
+    would divide g); so the one change is that a generator without x
+    that some g / x divides drops out.  A node whose generators share no
+    variable multiplies by each 1 - t^deg."""
     exps = list(exps)
     # a field of bits + 1 bits counts 2^(bits+1) - 1 > len(exps)
     # generators without a carry
@@ -637,13 +639,10 @@ def hilbert_series_monomial(exps, nvars):
         # a divisor is not larger than its multiple
         kept = [g for g in without
                 if all((g - d) & guard for d in divided[:bisect.bisect_right(divided, g)])]
-        bisect.insort(without, unit)
-        q = rec(without)
-        colon = rec(sorted(kept + divided))
-        q += [0] * (len(colon) + 1 - len(q))  # q + t * colon
-        for k, c in enumerate(colon, 1):
-            q[k] += c
-        return q
+        q, colon = rec(without), rec(sorted(kept + divided))
+        # (1 - t) * q + t * colon
+        return [a - b + c for a, b, c in
+                itertools.zip_longest(q + [0], [0] + q, [0] + colon, fillvalue=0)]
 
     return UniPoly(rec(_minimal_monomials(map(pk.pack, exps), guard)))
 

@@ -2,23 +2,26 @@
 kernel, RREF and products.
 
 Matrices are lists of rows whose entries are ints or Fractions.  Every
-elimination and product works on integer rows: a matrix of ints is
-taken as it is, and any other has each row with a Fraction of
-denominator above 1 scaled by the lcm of its denominators.  There is
-one elimination, fraction-free Bareiss (Bareiss 1968).  rank and det
-run its forward sweep; rref carries the sweep on to the rows above each
-pivot, which is fraction-free Gauss-Jordan, and kernel runs rref on the
-matrix itself.  solve runs the same sweep on the augmented matrix
-[a | b] of a matrix right-hand side b and divides only b's block by the
-common pivot, and inverse is solve(a, I).  mat_mul takes integer
-dot products of cleared rows and cleared columns.
+elimination and product works on integer rows.  An elimination takes a
+matrix of ints as it is and scales each row of any other by the lcm of
+its denominators; integral and mat_mul scale a whole matrix by one lcm,
+which keeps the ratios of its rows.  There is one elimination,
+fraction-free Bareiss (Bareiss 1968).  rank and det run its forward
+sweep; rref and kernel carry it on to the rows above each pivot, which
+is fraction-free Gauss-Jordan, after which every pivot equals the last
+one, p.  kernel's basis vector for a free column f has p at f and
+-a[r][f] at the pivot column of each row r, an integer basis of the
+kernel.  solve_undivided runs the sweep on [a | b] for a matrix
+right-hand side b and returns b's block, the numerators of the solution
+over p; solve divides them by p, and inverse is solve(a, I).
 
 det is an int for a matrix of ints and a Fraction for any other.  Every
-entry that rref, solve, inverse, kernel and mat_mul return is an int
-when it is an integer and a Fraction otherwise.  det, solve and inverse
-raise ValueError("matrix is not square") on a non-square matrix, solve
-raises ValueError when b does not have one row per row of a, and
-mat_mul when the rows of a are not as long as b has rows.
+entry that rref, solve, inverse and mat_mul return is an int when it is
+an integer and a Fraction otherwise; kernel and solve_undivided return
+ints.  det, solve and inverse raise ValueError("matrix is not square")
+on a non-square matrix, solve raises ValueError when b does not have
+one row per row of a, and mat_mul when the rows of a are not as long as
+b has rows.
 """
 
 from __future__ import annotations
@@ -28,45 +31,31 @@ import operator
 from fractions import Fraction
 
 
-def _cleared(rows):
-    """Rational rows of ints or Fractions as integer rows, each times
-    the lcm of its denominators; returns (integer rows, lcms).  Int
-    entries pass through with no lcm, and a row of denominator 1 is
-    copied, a Fraction in it as its numerator."""
-    out, dens = [], []
+def integral(rows):
+    """A rational matrix as one integer matrix over one scalar: (D rows,
+    D), D the lcm of its denominators; a copy, Fractions of denominator
+    1 as their numerators."""
+    # one lcm at a time: math.lcm(*generator) raised the peak memory of a
+    # 231-report `ci` pass by about 0.3 MiB
+    den = 1
     for row in rows:
-        # one lcm at a time: math.lcm(*generator) raised the peak memory
-        # of a 231-report `ci` pass by about 0.3 MiB
-        den = 1
         for x in row:
             if type(x) is not int and x.denominator != 1:
                 den = math.lcm(den, x.denominator)
-        dens.append(den)
-        if den == 1:
-            out.append([x if type(x) is int else x.numerator for x in row])
-        else:
-            out.append([x * den if type(x) is int else x.numerator * (den // x.denominator)
-                         for x in row])
-    return out, dens
-
-
-def _quotient(x, d):
-    """x / d for ints x and d != 0: an int when d divides x, else a
-    Fraction."""
-    if d == 1:
-        return x
-    q, r = divmod(x, d)
-    return Fraction(x, d) if r else q
+    if den == 1:
+        return [[x if type(x) is int else x.numerator for x in row] for row in rows], 1
+    return [[x * den if type(x) is int else x.numerator * (den // x.denominator) for x in row]
+            for row in rows], den
 
 
 def _integer(rows):
-    """A copy of a rational matrix as integer rows, and the product of
-    the lcms that cleared it: None for a matrix of ints, which is copied
-    as it is."""
+    """A copy of a rational matrix as integer rows, each times the lcm of
+    its denominators, and the product of those lcms: None for a matrix
+    of ints, which is copied as it is."""
     if all(type(x) is int for row in rows for x in row):
         return [list(row) for row in rows], None
-    a, dens = _cleared(rows)
-    return a, math.prod(dens)
+    cleared = [integral((row,)) for row in rows]
+    return [row for (row,), _ in cleared], math.prod(den for _, den in cleared)
 
 
 def _eliminate(a, full):
@@ -134,6 +123,13 @@ def det(rows):
     return value if scale is None else Fraction(value, scale)
 
 
+def divide(rows, d):
+    """Integer rows over an int d != 0: ints where d divides, Fractions elsewhere."""
+    if d == 1:
+        return rows
+    return [[x // d if x % d == 0 else Fraction(x, d) for x in row] for row in rows]
+
+
 def rref(rows):
     """Reduced row echelon form by fraction-free Gauss-Jordan elimination
     over the integer rows; returns (matrix, pivot column list).  The
@@ -141,33 +137,33 @@ def rref(rows):
     the common pivot."""
     a = _integer(rows)[0]
     pivots, _, last = _eliminate(a, True)
-    return [[_quotient(x, last) for x in row] for row in a], pivots
+    return divide(a, last), pivots
 
 
 def kernel(rows, ncols=None):
-    """Basis of the right kernel of a rational matrix, as rows; ncols is
-    needed only when the matrix has no rows."""
+    """Integer basis of the right kernel of a rational matrix, as rows;
+    ncols is needed only when the matrix has no rows."""
     if rows:
         ncols = len(rows[0])
     elif ncols is None:
         raise ValueError("need ncols for an empty matrix")
-    red, pivots = rref(rows)
+    a = _integer(rows)[0]
+    pivots, _, last = _eliminate(a, True)
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
         v = [0] * ncols
-        v[f] = 1
+        v[f] = last
         for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
+            v[p] = -a[r][f]
         basis.append(v)
     return basis
 
 
-def solve(a, b):
-    """x with a x = b for a square nonsingular a and a matrix b (one
-    column per right-hand side), by fraction-free Gauss-Jordan on
-    [a | b]."""
+def solve_undivided(a, b):
+    """(N, p) with a N = p b, N integer and p the last pivot, for a square
+    nonsingular a and a matrix b (one column per right-hand side)."""
     _check_square(a)
     n = len(a)
     if len(b) != n:
@@ -176,8 +172,13 @@ def solve(a, b):
     pivots, _, last = _eliminate(aug, True)
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
-    # the block of a is now last times the identity: only b's is divided
-    return [[_quotient(x, last) for x in row[n:]] for row in aug]
+    # the block of a is now last times the identity
+    return [row[n:] for row in aug], last
+
+
+def solve(a, b):
+    """x with a x = b for a square nonsingular a and a matrix b."""
+    return divide(*solve_undivided(a, b))
 
 
 def inverse(a):
@@ -187,14 +188,13 @@ def inverse(a):
 
 
 def mat_mul(a, b):
-    """Product of rational matrices in integers: row i of a and column j
-    of b, cleared of denominators d_i and e_j, give the entry
-    (row . column) / (d_i e_j)."""
+    """Product of rational matrices in integers: a and b, cleared of
+    denominators by one lcm each, D and E, give the entries
+    (row . column) / (D E)."""
     if any(len(row) != len(b) for row in a):
         raise ValueError("inner dimensions differ")
-    (rows, ds), (cols, es) = _cleared(a), _cleared(zip(*b))
-    return [[_quotient(sum(map(operator.mul, r, c)), d * e) for c, e in zip(cols, es)]
-            for r, d in zip(rows, ds)]
+    (rows, d), (cols, e) = integral(a), integral(list(zip(*b)))
+    return divide([[sum(map(operator.mul, r, c)) for c in cols] for r in rows], d * e)
 
 
 def transpose(a):

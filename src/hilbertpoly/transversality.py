@@ -2,9 +2,9 @@
 decision at exact rational points.
 
 A flag is its nonsingular basis matrix (columns span the flag steps);
-the rows of its inverse, computed once, are the linear forms that cut
-the steps out.  All rank decisions run in exact rational arithmetic;
-projective points are normalized to leading coordinate 1.
+the rows of its inverse are the linear forms that cut the steps out.
+All rank decisions run in exact rational arithmetic; projective points
+are normalized to leading coordinate 1.
 
 The tangency test at a point x with Gauss image on the cell e_mu works
 in coordinates x = L z adapted to the chart (L: the flag basis, pivot
@@ -22,9 +22,14 @@ InputInstance and cached on it (gradients, hessians), so a second
 report on the same instance, at any point and flag, only evaluates them.
 A second partial that is a constant (all of them for a form of degree
 at most 2) is read once per instance, and only the others are evaluated
-at x.  The linear algebra returns an int for every integral entry, so a
-report passes integers between its steps without Fractions; the chart
-it reports is made of Fractions.
+at x.  A report passes integers between its steps: each matrix is an
+integer matrix times one nonzero scalar, which none of the steps sees
+(a kernel, the chart E = Bsig^-1 B, J2 H1 = -J1 and a rank).  J(x) is
+cleared by one lcm, and so are the Hessians of all picked rows, as the
+rows of J2 meet those of the right-hand side; the flag keeps D B and
+the numerators of its inverse; each solve leaves its numerators over a
+pivot, and the two charts are compared by cross-multiplying.  Only the
+point and the chart a report returns are Fractions.
 
 The decision is exposed as separate pieces (smoothness, cell
 membership, the tangency verdict) rather than as one bare implication,
@@ -45,35 +50,50 @@ from .partitions import is_admissible, jumps
 
 @dataclass(frozen=True)
 class Flag:
-    """Complete flag in P^n given by its basis matrix: columns l_0..l_j
+    """Complete flag in P^n given by its basis matrix B: columns l_0..l_j
     span the cone over F_j.
 
-    The basis is checked square and nonsingular and inverted once, on
-    construction; row n - i of the inverse is the linear form dual row
-    i, which vanishes on F_0..F_{n-1-i}."""
+    The basis is checked square and nonsingular on construction by one
+    elimination of [D B | I], D the lcm of its denominators, which keeps
+    the integer matrix D B and the integer numerators N of B^-1 = D N / p,
+    p the last pivot.  Row n - i of the inverse is the linear form dual
+    row i, which vanishes on F_0..F_{n-1-i}."""
 
     basis: tuple  # (n+1) x (n+1), columns l_0..l_n
-    inverse: tuple = field(init=False, compare=False, repr=False)
+    _integral: tuple = field(init=False, compare=False, repr=False)  # D B
+    _inverse_numerators: tuple = field(init=False, compare=False, repr=False)  # N
+    _scale: tuple = field(init=False, compare=False, repr=False)  # (D, p)
 
     def __post_init__(self):
-        basis = tuple(tuple(frac(x) for x in row) for row in self.basis)
+        basis = tuple(tuple(map(frac, row)) for row in self.basis)
         if any(len(row) != len(basis) for row in basis):
             raise ValueError("flag basis is not square")
+        integral, den = linalg.integral(basis)
+        identity = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
         try:
-            inverse = linalg.inverse(basis)
+            numerators, last = linalg.solve_undivided(integral, identity)
         except ValueError:
             raise ValueError("flag basis is singular") from None
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "inverse", tuple(map(tuple, inverse)))
+        object.__setattr__(self, "_integral", integral)
+        object.__setattr__(self, "_inverse_numerators", numerators)
+        object.__setattr__(self, "_scale", (den, last))
 
     @property
     def n(self):
         return len(self.basis) - 1
 
     @property
+    def inverse(self):
+        """B^-1, from its numerators."""
+        den, last = self._scale
+        return tuple(map(tuple, linalg.divide(
+            [[den * v for v in row] for row in self._inverse_numerators], last)))
+
+    @property
     def dual_matrix(self):
         """n x (n+1): dual row i is row n - i of the inverse."""
-        return tuple(self.inverse[self.n - i] for i in range(self.n))
+        return self.inverse[:0:-1]
 
     @classmethod
     def from_basis(cls, basis):
@@ -151,8 +171,7 @@ class GrassPoint:
     span_matrix: tuple
 
     def __post_init__(self):
-        rows = [list(r) for r in self.span_matrix]
-        if linalg.rank(rows) != len(rows):
+        if linalg.rank(self.span_matrix) != len(self.span_matrix):
             raise ValueError("span matrix is rank deficient")
 
     @classmethod
@@ -174,20 +193,15 @@ def normalize_point(x):
     lead = next((v for v in x if v), None)
     if lead is None:
         raise InputError("zero vector is not a projective point")
-    return tuple(v / lead for v in x)
+    return tuple(x) if lead == 1 else tuple(v / lead for v in x)
 
 
 def is_zero_of(inst, x):
     return all(f.eval_point(x) == 0 for f in inst.polys)
 
 
-def _at(polys, x):
-    """A matrix of polynomials evaluated at x."""
-    return [[g.eval_point(x) for g in row] for row in polys]
-
-
 def jacobian_at(inst, x):
-    return _at(inst.gradients, x)
+    return [[g.eval_point(x) for g in row] for row in inst.gradients]
 
 
 def _hessian_at(inst, i, x):
@@ -231,11 +245,10 @@ def in_Q_lambda(inst, x, flag, lam):
     most n-i."""
     if not is_admissible(lam, inst.n, inst.m):
         raise ValueError("partition not admissible")
-    jac = jacobian_at(inst, _zero(inst, x))
+    jac, dual = tuple(jacobian_at(inst, _zero(inst, x))), flag.dual_matrix
     for i in range(inst.m + 1):
         delta = inst.m - i + lam.part(i + 1)
-        rows = [list(r) for r in flag.dual_matrix[:delta]] + [list(r) for r in jac]
-        if linalg.rank(rows) > inst.n - i:
+        if linalg.rank(dual[:delta] + jac) > inst.n - i:
             return False
     return True
 
@@ -244,33 +257,39 @@ def in_Q_lambda(inst, x, flag, lam):
 # Schubert cells via echelon charts
 
 
+def _chart(A, flag, sigma):
+    """The chart of A as (integer numerators, one int denominator), or
+    None outside U_mu: E = Bsig^-1 B for B = A (B_flag^-1)^T, where any
+    multiple of B_flag^-1, its numerators here, gives the same E."""
+    B = linalg.mat_mul(A.span_matrix, linalg.transpose(flag._inverse_numerators))
+    rest = [j for j in range(flag.n + 1) if j not in sigma]
+    try:  # E is the identity at the sigma-columns
+        E, den = linalg.solve_undivided([[row[s] for s in sigma] for row in B],
+                                        [[row[j] for j in rest] for row in B])
+    except ValueError:  # Bsig is singular
+        return None
+    return linalg.transpose(E), den
+
+
 def schubert_cell_coords(A, flag, mu):
     """Chart matrix alpha_mu(A) of shape (n-m) x (m+1), of Fractions, or
     None when A lies outside the chart domain U_mu."""
-    n = flag.n
-    m = A.dim
-    sigma = jumps(mu, n, m)
-    B = linalg.mat_mul([list(r) for r in A.span_matrix], linalg.transpose(flag.inverse))
-    Bsig = [[row[s] for s in sigma] for row in B]
-    try:
-        E = linalg.solve(Bsig, B)
-    except ValueError:  # Bsig is singular
-        return None
-    rest = [j for j in range(n + 1) if j not in sigma]
-    return tuple(tuple(frac(E[i][j]) for i in range(m + 1)) for j in rest)
+    chart = _chart(A, flag, jumps(mu, flag.n, A.dim))
+    return None if chart is None else tuple(
+        tuple(Fraction(v, chart[1]) for v in row) for row in chart[0])
 
 
 def _on_cell(chart, sigma):
-    """Echelon zero pattern: a chart (None outside U_mu) lies on the cell
-    when every slot (j, i) with j >= sigma_i - i is zero."""
+    """Echelon zero pattern: a chart (None outside U_mu), or its
+    numerators, lies on the cell when every slot (j, i) with
+    j >= sigma_i - i is zero."""
     return chart is not None and all(
         chart[j][i] == 0 for i, s in enumerate(sigma) for j in range(s - i, len(chart)))
 
 
 def in_cell(A, flag, mu):
     """Cell membership through the echelon zero pattern of the chart."""
-    sigma = jumps(mu, flag.n, A.dim)
-    return _on_cell(schubert_cell_coords(A, flag, mu), sigma)
+    return _on_cell(schubert_cell_coords(A, flag, mu), jumps(mu, flag.n, A.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +306,17 @@ def transversality_report(inst, x, flag, mu):
     report = {"point": x, "mu": mu, "smooth": False, "on_cell": False,
               "chart": None, "span_dim": None, "needed": (n - m) * (m + 1),
               "transversal": None}
-    jac = jacobian_at(inst, x)
+    jac = linalg.integral(jacobian_at(inst, x))[0]
     A = _gauss_point(inst, jac)
     if A is None:
         return report
     report["smooth"] = True
-    chart = schubert_cell_coords(A, flag, mu)
-    if not _on_cell(chart, sigma):
+    chart = _chart(A, flag, sigma)
+    if not _on_cell(chart and chart[0], sigma):
         return report
+    numerators, den = chart
     report["on_cell"] = True
-    report["chart"] = chart
+    report["chart"] = tuple(tuple(Fraction(v, den) for v in row) for row in numerators)
 
     rest = [j for j in range(n + 1) if j not in sigma]
     order = list(sigma) + rest
@@ -307,8 +327,8 @@ def transversality_report(inst, x, flag, mu):
 
     # adapted coordinates: x = L z with L the basis columns reordered so
     # the sigma-columns come first; by the chain rule the Jacobian of
-    # f(L z) is J(x) L
-    L = [[flag.basis[i][order[k]] for k in range(n + 1)] for i in range(n + 1)]
+    # f(L z) is J(x) L; here L is D L, from the flag
+    L = [[row[k] for k in order] for row in flag._integral]
     jac = linalg.mat_mul(jac, L)
     block = [row[m + 1:] for row in jac]
     # pick n-m rows with an invertible square block: the pivot columns of
@@ -320,20 +340,22 @@ def transversality_report(inst, x, flag, mu):
     Jsel = [jac[s] for s in rows_pick]
     J2 = [row[m + 1:] for row in Jsel]
     J1 = [row[:m + 1] for row in Jsel]
-    # first derivatives of the implicit graph map: J2 H1 = -J1
-    H1 = [[-v for v in row] for row in linalg.solve(J2, J1)]
-    if tuple(tuple(r) for r in H1) != chart:
+    # first derivatives of the implicit graph map: J2 H1 = -J1, H1 = -X / h
+    X, h = linalg.solve_undivided(J2, J1)
+    if any(-p * den != c * h for ps, cs in zip(X, numerators) for p, c in zip(ps, cs)):
         raise CrossCheckFailed("implicit chart disagrees with echelon chart")
 
     # second derivatives: J2 h_ab = -(u_a^T H_f(x) u_b) over the picked
-    # rows f, where the columns u_a = L (e_a ; H1[., a]) of U are the
-    # graph's tangent vectors in x coordinates
-    U = linalg.mat_mul(L, [[int(i == a) for a in range(m + 1)] for i in range(m + 1)] + H1)
-    rhs = []
-    for s in rows_pick:
-        HU = linalg.mat_mul(_hessian_at(inst, s, x), U)
-        rhs.append([-v for row in linalg.mat_mul(linalg.transpose(U), HU) for v in row])
-    second = linalg.solve(J2, rhs)
+    # rows f, where the columns u_a = L (e_a ; H1[., a]) of U, h L (I ; H1)
+    # here, are the graph's tangent vectors in x coordinates
+    U = linalg.mat_mul(L, [[h * (i == a) for a in range(m + 1)] for i in range(m + 1)]
+                       + [[-v for v in row] for row in X])
+    Ut = linalg.transpose(U)
+    # one lcm for the Hessians of all picked rows: row f of rhs meets row f of J2
+    hessians = linalg.integral([row for s in rows_pick for row in _hessian_at(inst, s, x)])[0]
+    rhs = [[-v for row in linalg.mat_mul(Ut, linalg.mat_mul(hessians[k:k + n + 1], U))
+            for v in row] for k in range(0, len(hessians), n + 1)]
+    second = linalg.solve_undivided(J2, rhs)[0]
     # the cell's tangent directions are the unit matrices at the free
     # chart slots (t, a), t < sigma_a - a: each adds one to the rank of
     # the matrices (h_ab)_{t,a}, b <= m, at the other slots

@@ -648,6 +648,36 @@ def test_trans_reports_are_pinned(tmp_path, monkeypatch):
         "7ab5cd47561da561bf894322d16e0f6939a9ca0a496e76ad4faff585cc6e6e65")
 
 
+def test_trans_reports_at_the_node_are_pinned(tmp_path, monkeypatch):
+    # the exit code and report of trans on the nodal cubic, whose Hessian
+    # is not constant, at smooth points of rational t and at the node
+    # (0, 0, 1), for mu = [] and [1]: under three seeds, and with flag
+    # files whose F_0 = x + s x' lies on the tangent line (at x for s = 0)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "node.ideal").write_text(NODE)
+    digest, seen = hashlib.sha256(), set()
+    for t in (Fraction(2), Fraction(-1, 2), Fraction(3, 4), Fraction(1)):
+        x = (t * t - 1, t ** 3 - t, 1)
+        point = ",".join(map(str, x))
+        for mu in ("[]", "[1]"):
+            runs = [("--seed", str(seed), "trans", "node.ideal", point, mu) for seed in range(3)]
+            for s in (0, Fraction(5, 2)):
+                f0 = tuple(a + s * b for a, b in zip(x, (2 * t, 3 * t * t - 1, 0)))
+                name = "tangent%s.flag" % len(runs)
+                (tmp_path / name).write_text(
+                    "".join("%s %d %d\n" % (v, i == 0, i == 1) for i, v in enumerate(f0)))
+                runs.append(("trans", "node.ideal", point, mu, "--flag", name))
+            for argv in runs:
+                code, out = run_cli(*argv)
+                report = json.loads(out)
+                assert code == EXIT_OK
+                seen.add((report["smooth"], report["on_cell"], report["transversal"]))
+                digest.update(("%d%s" % (code, out)).encode())
+    assert {(False, False, None), (True, True, True), (True, True, False)} <= seen
+    assert digest.hexdigest() == (
+        "92dfa956b3bebbe696693dd59b562af92fa56bac9fe1272f5bbabb40da8fea7b")
+
+
 def test_groebner_reports_are_pinned(tmp_path, monkeypatch):
     # the exit code and stdout of every Groebner command on the input
     # files of tests/test_source.py, in JSON and in text, under the

@@ -110,13 +110,8 @@ def integer_matrices(draw):
     return [[draw(st.integers(-9, 9)) for _ in range(nc)] for _ in range(nr)]
 
 
-def _refusing_integer_rows(cleared):
-    def guarded(rows):
-        rows = [list(row) for row in rows]
-        if all(type(x) is int for row in rows for x in row):
-            raise AssertionError("an integer matrix was cleared: %r" % (rows,))
-        return cleared(rows)
-    return guarded
+def _refuse_clearing(rows):
+    raise AssertionError("an integer matrix was cleared: %r" % (rows,))
 
 
 @given(integer_matrices())
@@ -126,19 +121,21 @@ def _refusing_integer_rows(cleared):
 @example([[2, 4], [1, 2]])
 @settings(max_examples=150, deadline=None)
 def test_integer_matrices_skip_clearing(a):
-    # the same matrix with Fraction entries, and with every other row of
-    # Fractions, goes through _cleared; an integer matrix must not
+    # an integer matrix is taken as it is, with no integral call; the
+    # same matrix with Fraction entries, and with every other row of
+    # Fractions, is cleared row by row to the same rank and determinant
     fractions = [[Fraction(x) for x in row] for row in a]
     mixed = [row if i % 2 else [Fraction(x) for x in row] for i, row in enumerate(a)]
+    square = all(len(row) == len(a) for row in a)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_cleared", _refusing_integer_rows(linalg._cleared))
-        assert rank(a) == rank(fractions) == rank(mixed)
-        if all(len(row) == len(a) for row in a):
-            value = det(a)
-            assert type(value) is int
-            assert value == det(fractions) == det(mixed) == leibniz(a)
-            if any(a):
-                assert type(det(fractions)) is Fraction
+        mp.setattr(linalg, "integral", _refuse_clearing)
+        rank_a, value = rank(a), det(a) if square else None
+    assert rank_a == rank(fractions) == rank(mixed)
+    if square:
+        assert type(value) is int
+        assert value == det(fractions) == det(mixed) == leibniz(a)
+        if any(a):
+            assert type(det(fractions)) is Fraction
 
 
 @given(st.one_of(matrices(), singular_squares()))

@@ -52,7 +52,7 @@ def _divisions(node, where):
 
 
 def test_true_divisions_in_package():
-    # floor division, Fraction(a, b) and linalg's _quotient stay exact;
+    # floor division, Fraction(a, b) and linalg's divide stay exact;
     # each true division is listed with the reason it cannot make a float
     found = set()
     for name in sorted(os.listdir(PACKAGE)):
@@ -166,6 +166,9 @@ NOT_RUN_BY_ROUTES = {
     "grobner._packed_normal_form": "normal_form's reduction",
     "transversality.in_Q_lambda": "the rank test that the counting route is to call",
     "transversality.Flag.dual_matrix": "the dual rows that in_Q_lambda reads",
+    "transversality.Flag.inverse": "derived on use; reports read the numerators",
+    "linalg.solve": "the library's solve; routes take the numerators from solve_undivided",
+    "linalg.inverse": "the library's inverse; a flag inverts its basis by solve_undivided",
     "transversality.GrassPoint.__post_init__": "the checked constructor; routes use _of_kernel",
     **dict.fromkeys([
         "arith.MultiPoly.__repr__", "arith.UniPoly.__repr__", "partitions.Partition.__repr__",

@@ -1,10 +1,18 @@
+import collections
+import functools
+import hashlib
+import operator
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hilbertpoly import linalg
-from hilbertpoly.arith import MultiPoly, parse_poly
+from hilbertpoly import linalg, transversality
+from hilbertpoly.arith import CrossCheckFailed, MultiPoly, parse_poly
 from hilbertpoly.linalg import det, mat_mul, rank, transpose
 from hilbertpoly.partitions import Partition, enumerate_partitions, jumps
 from hilbertpoly.transversality import (
@@ -72,20 +80,26 @@ def test_flag_consistency_check():
 
 
 def test_flag_basis_inverted_once(monkeypatch):
-    calls = []
-    real = linalg.inverse
-    monkeypatch.setattr(linalg, "inverse", lambda a: calls.append(len(a)) or real(a))
-    flag = flag_from_columns((1, 2, 3), (0, 1, 0), (0, 0, 1))
-    assert calls == [3]
+    # a flag is one elimination of [D B | I], D the lcm of the basis
+    # denominators; the chart and the report read its integer numerators
+    # and neither invert nor eliminate the basis again
+    eliminated, inverted = [], []
+    real_eliminate, real_inverse = linalg._eliminate, linalg.inverse
+    monkeypatch.setattr(linalg, "_eliminate", lambda a, full: eliminated.append(
+        [list(row) for row in a]) or real_eliminate(a, full))
+    monkeypatch.setattr(linalg, "inverse", lambda a: inverted.append(a) or real_inverse(a))
+    flag = flag_from_columns((1, 2, 3), (0, 1, 0), (0, Fraction(1, 2), 1))
+    assert eliminated == [[[2, 0, 0, 1, 0, 0], [4, 2, 1, 0, 1, 0], [6, 0, 2, 0, 0, 1]]]
     direct = Flag(flag.basis)
-    assert calls == [3, 3]
-    assert direct == flag and direct.inverse == flag.inverse == tuple(map(tuple, real(flag.basis)))
-    # the chart and the report solve their systems; they invert nothing
+    assert len(eliminated) == 2 and direct == flag
+    assert direct.inverse == flag.inverse == tuple(map(tuple, real_inverse(flag.basis)))
+    assert flag.dual_matrix == (flag.inverse[2], flag.inverse[1])
+    eliminated.clear()
     schubert_cell_coords(GrassPoint(((1, 2, 3), (0, 1, 0))), flag, Partition([1]))
     rep = transversality_report(CONIC, (1, 1, 1), flag, Partition([1]))
     assert rep["on_cell"] and rep["transversal"]
-    assert calls == [3, 3]
-    # the inverse is computed, never passed in
+    assert inverted == [] and all(len(a) < 3 for a in eliminated)
+    # the inverse is derived, never passed in
     with pytest.raises(TypeError):
         Flag(basis=flag.basis, inverse=flag.inverse)
 
@@ -634,3 +648,135 @@ def test_inadmissible_partition_raises_at_a_singular_point():
             transversality_report(NODAL_CUBIC, x, flag, Partition([7]))
     with pytest.raises(ValueError, match="not a zero"):
         transversality_report(NODAL_CUBIC, (1, 1, 1), flag, Partition([7]))
+
+
+def test_report_cross_checks_raise(monkeypatch):
+    # the implicit chart, -J2^-1 J1, must equal the echelon chart, and the
+    # chart block must have n - m independent rows; each failure raises
+    real_chart, real_rref = transversality._chart, linalg.rref
+
+    def moved(A, flag, sigma):
+        numerators, den = real_chart(A, flag, sigma)
+        return [row[:-1] + [row[-1] + den] for row in numerators], den
+
+    monkeypatch.setattr(transversality, "_chart", moved)
+    with pytest.raises(CrossCheckFailed, match="implicit chart disagrees"):
+        transversality_report(CONIC, (1, 1, 1), CONIC_FLAG, Partition([1]))
+    monkeypatch.setattr(transversality, "_chart", real_chart)
+    monkeypatch.setattr(linalg, "rref", lambda rows: (real_rref(rows)[0], []))
+    with pytest.raises(CrossCheckFailed, match="chart block is singular"):
+        transversality_report(CONIC, (1, 1, 1), CONIC_FLAG, Partition([1]))
+
+
+# -- pinned reports
+
+
+def _rational(rng, bound, den=3):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+
+
+@functools.cache
+def _pinned_report_inputs():
+    return tuple(_report_corpus())
+
+
+def _report_corpus():
+    """(instance, point, flag, mu) of the pinned corpus: the tangency
+    bench inputs of two seeds; the twisted cubic at rational t, where two
+    of its three Jacobian rows are picked and the rows have different
+    denominators; the nodal cubic, whose Hessians are not constant, at
+    smooth points and at the node; and the quadric.  The last three come
+    under mu = [1], with a flag step F_{n-m-1} through the tangent space,
+    which every fourth time meets it at x itself, and under mu = [], with
+    a random flag, which every fourth time has F_m = the tangent space,
+    off the cell.  The flags have rational entries."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    try:
+        from workloads import Tangency
+    finally:
+        del sys.path[0]
+    tangency = Tangency()
+    for seed in (1, 2):
+        for x, _, basis in tangency.inputs(random.Random(seed)):
+            yield tangency.instance, x, Flag.from_basis(basis), tangency.mu
+    rng = random.Random(4096)
+
+    def combination(rows):
+        coefficients = [_rational(rng, 4) for _ in rows]
+        return tuple(sum(map(operator.mul, coefficients, col)) for col in zip(*rows))
+
+    def flag_of(cols, n):
+        """A flag whose first columns are drawn by cols(), the others at
+        random, drawn again until the basis is nonsingular."""
+        while True:
+            full = cols() + [tuple(_rational(rng, 5) for _ in range(n + 1)) for _ in range(n + 1)]
+            basis = [[full[j][i] for j in range(n + 1)] for i in range(n + 1)]
+            if det(basis) != 0:
+                return Flag.from_basis(basis)
+
+    def points():
+        for trial in range(12):
+            t = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            yield trial, TWISTED_CUBIC, 1, (1, t, t ** 2, t ** 3), [(0, 1, 2 * t, 3 * t ** 2)]
+        for trial in range(12):
+            t = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            x = (0, 0, 1) if t in (1, -1) else (t ** 2 - 1, t ** 3 - t, 1)
+            yield trial, NODAL_CUBIC, 0, x, [(2 * t, 3 * t ** 2 - 1, 0)]
+        for trial in range(8):
+            s, t = _rational(rng, 4), _rational(rng, 4)
+            yield trial, QUADRIC, 0, (1, s, t, s * t), [(0, 1, 0, t), (0, 0, 1, s)]
+
+    for trial, inst, step, x, tangents in points():
+        yield inst, x, flag_of(lambda: [tuple(_rational(rng, 5) for _ in x)] * step + [
+            x if trial % 4 == 0 else combination([x] + tangents)], inst.n), Partition([1])
+        yield inst, x, flag_of(lambda: [] if trial % 4 else [
+            combination([x] + tangents) for _ in range(inst.m + 1)], inst.n), Partition()
+
+
+def test_transversality_reports_are_pinned():
+    # the repr of every report of the corpus, hashed together: any change
+    # to a value, to its int-or-Fraction type or to the order of the keys
+    # shows
+    digest, seen = hashlib.sha256(), collections.Counter()
+    for inst, x, flag, mu in _pinned_report_inputs():
+        rep = transversality_report(inst, x, flag, mu)
+        seen[inst, rep["smooth"], rep["on_cell"], rep["transversal"]] += 1
+        digest.update(repr(rep).encode())
+    assert seen[NODAL_CUBIC, False, False, None]
+    for inst in (TWISTED_CUBIC, NODAL_CUBIC, QUADRIC):
+        assert seen[inst, True, False, None] and seen[inst, True, True, False]
+        assert seen[inst, True, True, True]
+    assert digest.hexdigest() == (
+        "d3f184e5bb17bc6bf2c531eb6e75d4fe4c4068cf33d9236f7241bba055d4678d")
+
+
+def test_report_clears_each_matrix_by_one_lcm(monkeypatch):
+    # the rows of J2 meet those of the right-hand side, so J(x) is cleared
+    # as one matrix, by one lcm, and so are the Hessians of all picked
+    # rows together; here two of the three twisted-cubic rows are picked
+    inst, x, flag, mu = next(
+        (inst, x, flag, mu) for inst, x, flag, mu in _pinned_report_inputs()
+        if inst == TWISTED_CUBIC and mu and any(v.denominator > 1 for v in x)
+        and transversality_report(inst, x, flag, mu)["on_cell"])
+    calls = []
+    real = linalg.integral
+    monkeypatch.setattr(linalg, "integral", lambda rows: calls.append(
+        [list(row) for row in rows]) or real(rows))
+    transversality_report(inst, x, flag, mu)
+    jac = jacobian_at(inst, x)
+    assert len({v.denominator for row in jac for v in row}) > 1
+    assert jac in calls
+    assert [len(rows) for rows in calls].count(2 * (inst.n + 1)) == 1
+
+
+@given(st.integers(0, 10 ** 6), st.fractions().filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_scaled_flag_basis_gives_the_same_verdict(seed, c):
+    # c B spans the same flag as B: the chart, the span and the verdict
+    # do not move
+    inputs = _pinned_report_inputs()
+    inst, x, flag, mu = inputs[seed % len(inputs)]
+    scaled = Flag.from_basis([[c * v for v in row] for row in flag.basis])
+    rep, rep_scaled = (transversality_report(inst, x, f, mu) for f in (flag, scaled))
+    for key in ("chart", "span_dim", "transversal"):
+        assert rep_scaled[key] == rep[key]
