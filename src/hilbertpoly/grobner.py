@@ -35,14 +35,14 @@ Conventions
   negated ints.  Tuples appear only where MultiPoly terms go in and come
   out.
 * The field width is derived from the input degrees.  A guard bit is
-  checked at every pack, every lcm and every new term; an overflow
-  reruns the whole call at twice the width, so no exponent is ever
-  wrapped and the result does not depend on the width.  A J-pair's
-  multiple shift * G[x] needs no check of its own: its lead
-  shift * lt(G[x]) is the lcm of two leads, checked when the pair was
-  formed, and every field of a packed monomial is at most its degree;
-  grevlex is graded, so no term of G[x] has a larger degree than its
-  lead, and no field of the multiple is larger than the lcm's degree.
+  checked at every pack and every lcm; an overflow reruns the whole
+  call at twice the width, so no exponent is ever wrapped and the
+  result does not depend on the width.  A J-pair's multiple shift * x
+  needs no check of its own: its lead shift * lt(x) is the lcm of two
+  leads, checked when the pair was formed, and every field of a packed
+  monomial is at most its degree; grevlex is graded, so no term of x
+  has a larger degree than its lead, nor a field of the multiple than
+  the lcm's degree.  Nor does a term that a reduction adds.
 * The Groebner core works on primitive integer polynomials (content 1,
   positive leading coefficient) and reduces fraction-free; only the
   bases and remainders it returns are rational, and Groebner bases are
@@ -228,14 +228,11 @@ def ideal_file_text(ideal):
 # Buchberger
 
 
-def _clear_denominators(f):
-    """(integer term dict, d) with the dict equal to d*f, d > 0 the
-    least common denominator of f's coefficients: f's own terms and 1
-    when every coefficient is an int."""
-    if all(type(c) is int for c in f.terms.values()):
-        return f.terms, 1
-    d = math.lcm(*(c.denominator for c in f.terms.values()))
-    return {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()}, d
+def _packed_terms(f, pk):
+    """(integer term dict on packed exponents, d) with the dict equal to
+    d*f, d > 0 the least common denominator of f's coefficients."""
+    (coeffs,), d = linalg.integral((f.terms.values(),))
+    return dict(zip(map(pk.pack, f.terms), coeffs)), d
 
 
 def _primitive(terms, lt):
@@ -252,8 +249,7 @@ def _primitive(terms, lt):
 def _primitive_form(f, pk):
     """Nonzero f as a primitive integer term dict on packed exponents,
     and its leading exponent."""
-    terms, _ = _clear_denominators(f)
-    terms = {pk.pack(e): c for e, c in terms.items()}
+    terms, _ = _packed_terms(f, pk)
     lt = max(terms)
     return _primitive(terms, lt), lt
 
@@ -285,10 +281,13 @@ def _normal_form(fterms, reducers, guard, sig=None):
     division.  A reducer with lc = 1 never scales.
 
     Every term a reduction adds is smaller than the term it removes, so
-    a term once popped from the heap never comes back.  The heap holds
-    the negated packed exponents, so it pops the largest first.  An
-    exponent is pushed when it enters work; an entry whose exponent has
-    since cancelled out of work is skipped when popped.
+    a term once popped from the heap never comes back.  Nor does it need
+    a guard-bit check: grevlex is graded, so it has no larger degree
+    than the term it removes, and every term that enters work is valid,
+    checked by pack or in a J-pair multiple, whose lead lcm checked.
+    The heap holds the negated packed exponents, so it pops the largest
+    first.  An exponent is pushed when it enters work; an entry whose
+    exponent has since cancelled out of work is skipped when popped.
     """
     work = dict(fterms)
     heap = [-e for e in work]
@@ -322,8 +321,6 @@ def _normal_form(fterms, reducers, guard, sig=None):
             e = shift + e2
             old = work.get(e)
             if old is None:
-                if e & guard:
-                    raise _FieldOverflow
                 work[e] = -coeff * c2
                 heapq.heappush(heap, -e)
                 continue
@@ -350,8 +347,8 @@ def _reduce(pk, f, reducers):
     """(remainder, d): f's denominators cleared, packed and fully reduced
     against the reducers, the remainder an integer term dict equal to
     d > 0 times the exact rational remainder."""
-    terms, d = _clear_denominators(f)
-    out, scale = _normal_form({pk.pack(e): c for e, c in terms.items()}, reducers, pk.guard)
+    terms, d = _packed_terms(f, pk)
+    out, scale = _normal_form(terms, reducers, pk.guard)
     return out, d * scale
 
 
@@ -398,16 +395,15 @@ def minimal_leads(generators, order=GREVLEX, max_basis=None, max_degree=None):
 
 
 def _minimal_leads(pk, generators, max_basis, max_degree):
-    _, lts, _, minimal = _buchberger(pk, generators, max_basis, max_degree)
-    return [pk.unpack(lts[k]) for k in minimal]
+    return [pk.unpack(lt) for lt, _, _, _ in _buchberger(pk, generators, max_basis, max_degree)]
 
 
 def _buchberger(pk, generators, max_basis, max_degree):
-    """A Groebner basis (G, lts, reducers, minimal): primitive integer
-    term dicts, their leading exponents, the matching list of _reducer
-    and the elements that hold the minimal leads, sorted by lead, by
-    buchberger's signature-based run.  Each element is kept as its
-    regular top-reduction left it: lead reduced, tail as it came.
+    """The _reducer records of the elements of buchberger's
+    signature-based run that hold the minimal leads, sorted by lead: a
+    Groebner basis of primitive integer elements.  Each element is kept
+    only as its record, as its regular top-reduction left it: lead
+    reduced, tail as it came.
 
     The signature t*e_i of an element is the packed monomial t of index
     i; its _reducer sig is (i << width) + t, whose integer order is
@@ -429,19 +425,18 @@ def _buchberger(pk, generators, max_basis, max_degree):
     held = len(forms)
     if max_basis is not None and held > max_basis:
         raise ResourceCapExceeded("basis size exceeded %d" % max_basis)
-    G, lts, sigs, reducers = [], [], [], []
+    lts, sigs, reducers = [], [], []
     holder = {}  # lead -> the element that holds it
 
     def add(r, u):
         """Add the element r of signature u*e_i and queue its J-pairs
         that no Koszul signature drops."""
-        p = len(G)
+        p = len(lts)
         lp = next(iter(r))
-        G.append(_primitive(r, lp))
         lts.append(lp)
         sigs.append(u)
         holder[lp] = p
-        reducers.append(_reducer(G[p], lp, base + u))
+        reducers.append(_reducer(_primitive(r, lp), lp, base + u))
         active.append(reducers[p])
         check_degree(lp)
         # With an element of lower index, p's multiple has the larger
@@ -486,7 +481,7 @@ def _buchberger(pk, generators, max_basis, max_degree):
     koszul = []  # the minimal leads of the basis of f_1, ..., f_{i-1}
     for i, (f, _) in enumerate(forms):
         base = i << width
-        first = len(G)  # G[first:] has index i
+        first = len(lts)  # the elements from first on have index i
         syz = []  # signatures of index i that reduced to zero
         pending = {}  # J-pair signature -> the latest x with it
         multiples = set()  # J-pair signatures found in in(f_1, ..., f_{i-1})
@@ -508,10 +503,11 @@ def _buchberger(pk, generators, max_basis, max_degree):
                     break
             else:
                 shift = u - sigs[x]
-                # shift + lts[x] is the lcm that formed the pair, and
-                # lcm checked its guard bits; every field of shift + e is
-                # at most its degree, which is at most the lcm's
-                r = {shift + e: c for e, c in G[x].items()}
+                # shift + lt is the lcm that formed the pair, and lcm
+                # checked its guard bits; every field of shift + e is at
+                # most its degree, which is at most the lcm's
+                lt, lc, tail, _ = reducers[x]
+                r = {shift + e: c for e, c in [(lt, lc)] + tail}
                 r, _ = _normal_form(r, active, guard, base + u)
                 if not r:
                     syz.append(u)
@@ -524,26 +520,26 @@ def _buchberger(pk, generators, max_basis, max_degree):
         # have reduced it, so only earlier leads can stop being minimal
         new = _minimal_monomials(lts[first:], guard)
         koszul = sorted(new + [m for m in koszul if all((m - l) & guard for l in new)])
-    return G, lts, reducers, [holder[m] for m in koszul]
+    return [reducers[holder[m]] for m in koszul]
 
 
 def _autoreduce(pk, generators, max_basis, max_degree):
     """Reduced monic basis over Q, sorted by lead, each element's terms
-    largest first, from _buchberger's Groebner basis."""
-    G, lts, reducers, keep = _buchberger(pk, generators, max_basis, max_degree)
+    largest first, from the records _buchberger returns: each survivor,
+    its lead and tail, is fully reduced against the others."""
+    minimal = _buchberger(pk, generators, max_basis, max_degree)
     guard, variables = pk.guard, generators[0].variables
-    reducers = [reducers[i] for i in keep]
     # fully reduce each survivor against the others; its lead survives
     out = []
-    for i, k in enumerate(keep):
-        others = reducers[:i] + reducers[i + 1:]
+    for i, (lt, lc, tail, _) in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1:]
         # _normal_form moves terms to r largest first, and no other lead
-        # divides lts[k], so the lead is r's first key
-        r, _ = _normal_form(G[k], others, guard)
-        if next(iter(r), None) != lts[k]:
+        # divides lt, so the lead is r's first key
+        r, _ = _normal_form(dict([(lt, lc)] + tail), others, guard)
+        if next(iter(r), None) != lt:
             raise CrossCheckFailed("reduced basis element lost its lead")
-        lc = r[lts[k]]
-        out.append(MultiPoly(variables, {pk.unpack(e): Fraction(c, lc) for e, c in r.items()}))
+        lead = r[lt]
+        out.append(MultiPoly(variables, {pk.unpack(e): Fraction(c, lead) for e, c in r.items()}))
     return out
 
 
@@ -557,8 +553,7 @@ def in_ideal(f, ideal, max_basis=None, max_degree=None):
 
 
 def _in_ideal(pk, f, generators, max_basis, max_degree):
-    _, _, reducers, minimal = _buchberger(pk, generators, max_basis, max_degree)
-    return not _reduce(pk, f, [reducers[k] for k in minimal])[0]
+    return not _reduce(pk, f, _buchberger(pk, generators, max_basis, max_degree))[0]
 
 
 # ---------------------------------------------------------------------------

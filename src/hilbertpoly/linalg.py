@@ -1,11 +1,12 @@
 """Exact linear algebra over Q: rank, determinant, solve, inverse,
 kernel, RREF and products.
 
-Matrices are lists of rows whose entries are ints or Fractions.  Every
+Matrices are lists of rows whose entries are ints or Fractions; a
+float, or any other entry, raises TypeError, as arith.frac does.  Every
 elimination and product works on integer rows.  An elimination takes a
-matrix of ints as it is and scales each row of any other by the lcm of
-its denominators; integral and mat_mul scale a whole matrix by one lcm,
-which keeps the ratios of its rows.  There is one elimination,
+matrix of ints as it is; integral clears any other by one lcm of all
+its denominators, which keeps the ratios of its rows, so a cleared
+matrix may meet another one row by row.  There is one elimination,
 fraction-free Bareiss (Bareiss 1968).  rank and det run its forward
 sweep; rref and kernel carry it on to the rows above each pivot, which
 is fraction-free Gauss-Jordan, after which every pivot equals the last
@@ -30,17 +31,20 @@ import math
 import operator
 from fractions import Fraction
 
+from .arith import frac
+
 
 def integral(rows):
     """A rational matrix as one integer matrix over one scalar: (D rows,
     D), D the lcm of its denominators; a copy, Fractions of denominator
-    1 as their numerators."""
+    1 as their numerators.  An entry that is neither an int nor a
+    Fraction raises TypeError."""
     # one lcm at a time: math.lcm(*generator) raised the peak memory of a
     # 231-report `ci` pass by about 0.3 MiB
     den = 1
     for row in rows:
         for x in row:
-            if type(x) is not int and x.denominator != 1:
+            if type(x) is not int and frac(x).denominator != 1:
                 den = math.lcm(den, x.denominator)
     if den == 1:
         return [[x if type(x) is int else x.numerator for x in row] for row in rows], 1
@@ -49,13 +53,10 @@ def integral(rows):
 
 
 def _integer(rows):
-    """A copy of a rational matrix as integer rows, each times the lcm of
-    its denominators, and the product of those lcms: None for a matrix
-    of ints, which is copied as it is."""
+    """integral(rows), but for a matrix of ints a copy as it is and None."""
     if all(type(x) is int for row in rows for x in row):
         return [list(row) for row in rows], None
-    cleared = [integral((row,)) for row in rows]
-    return [row for (row,), _ in cleared], math.prod(den for _, den in cleared)
+    return integral(rows)
 
 
 def _eliminate(a, full):
@@ -120,7 +121,7 @@ def det(rows):
     # the last pivot of a nonsingular matrix is its determinant, up to
     # the row swaps and the cleared denominators
     value = sign * last if len(pivots) == len(a) else 0
-    return value if scale is None else Fraction(value, scale)
+    return value if scale is None else Fraction(value, scale ** len(a))
 
 
 def divide(rows, d):

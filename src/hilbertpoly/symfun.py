@@ -16,11 +16,13 @@ sign to the Bernoulli number; conversions must keep that in mind.
 
 Memoised for the life of the process, since none of them depends on a
 variety and each value is immutable: bernoulli (a Fraction for each n),
-b_sequence (a tuple for each K), its cleared form (integer numerators
-b_i D and one denominator D, for each K), the scaled Delta_lam(b) D^|lam|
-(an int for each lam), todd_poly (a MultiPoly), delta_coeff
-(delta^{m,k}_mu, a Fraction) and delta_table (a tuple of pairs
-(mu, N(k,m) delta^{m,k}_mu), each scaled entry checked to be an int).
+b_sequence (a tuple for each K), its cleared form by linalg.integral
+(integer numerators b_i D and one denominator D, for each K: the one
+code the Riemann-Roch and character routes share), the scaled
+Delta_lam(b) D^|lam| (an int for each lam), todd_poly (a MultiPoly),
+delta_coeff (delta^{m,k}_mu, a Fraction) and delta_table (a tuple of
+pairs (mu, N(k,m) delta^{m,k}_mu), each scaled entry checked to be an
+int).
 
 A Jacobi-Trudi determinant of a sequence of ints, such as the cleared
 b-sequence, the binomials of d_coeff or the Chern numbers of a complete
@@ -96,9 +98,8 @@ def b_sequence(K):
 def _cleared_b(K):
     """(b_0 D, ..., b_K D) as ints, and D, the lcm of the denominators of
     b_sequence(K)."""
-    b = b_sequence(K)
-    D = math.lcm(*(x.denominator for x in b))
-    return tuple(int(x * D) for x in b), D
+    (nums,), D = linalg.integral((b_sequence(K),))
+    return tuple(nums), D
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from hilbertpoly import linalg
 from hilbertpoly.arith import (
     ANY_DEGREE,
     MultiPoly,
@@ -293,7 +294,13 @@ def test_floats_are_refused():
                   lambda: MultiPoly.constant(("x",), 0.5),
                   lambda: x.set_variable("y", 1.0),
                   lambda: MultiPoly.variable(("x",), "x").eval_point([0.5]),
-                  lambda: MultiPoly(("x",), {}).eval_point([0.5])):
+                  lambda: MultiPoly(("x",), {}).eval_point([0.5]),
+                  lambda: linalg.integral([[1, 0.5]]),
+                  lambda: linalg.rank([[0.5, 1]]),
+                  lambda: linalg.det([[1, 0], [0, 0.5]]),
+                  lambda: linalg.kernel([[0.5, 1]]),
+                  lambda: linalg.solve([[1]], [[0.5]]),
+                  lambda: linalg.mat_mul([[1]], [[0.5]])):
         with pytest.raises(TypeError, match="int or a Fraction"):
             build()
     with pytest.raises(TypeError, match="unsupported operand"):

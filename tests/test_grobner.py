@@ -326,6 +326,33 @@ def test_generic_ci_bases_are_pinned():
         "0f6e46443618cbe275a12e824f6ae18fc305a672ec70222ccd036012d8bbb56c")
 
 
+def test_sat_leads_are_pinned():
+    # the sat_count bench formulas of seeds 0-19, 160 of them: the
+    # minimal leads of the homogeneous encoding under the order
+    # hilbert_data picks, and the minimal leads and the reduced basis, as
+    # text, of the affine one (x0 = 1), hashed together; small elements
+    # with +-1 coefficients, where the generic_ci pin has dense ones
+    from hilbertpoly.reductions import CnfFormula, sat_to_ideal
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    try:
+        from workloads import SatCount
+    finally:
+        del sys.path[0]
+    digest = hashlib.sha256()
+    formulas = 0
+    for seed in range(20):
+        for n, clauses in SatCount().inputs(random.Random(seed)):
+            ideal = sat_to_ideal(CnfFormula(n, clauses))
+            affine = [g.set_variable("x0", 1) for g in ideal.generators]
+            digest.update(repr(minimal_leads(ideal.generators, _revlex_order(ideal))).encode())
+            digest.update(repr(minimal_leads(affine)).encode())
+            digest.update(repr([g.to_text() for g in buchberger(affine)]).encode())
+            formulas += 1
+    assert formulas == 160
+    assert digest.hexdigest() == (
+        "396643e02eed904520b7a57a8fd45f6da544843f3a66e7f2bd900ba9bea435d0")
+
+
 @st.composite
 def sat_shaped_system(draw):
     """SAT-shaped systems: 4-5 variables, 6-12 monomials and binomials

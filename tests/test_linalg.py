@@ -123,7 +123,7 @@ def _refuse_clearing(rows):
 def test_integer_matrices_skip_clearing(a):
     # an integer matrix is taken as it is, with no integral call; the
     # same matrix with Fraction entries, and with every other row of
-    # Fractions, is cleared row by row to the same rank and determinant
+    # Fractions, is cleared by one lcm to the same rank and determinant
     fractions = [[Fraction(x) for x in row] for row in a]
     mixed = [row if i % 2 else [Fraction(x) for x in row] for i, row in enumerate(a)]
     square = all(len(row) == len(a) for row in a)
